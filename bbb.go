@@ -205,33 +205,6 @@ func MustRun(workloadName string, s Scheme, o Options) Result {
 	return r
 }
 
-// RunCompiled is Run on the compiled-IR path: the workload's per-thread
-// programs execute as micro-op streams interpreted inline from the event
-// kernel — no goroutine or channel handoff per access — and produce results
-// byte-identical to Run's (the `make ir-equiv` gate). Errors if the
-// workload has no compiled form (every Table IV row, the linked list and
-// the WAL have one).
-func RunCompiled(workloadName string, s Scheme, o Options) (Result, error) {
-	w, err := workload.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	cw, ok := workload.Compiled(w)
-	if !ok {
-		return Result{}, fmt.Errorf("bbb: workload %q has no compiled form", workloadName)
-	}
-	return workload.RunCompiled(cw, s, o.sysConfig(s), o.params()), nil
-}
-
-// MustRunCompiled is RunCompiled for callers with vetted names.
-func MustRunCompiled(workloadName string, s Scheme, o Options) Result {
-	r, err := RunCompiled(workloadName, s, o)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // RunChecked is Run with the runtime invariant auditor armed: every
 // checkPeriod cycles (default 1000 when zero) the machine's coherence and
 // persist-buffer invariants are verified between engine events — see

@@ -222,33 +222,16 @@ func BenchmarkSchemesPerWorkload(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw simulator speed (simulated
 // stores per wall second) and allocation pressure per run — engineering
-// metrics, not paper figures. bench-json tracks both across commits. This
-// is the goroutine path; BenchmarkIRThroughput is the same run compiled.
+// metrics, not paper figures. bench-json tracks both across commits, and
+// `make bench-profile` profiles this run. Every access goes through the
+// program↔core coroutine handoff (docs/ARCHITECTURE.md §13), so this is
+// also the handoff's end-to-end cost.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	var stores uint64
 	for i := 0; i < b.N; i++ {
 		r := MustRun("mutateNC", SchemeBBB, benchOptions())
-		stores += r.Stores
-	}
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(stores)/b.Elapsed().Seconds(), "sim_stores/s")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/op")
-}
-
-// BenchmarkIRThroughput is BenchmarkSimulatorThroughput over the compiled-
-// IR path — the same workload, scheme and scale, with the per-access
-// goroutine handoff replaced by the inline interpreter. The ISSUE 8
-// acceptance bar is >= 3x the BENCH_0.json sim_stores/s baseline (~300k);
-// `make ir-equiv` separately guarantees the two paths' Results are
-// byte-identical, so this speedup is free of modeling drift.
-func BenchmarkIRThroughput(b *testing.B) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	var stores uint64
-	for i := 0; i < b.N; i++ {
-		r := MustRunCompiled("mutateNC", SchemeBBB, benchOptions())
 		stores += r.Stores
 	}
 	runtime.ReadMemStats(&after)

@@ -63,7 +63,6 @@ func main() {
 		traceN     = flag.Int("trace", 0, "dump the last N microarchitectural events after the run")
 		traceOut   = flag.String("trace-out", "", "stream the full event trace as JSON lines to this file (see cmd/bbbtrace)")
 		check      = flag.Bool("check", false, "audit coherence and bbPB invariants every 1000 cycles (see internal/invariant)")
-		compiled   = flag.Bool("compiled", false, "run workloads through the compiled IR interpreter instead of goroutine drivers (identical results; see internal/ir)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulations to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile taken after the simulations to this file")
 
@@ -144,9 +143,6 @@ func main() {
 	}
 
 	if *check || *traceN > 0 || *traceOut != "" {
-		if *compiled {
-			log.Fatal("-compiled cannot combine with -check, -trace or -trace-out (those harnesses drive the goroutine path)")
-		}
 		if len(combos) > 1 {
 			log.Fatal("-check, -trace and -trace-out need a single workload/scheme combination")
 		}
@@ -194,12 +190,8 @@ func main() {
 		res bbb.Result
 		err error
 	}
-	run := bbb.Run
-	if *compiled {
-		run = bbb.RunCompiled
-	}
 	results := sweep.Map(*parallel, len(combos), func(i int) outcome {
-		r, err := run(combos[i].workload, combos[i].scheme, o)
+		r, err := bbb.Run(combos[i].workload, combos[i].scheme, o)
 		return outcome{r, err}
 	})
 	for i, out := range results {

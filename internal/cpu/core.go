@@ -1,6 +1,7 @@
 // Package cpu models the cores driving the memory hierarchy: a 2 GHz core
 // with a FIFO store buffer in front of the L1D, and the program interface
-// that couples a workload goroutine to the discrete-event simulation.
+// that runs a workload body as a coroutine of the discrete-event
+// simulation.
 //
 // The store buffer drains to the L1D strictly in order, one store at a
 // time. That is what gives BBB program-order entry into the persistence
@@ -13,10 +14,10 @@ package cpu
 
 import (
 	"fmt"
+	"iter"
 
 	"bbb/internal/coherence"
 	"bbb/internal/engine"
-	"bbb/internal/ir"
 	"bbb/internal/memory"
 	"bbb/internal/stats"
 	"bbb/internal/trace"
@@ -91,9 +92,11 @@ type Core struct {
 	eng *engine.Engine
 	h   *coherence.Hierarchy
 
-	prog   chan request
-	resume chan uint64
-	quit   chan struct{}
+	// next and stop drive the program coroutine (Start); val is the value
+	// the program's pending load or CAS resumes with.
+	next func() (request, bool)
+	stop func()
+	val  uint64
 
 	sb          []sbEntry
 	sbDraining  bool
@@ -107,8 +110,8 @@ type Core struct {
 	// Preallocated callbacks for the per-instruction schedule sites, so the
 	// hot path (stores, loads, fences) schedules without allocating a fresh
 	// closure per event: replyVal resumes the program with the event's
-	// argument, reply0 with zero, fetchFn blocks for the next instruction,
-	// and fenceReply is the one-cycle fence resume.
+	// argument, reply0 with zero, fetchFn runs the program to its first
+	// instruction, and fenceReply is the one-cycle fence resume.
 	replyVal   func(uint64)
 	reply0     func()
 	fetchFn    func()
@@ -130,11 +133,6 @@ type Core struct {
 	epochFn           func()
 	clwbDone          func()
 
-	// interp drives a compiled program (StartCompiled) inline from the
-	// event kernel; nil for the goroutine path.
-	interp    *ir.Interp
-	interpAct ir.Action
-
 	done     bool
 	finished engine.Cycle
 
@@ -151,14 +149,11 @@ func New(id int, cfg Config, eng *engine.Engine, h *coherence.Hierarchy) *Core {
 		panic("cpu: SBEntries must be positive")
 	}
 	c := &Core{
-		id:     id,
-		cfg:    cfg,
-		eng:    eng,
-		h:      h,
-		prog:   make(chan request),
-		resume: make(chan uint64),
-		quit:   make(chan struct{}),
-		Stats:  stats.NewCounters(),
+		id:    id,
+		cfg:   cfg,
+		eng:   eng,
+		h:     h,
+		Stats: stats.NewCounters(),
 	}
 	c.replyVal = c.reply
 	c.reply0 = func() { c.reply(0) }
@@ -209,99 +204,46 @@ func (c *Core) Done() bool { return c.done }
 // FinishedAt returns the cycle the program finished (valid once Done).
 func (c *Core) FinishedAt() engine.Cycle { return c.finished }
 
-// Start launches the workload goroutine and schedules the core's first
-// instruction fetch. run is executed on its own goroutine against the
-// core's Env and must use only that Env to touch simulated memory.
+// Start wraps the workload in a coroutine and schedules the core's first
+// instruction fetch. run executes against the core's Env and must use only
+// that Env to touch simulated memory.
 //
-// The goroutine does not run immediately: it blocks until the core's
-// cycle-0 fetch event sends the initial resume, entering the same
-// resume→request rendezvous every later instruction follows. Releasing it
-// eagerly would let the program race the event loop (and read a torn
-// Env.Now) in the window before its first request reaches the engine.
+// The program runs only inside fetch: each next() resumes it until it
+// yields its next request, so it never runs concurrently with the event
+// loop, and nothing of it runs before the cycle-0 fetch. A panic in run
+// (other than the teardown signal) propagates out of next() and so out of
+// System.Run on the simulating goroutine.
 func (c *Core) Start(run func(Env)) {
 	e := &env{core: c}
-	go func() {
+	c.next, c.stop = iter.Pull(func(yield func(request) bool) {
 		defer func() {
-			if r := recover(); r != nil {
-				if r == errAbandoned {
-					return // simulation torn down mid-run (crash injection)
-				}
+			if r := recover(); r != nil && r != errAbandoned {
 				panic(r)
 			}
 		}()
-		select {
-		case <-c.resume:
-		case <-c.quit:
-			return // torn down before the engine ever ran this core
-		}
+		e.yield = yield
 		run(e)
-		e.do(request{kind: reqDone})
-	}()
-	c.eng.Schedule(0, c.reply0)
-}
-
-// StartCompiled schedules a compiled program on the core. The interpreter
-// runs inline from the event kernel — no goroutine, no channel rendezvous —
-// feeding the same handle() dispatch the goroutine path uses, so both paths
-// schedule identical events and produce byte-identical results.
-func (c *Core) StartCompiled(p *ir.Prog) {
-	c.interp = new(ir.Interp)
-	c.interp.Reset(p, ir.Config{
-		ExplicitPersist: c.cfg.ExplicitPersist,
-		EpochMode:       c.cfg.EpochMode,
 	})
 	c.eng.Schedule(0, c.fetchFn)
 }
 
-// stepCompiled advances the interpreter to its next machine action and
-// dispatches it; val resumes a pending load/CAS result, mirroring the
-// resume channel of the goroutine path.
-func (c *Core) stepCompiled(val uint64) {
-	a := &c.interpAct
-	c.interp.Next(val, a)
-	switch a.Kind {
-	case ir.ActionDone:
-		c.handle(request{kind: reqDone})
-	case ir.ActionLoad:
-		c.handle(request{kind: reqLoad, addr: a.Addr, size: a.Size})
-	case ir.ActionStore:
-		c.handle(request{kind: reqStore, addr: a.Addr, size: a.Size, val: a.Val})
-	case ir.ActionFlush:
-		c.handle(request{kind: reqPersist, addr: a.Addr})
-	case ir.ActionFence:
-		c.handle(request{kind: reqFence})
-	case ir.ActionEpoch:
-		c.handle(request{kind: reqEpoch})
-	case ir.ActionCompute:
-		c.handle(request{kind: reqCompute, cycles: a.Cycles})
-	case ir.ActionCAS:
-		c.handle(request{kind: reqCAS, addr: a.Addr, size: a.Size, old: a.Old, val: a.Val})
-	default:
-		panic(fmt.Sprintf("cpu: unknown compiled action %d", a.Kind))
-	}
-}
-
-// Stop abandons the workload goroutine; used at crash points and teardown.
+// Stop abandons the workload program; used at crash points and teardown.
+// The program's pending Env call unwinds before Stop returns, so no
+// goroutine outlives the machine. Safe to call more than once, and on a
+// core that was never started.
 func (c *Core) Stop() {
-	select {
-	case <-c.quit:
-	default:
-		close(c.quit)
+	if c.stop != nil {
+		c.stop()
 	}
 }
 
-// fetch obtains the program's next request: compiled programs step the
-// inline interpreter; goroutine programs block the event loop until the
-// request arrives on the channel. The program goroutine is always either
-// about to send a request or finished, so this cannot deadlock.
+// fetch resumes the program until it issues its next request and
+// dispatches it; a program that has returned issues reqDone.
 func (c *Core) fetch() {
-	if c.interp != nil {
-		// Only the initial scheduled fetch lands here; the interpreter has
-		// no pending value to resume, so the argument is ignored.
-		c.stepCompiled(0)
-		return
+	req, ok := c.next()
+	if !ok {
+		req = request{kind: reqDone}
 	}
-	req := <-c.prog
 	c.handle(req)
 }
 
@@ -310,7 +252,7 @@ func (c *Core) handle(req request) {
 	case reqDone:
 		c.done = true
 		c.finished = c.eng.Now()
-		// No resume: the program goroutine has exited.
+		// No resume: the program has returned.
 
 	case reqCompute:
 		c.Stats.Add("core.compute_cycles", uint64(req.cycles))
@@ -352,15 +294,9 @@ func (c *Core) handle(req request) {
 	}
 }
 
-// reply resumes the program with val and advances to its next request:
-// inline interpreter step for compiled programs, channel round trip plus
-// fetch for goroutine programs.
+// reply resumes the program with val and advances to its next request.
 func (c *Core) reply(val uint64) {
-	if c.interp != nil {
-		c.stepCompiled(val)
-		return
-	}
-	c.resume <- val
+	c.val = val
 	c.fetch()
 }
 

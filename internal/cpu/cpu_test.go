@@ -258,7 +258,7 @@ func TestStopAbandonsProgram(t *testing.T) {
 		}
 	})
 	r.eng.RunUntil(200)
-	r.cores[0].Stop() // must release the goroutine without hanging the test
+	r.cores[0].Stop() // must unwind the program without hanging the test
 	if r.cores[0].Done() {
 		t.Fatal("infinite program cannot be Done")
 	}

@@ -7,13 +7,13 @@ import (
 	"bbb/internal/memory"
 )
 
-// errAbandoned aborts a workload goroutine when the simulation is torn down
+// errAbandoned unwinds a workload program when the simulation is torn down
 // (crash injection or end of run); it never escapes the package.
 var errAbandoned = errors.New("cpu: simulation abandoned")
 
 // Env is the interface a workload uses to execute against the simulated
-// machine. All methods advance simulated time; the goroutine blocks until
-// the machine completes the operation.
+// machine. All methods advance simulated time; the program is suspended
+// until the machine completes the operation.
 //
 // PersistBarrier is the only persistency-aware call: under the PMEM
 // baseline it costs a clwb per named line plus an sfence, while under BBB
@@ -55,26 +55,19 @@ type Env interface {
 }
 
 type env struct {
-	core *Core
+	core  *Core
+	yield func(request) bool
 }
 
 var _ Env = (*env)(nil)
 
+// do hands r to the core and suspends the program until the core replies.
+// yield returns false only when Core.Stop tears the program down.
 func (e *env) do(r request) uint64 {
-	select {
-	case e.core.prog <- r:
-	case <-e.core.quit:
+	if !e.yield(r) {
 		panic(errAbandoned)
 	}
-	if r.kind == reqDone {
-		return 0 // the core never resumes after Done
-	}
-	select {
-	case v := <-e.core.resume:
-		return v
-	case <-e.core.quit:
-		panic(errAbandoned)
-	}
+	return e.core.val
 }
 
 func (e *env) CoreID() int { return e.core.id }
@@ -138,12 +131,11 @@ func (e *env) CompareAndSwap(addr memory.Addr, size int, old, new uint64) (uint6
 }
 
 // Now reads the engine clock without a machine round-trip. This is safe and
-// deterministic under the rendezvous discipline: a program goroutine only
-// runs between its resume and its next request (Core.Start holds it at the
-// initial resume too, so this covers the first instruction), and during
-// that window the engine is blocked in this core's same-timestamp fetch
-// event, so the clock cannot advance (and the resume/request channel pair
-// orders the accesses).
+// deterministic because the program only runs inside the core's fetch: it
+// is resumed by next() from an engine event and runs until it yields its
+// next request, so the event loop is suspended in that same-timestamp event
+// for the whole window and the clock cannot advance. The coroutine switch
+// itself orders the program's accesses after the engine's.
 func (e *env) Now() engine.Cycle { return e.core.eng.Now() }
 
 // Load64 is a convenience for pointer-sized loads.

@@ -18,7 +18,7 @@ import (
 )
 
 // Arena allocates from a contiguous persistent address range. It is safe
-// for concurrent use by workload goroutines.
+// for concurrent use.
 type Arena struct {
 	mu    sync.Mutex
 	base  memory.Addr
@@ -98,17 +98,6 @@ func (a *Arena) Live() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.allocated)
-}
-
-// Mark returns the arena's current bump pointer: the address the next
-// fresh (non-recycled) Alloc will return. Workload compilers use it to
-// precompute the deterministic allocation sequence their IR twins replay
-// with a bump register — sound because Alloc rounds every request to whole
-// lines and the compiled workloads never Free.
-func (a *Arena) Mark() memory.Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.next
 }
 
 // BytesUsed reports the high-water mark of arena consumption.

@@ -63,7 +63,7 @@ func checkDurability(t *testing.T, s persistency.Scheme, crashAt uint64) (violat
 				got = got<<8 | uint64(b[j])
 			}
 			// A newer committed value (store accepted but its return lost
-			// to the goroutine teardown) is fine: compare sequence parts.
+			// to the program teardown) is fine: compare sequence parts.
 			if got>>8 < want>>8 {
 				violations++
 				if s == persistency.BBB || s == persistency.EADR ||

@@ -151,8 +151,8 @@ func DurabilityPointFor(s persistency.Scheme) trace.DurabilityPoint {
 	}
 }
 
-// Program is one thread's workload body, executed on its own goroutine
-// against the core's Env.
+// Program is one thread's workload body, executed as a coroutine of the
+// simulation against the core's Env.
 type Program func(cpu.Env)
 
 // Result summarizes one completed run.
@@ -212,6 +212,7 @@ func (s *System) Run(programs []Program) Result {
 	if len(programs) != s.Cfg.Cores {
 		panic(fmt.Sprintf("system: %d programs for %d cores", len(programs), s.Cfg.Cores))
 	}
+	defer s.Shutdown()
 	for i, p := range programs {
 		s.Cores[i].Start(p)
 	}
@@ -221,7 +222,6 @@ func (s *System) Run(programs []Program) Result {
 			panic(fmt.Sprintf("system: core %d never finished (deadlock?)", i))
 		}
 	}
-	s.Shutdown()
 	// Flush the WPQ so every scheme's durable write count is measured at
 	// the same architectural point.
 	s.NVMM.CrashDrain()
@@ -254,7 +254,8 @@ func (s *System) Crash() persistency.DrainReport {
 	return s.Model.CrashDrain(s.Cores, s.Hier, s.NVMM, s.Mem)
 }
 
-// Shutdown abandons all workload goroutines; safe to call more than once.
+// Shutdown stops every core's workload program, unwinding any that are
+// still suspended mid-run; safe to call more than once.
 func (s *System) Shutdown() {
 	for _, c := range s.Cores {
 		c.Stop()

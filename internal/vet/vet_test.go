@@ -57,35 +57,6 @@ func TestCrashMCZeroSuppressions(t *testing.T) {
 	}
 }
 
-// TestIRZeroSuppressions holds the compiled-workload IR package to the
-// crashmc bar: the full analyzer set over internal/ir must report nothing,
-// with zero //bbbvet:ignore directives. The interpreter sits inside the
-// simulator's hottest loop and its equivalence contract with the cpu.Env
-// twins is what keeps pressurelint's battery-bound certificates sound on
-// the compiled path — a determinism or stat-registration leak there would
-// silently undermine the byte-identical-Result gate.
-func TestIRZeroSuppressions(t *testing.T) {
-	pkgs, fset, err := vet.Load("", "bbb/internal/ir")
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzers := []*vet.Analyzer{
-		locklint.Analyzer, detlint.Analyzer, statlint.Analyzer,
-		cyclelint.Analyzer, persistlint.Analyzer,
-	}
-	diags, err := vet.RunAll(pkgs, fset, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		if d.Ignored {
-			t.Errorf("internal/ir carries a suppression (the package must stay clean without them): %s", d)
-		} else {
-			t.Errorf("internal/ir finding: %s", d)
-		}
-	}
-}
-
 // TestLitmusZeroSuppressions holds the generated litmus corpus (and the
 // axiomatic checker beside it) to the same bar as crashmc: the full
 // analyzer set must report nothing, with zero //bbbvet:ignore directives.

@@ -1,82 +1,109 @@
 package workload
 
 import (
+	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"bbb/internal/cpu"
 	"bbb/internal/engine"
-	"bbb/internal/ir"
 	"bbb/internal/memory"
 	"bbb/internal/palloc"
 )
 
-// TestIRTwinsPinned pins the contract the static analyzers depend on:
-// pressurelint and persistlint analyze the cpu.Env twins' source, so their
-// certificates (pressure_bounds.json battery sizings) are sound for the
-// compiled path only if every workload's IR emission performs the identical
-// machine-op sequence — same loads, stores, flushes, fences, epochs and
-// compute, same addresses, sizes and values, in the same order.
+// twinsGoldenPath holds one sha256 per (workload, persist mode, seed) of the
+// machine-op trace each program body performs. The nine workloads in it once
+// had a hand-written compiled-IR twin; every digest was recorded while both
+// twins still existed and produced the identical trace, so the file is the
+// last cross-checked record of those bodies' machine-op sequences.
+const twinsGoldenPath = "testdata/twins.golden"
+
+// TestIRTwinsPinned pins the machine-op sequence of the workloads that used
+// to carry a compiled-IR twin: same loads, stores, flushes, fences, epochs
+// and compute, same addresses, sizes and values, in the same order, under
+// all three persist-expansion modes. pressurelint and persistlint analyze
+// these cpu.Env bodies' source, and their certificates were validated
+// against the traces pinned here.
 //
-// Both twins execute functionally here (no engine, no caches): each thread
-// runs to completion against its path's copy of the post-Setup memory
-// image, so the comparison is a pure trace diff of the program logic under
-// all three persist-expansion modes.
+// Each body executes functionally (no engine, no caches): every thread runs
+// to completion against the post-Setup memory image, so the digest is a
+// pure function of the program logic. A deliberate change to one of these
+// bodies updates its lines in the golden with the digests the failure
+// prints.
 func TestIRTwinsPinned(t *testing.T) {
-	modes := []struct {
-		name string
-		cfg  ir.Config
-	}{
-		{"battery", ir.Config{}},
-		{"epoch", ir.Config{EpochMode: true}},
-		{"explicit", ir.Config{ExplicitPersist: true}},
+	f, err := os.Open(twinsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, w := range append(Registry(), Extras()...) {
-		cw, ok := Compiled(w)
-		if !ok {
-			continue
+	defer f.Close()
+	modes := map[string]persistMode{
+		"battery":  {},
+		"epoch":    {epoch: true},
+		"explicit": {explicit: true},
+	}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		key, want, ok := strings.Cut(sc.Text(), " ")
+		parts := strings.Split(key, "/")
+		if !ok || len(parts) != 3 {
+			t.Fatalf("malformed golden line %q", sc.Text())
 		}
-		for _, mode := range modes {
-			for _, seed := range []int64{1, 5} {
-				t.Run(fmt.Sprintf("%s/%s/seed%d", w.Name(), mode.name, seed), func(t *testing.T) {
-					p := Params{Threads: 4, OpsPerThread: 40, Seed: seed}
-
-					// Fresh instance per path: ByName-style construction so
-					// neither run sees the other's Go-side state.
-					layout := memory.DefaultLayout()
-					envMem := memory.New(layout)
-					cw.Setup(envMem, palloc.FromLayout(layout), p)
-					irMem := envMem.Clone()
-
-					progs := cw.Programs(p)
-					cprogs := cw.CompiledPrograms(p)
-					if len(progs) != p.Threads || len(cprogs) != p.Threads {
-						t.Fatalf("program counts: env %d, ir %d, want %d", len(progs), len(cprogs), p.Threads)
-					}
-
-					for th := 0; th < p.Threads; th++ {
-						envTrace := runEnvTwin(progs[th], th, envMem, mode.cfg)
-						irTrace := runIRTwin(t, cprogs[th], irMem, mode.cfg)
-						if len(envTrace) != len(irTrace) {
-							t.Fatalf("thread %d: env twin made %d machine ops, IR twin %d",
-								th, len(envTrace), len(irTrace))
-						}
-						for i := range envTrace {
-							if envTrace[i] != irTrace[i] {
-								t.Fatalf("thread %d diverges at machine op %d:\nenv: %+v\nir:  %+v",
-									th, i, envTrace[i], irTrace[i])
-							}
-						}
-					}
-				})
+		mode, known := modes[parts[1]]
+		var seed int64
+		if _, err := fmt.Sscanf(parts[2], "seed%d", &seed); err != nil || !known {
+			t.Fatalf("malformed golden key %q", key)
+		}
+		t.Run(key, func(t *testing.T) {
+			w, err := ByName(parts[0])
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			p := Params{Threads: 4, OpsPerThread: 40, Seed: seed}
+			layout := memory.DefaultLayout()
+			mem := memory.New(layout)
+			w.Setup(mem, palloc.FromLayout(layout), p)
+			progs := w.Programs(p)
+			if len(progs) != p.Threads {
+				t.Fatalf("program count %d, want %d", len(progs), p.Threads)
+			}
+			traces := make([][]mop, p.Threads)
+			for th := range traces {
+				traces[th] = runEnvTwin(progs[th], th, mem, mode)
+			}
+			if got := traceDigest(traces); got != want {
+				t.Errorf("machine-op trace digest %s, golden %s", got, want)
+			}
+		})
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// mop is one recorded machine operation; comparable, so trace diffing is a
-// plain != loop.
+// traceDigest hashes every thread's trace in thread order.
+func traceDigest(threads [][]mop) string {
+	h := sha256.New()
+	for th, tr := range threads {
+		fmt.Fprintf(h, "thread %d ops %d\n", th, len(tr))
+		for _, m := range tr {
+			fmt.Fprintf(h, "%s %#x %d %d %d\n", m.kind, m.addr, m.size, m.val, m.old)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// persistMode selects how PersistBarrier/Flush/Fence expand, mirroring
+// env.persistBarrier: battery-backed schemes drop them, epoch persistency
+// turns barriers and fences into epoch boundaries, and explicit persistency
+// issues a flush per address followed by a fence.
+type persistMode struct{ epoch, explicit bool }
+
+// mop is one recorded machine operation; comparable, so traces can be
+// diffed with a plain != loop.
 type mop struct {
 	kind string
 	addr memory.Addr
@@ -85,8 +112,8 @@ type mop struct {
 	old  uint64 // CAS expected
 }
 
-// funcMem gives both twins the same functional memory semantics: flat
-// little-endian reads and writes straight into a memory.Memory, no timing.
+// funcMem gives the recorder flat functional memory semantics: little-endian
+// reads and writes straight into a memory.Memory, no timing.
 type funcMem struct{ m *memory.Memory }
 
 func (f funcMem) load(a memory.Addr, size int) uint64 {
@@ -101,14 +128,14 @@ func (f funcMem) store(a memory.Addr, size int, v uint64) {
 	f.m.Poke(a, b[:size])
 }
 
-// recEnv is the cpu.Env recorder: it executes a goroutine twin's program
-// body inline (the program never blocks because every operation completes
-// immediately) and expands PersistBarrier/Flush/Fence with exactly
-// env.persistBarrier's mode logic.
+// recEnv is the cpu.Env recorder: it executes a program body inline (the
+// program never blocks because every operation completes immediately) and
+// expands PersistBarrier/Flush/Fence with exactly env.persistBarrier's mode
+// logic.
 type recEnv struct {
 	funcMem
 	id    int
-	cfg   ir.Config
+	mode  persistMode
 	trace []mop
 }
 
@@ -126,11 +153,11 @@ func (e *recEnv) Store(addr memory.Addr, size int, val uint64) {
 }
 
 func (e *recEnv) PersistBarrier(addrs ...memory.Addr) {
-	if e.cfg.EpochMode {
+	if e.mode.epoch {
 		e.trace = append(e.trace, mop{kind: "epoch"})
 		return
 	}
-	if !e.cfg.ExplicitPersist {
+	if !e.mode.explicit {
 		return
 	}
 	for _, a := range addrs {
@@ -140,17 +167,17 @@ func (e *recEnv) PersistBarrier(addrs ...memory.Addr) {
 }
 
 func (e *recEnv) Flush(addr memory.Addr) {
-	if e.cfg.ExplicitPersist {
+	if e.mode.explicit {
 		e.trace = append(e.trace, mop{kind: "flush", addr: addr})
 	}
 }
 
 func (e *recEnv) Fence() {
-	if e.cfg.EpochMode {
+	if e.mode.epoch {
 		e.trace = append(e.trace, mop{kind: "epoch"})
 		return
 	}
-	if e.cfg.ExplicitPersist {
+	if e.mode.explicit {
 		e.trace = append(e.trace, mop{kind: "fence"})
 	}
 }
@@ -175,55 +202,8 @@ func (e *recEnv) CompareAndSwap(addr memory.Addr, size int, old, new uint64) (ui
 	return prev, prev == old
 }
 
-func runEnvTwin(prog func(cpu.Env), thread int, mem *memory.Memory, cfg ir.Config) []mop {
-	e := &recEnv{funcMem: funcMem{mem}, id: thread, cfg: cfg}
+func runEnvTwin(prog func(cpu.Env), thread int, mem *memory.Memory, mode persistMode) []mop {
+	e := &recEnv{funcMem: funcMem{mem}, id: thread, mode: mode}
 	prog(e)
 	return e.trace
-}
-
-// runIRTwin drives the compiled program through the interpreter with the
-// same functional memory, recording the identical mop vocabulary.
-func runIRTwin(t *testing.T, p *ir.Prog, mem *memory.Memory, cfg ir.Config) []mop {
-	t.Helper()
-	f := funcMem{mem}
-	var it ir.Interp
-	it.Reset(p, cfg)
-	var trace []mop
-	var resume uint64
-	for step := 0; ; step++ {
-		if step > 10_000_000 {
-			t.Fatal("compiled program did not halt")
-		}
-		var act ir.Action
-		it.Next(resume, &act)
-		resume = 0
-		switch act.Kind {
-		case ir.ActionDone:
-			return trace
-		case ir.ActionLoad:
-			v := f.load(act.Addr, act.Size)
-			trace = append(trace, mop{kind: "load", addr: act.Addr, size: act.Size, val: v})
-			resume = v
-		case ir.ActionStore:
-			f.store(act.Addr, act.Size, act.Val)
-			trace = append(trace, mop{kind: "store", addr: act.Addr, size: act.Size, val: act.Val})
-		case ir.ActionFlush:
-			trace = append(trace, mop{kind: "flush", addr: act.Addr})
-		case ir.ActionFence:
-			trace = append(trace, mop{kind: "fence"})
-		case ir.ActionEpoch:
-			trace = append(trace, mop{kind: "epoch"})
-		case ir.ActionCompute:
-			trace = append(trace, mop{kind: "compute", val: uint64(act.Cycles)})
-		case ir.ActionCAS:
-			prev := f.load(act.Addr, act.Size)
-			if prev == act.Old {
-				f.store(act.Addr, act.Size, act.Val)
-			}
-			trace = append(trace, mop{kind: "cas", addr: act.Addr, size: act.Size, val: act.Val, old: act.Old})
-			resume = prev
-		default:
-			t.Fatalf("unknown action kind %d", act.Kind)
-		}
-	}
 }

@@ -73,46 +73,6 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestIRParallelMatchesGoroutineSerial crosses the two equivalence axes:
-// the compiled-IR path fanned out over four sweep workers must deep-equal
-// the goroutine path run serially, point for point, on a full workload ×
-// scheme × seed matrix. Passing means the IR path is byte-identical to the
-// goroutine path at any parallelism — the `make ir-equiv` acceptance bar —
-// and that compiled machines are as goroutine-private as the originals
-// (this file runs under -race in `make check`).
-func TestIRParallelMatchesGoroutineSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full workload x scheme x seed matrix")
-	}
-	schemes := persistency.Schemes()
-	workloads := Workloads()
-	seeds := []int64{1, 2}
-	n := len(workloads) * len(schemes) * len(seeds)
-	opts := func(i int) (string, Scheme, Options) {
-		o := scaled(60)
-		o.Seed = seeds[i%len(seeds)]
-		s := schemes[(i/len(seeds))%len(schemes)]
-		w := workloads[i/(len(seeds)*len(schemes))]
-		return w, s, o
-	}
-
-	serial := sweep.Map(1, n, func(i int) Result {
-		w, s, o := opts(i)
-		return MustRun(w, s, o)
-	})
-	compiled := sweep.Map(4, n, func(i int) Result {
-		w, s, o := opts(i)
-		return MustRunCompiled(w, s, o)
-	})
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], compiled[i]) {
-			w, s, o := opts(i)
-			t.Errorf("point %d (workload %s, scheme %s, seed %d): parallel compiled result differs from serial goroutine result",
-				i, w, s, o.Seed)
-		}
-	}
-}
-
 // TestDriversParallelMatchesSerial checks the ported experiment drivers
 // end to end: the same driver with Parallelism set must return a result
 // deep-equal to its serial run.
