@@ -30,13 +30,14 @@ invariant:
 	$(GO) test -race -tags invariant ./internal/...
 
 # Perf trajectory: run the key benchmarks (simulator throughput and
-# allocation pressure, Figure 7 wall-clock, raw event-kernel rate) and
+# allocation pressure, Figure 7 wall-clock, raw event-kernel rate, crash
+# image enumeration and whole model-checking campaigns) and
 # record them as the next BENCH_<n>.json, also appending the recording to
 # the .ledger run ledger for provenance (who ran it, where, when).
 # Non-gating; CI uploads the files as artifacts and `make regress` judges
 # the trajectory.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCrashMCEnumerate|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCrashMCEnumerate|BenchmarkCrashMCCampaign|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
 		-benchmem . ./internal/engine ./internal/crashmc ./internal/axiomatic ./internal/trace ./internal/vet/pressurelint ./internal/kvservice ./internal/pds \
 		| $(GO) run ./cmd/benchjson -ledger .ledger -name bench-json > BENCH_$$(ls BENCH_*.json 2>/dev/null | wc -l).json
 	@ls BENCH_*.json | tail -1
@@ -78,6 +79,7 @@ trace-smoke:
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzCacheOps -fuzztime=10s ./internal/cache
 	$(GO) test -run=^$$ -fuzz=FuzzCrashPoints -fuzztime=10s ./internal/workload
+	$(GO) test -run=^$$ -fuzz=FuzzParseWitness -fuzztime=10s ./internal/crashmc
 
 # Crash-image model checking at short bounds: the bbbmc acceptance matrix
 # (battery schemes single-image, PMEM Figures 2/3 over the whole reachable

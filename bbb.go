@@ -120,10 +120,11 @@ type Options struct {
 	// Parallelism bounds how many independent simulations the experiment
 	// drivers (RunFig7, RunFig8, RunTable4, the ablations, seed sweeps and
 	// crash campaigns) may run concurrently. Every sweep point runs on its
-	// own engine and machine and results are joined in serial index order,
-	// so output is identical for any value — only wall-clock changes. 0 or
-	// 1 is serial; the CLIs default their -parallel flag to the host's
-	// scheduler width.
+	// own engine and machine (a crash campaign gives each worker one
+	// machine and walks it through that worker's crash points) and results
+	// are joined in serial index order, so output is identical for any
+	// value — only wall-clock changes. 0 or 1 is serial; the CLIs default
+	// their -parallel flag to the host's scheduler width.
 	Parallelism int
 }
 

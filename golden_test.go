@@ -17,7 +17,7 @@ import (
 	"bbb/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/results.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 const resultsGoldenPath = "testdata/results.golden"
 

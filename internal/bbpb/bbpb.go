@@ -64,10 +64,14 @@ type PersistBuffer interface {
 	WaitSpace(fn func())
 	// Occupancy reports the number of live entries.
 	Occupancy() int
-	// CrashDrain flushes every entry to the durable image via write,
-	// returning the number of lines drained. Entries drain in the
-	// organization's required order.
+	// CrashDrain flushes every entry to the durable image via write and
+	// empties the buffer, returning the number of lines drained. Entries
+	// drain in the organization's required order.
 	CrashDrain(write func(memory.Addr, *[memory.LineSize]byte)) int
+	// Flush writes every entry via write in CrashDrain's order without
+	// removing it, counting it or tracing it, and returns how many it
+	// wrote: the drain a live crash snapshot computes into a copy.
+	Flush(write func(memory.Addr, *[memory.LineSize]byte)) int
 	// Counters exposes the buffer's statistics.
 	Counters() *stats.Counters
 
@@ -350,15 +354,22 @@ func (b *Buffer) ForceDrain(addr memory.Addr, done func()) {
 // CrashDrain implements PersistBuffer. Memory-side entries may drain in any
 // order; allocation order is used.
 func (b *Buffer) CrashDrain(write func(memory.Addr, *[memory.LineSize]byte)) int {
-	n := len(b.entries)
-	for i := range b.entries {
-		write(b.entries[i].addr, &b.entries[i].data)
-		b.eng.EmitTrace(trace.KindCrashDrain, b.coreID, b.entries[i].addr, 0)
-	}
+	n := b.Flush(func(a memory.Addr, data *[memory.LineSize]byte) {
+		write(a, data)
+		b.eng.EmitTrace(trace.KindCrashDrain, b.coreID, a, 0)
+	})
 	b.entries = b.entries[:0]
 	b.addrs = b.addrs[:0]
 	b.stats.Add("bbpb.crash_drained", uint64(n))
 	return n
+}
+
+// Flush implements PersistBuffer.
+func (b *Buffer) Flush(write func(memory.Addr, *[memory.LineSize]byte)) int {
+	for i := range b.entries {
+		write(b.entries[i].addr, &b.entries[i].data)
+	}
+	return len(b.entries)
 }
 
 func (b *Buffer) String() string {

@@ -201,12 +201,19 @@ func (p *ProcSide) ForceDrain(addr memory.Addr, done func()) {
 
 // CrashDrain implements PersistBuffer; entries flush in program order.
 func (p *ProcSide) CrashDrain(write func(memory.Addr, *[memory.LineSize]byte)) int {
-	n := len(p.entries)
-	for i := range p.entries {
-		write(p.entries[i].addr, &p.entries[i].data)
-		p.eng.EmitTrace(trace.KindCrashDrain, p.coreID, p.entries[i].addr, 0)
-	}
+	n := p.Flush(func(a memory.Addr, data *[memory.LineSize]byte) {
+		write(a, data)
+		p.eng.EmitTrace(trace.KindCrashDrain, p.coreID, a, 0)
+	})
 	p.entries = p.entries[:0]
 	p.stats.Add("bbpb.crash_drained", uint64(n))
 	return n
+}
+
+// Flush implements PersistBuffer.
+func (p *ProcSide) Flush(write func(memory.Addr, *[memory.LineSize]byte)) int {
+	for i := range p.entries {
+		write(p.entries[i].addr, &p.entries[i].data)
+	}
+	return len(p.entries)
 }

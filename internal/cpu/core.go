@@ -472,9 +472,22 @@ func (c *Core) BatteryBackedSB() bool { return c.cfg.BatteryBackedSB }
 
 // CrashDrainSB flushes buffered stores for persistent addresses straight to
 // the durable image via write (a read-modify-write at line granularity),
-// preserving program order. Only meaningful when the store buffer is
-// battery backed (§III-C); callers decide based on the scheme.
+// preserving program order, and empties the store buffer. Only meaningful
+// when the store buffer is battery backed (§III-C); callers decide based on
+// the scheme.
 func (c *Core) CrashDrainSB(read func(memory.Addr, *[memory.LineSize]byte), write func(memory.Addr, *[memory.LineSize]byte), persistent func(memory.Addr) bool) int {
+	n := c.FlushSB(read, func(la memory.Addr, data *[memory.LineSize]byte) {
+		write(la, data)
+		c.eng.EmitTrace(trace.KindCrashDrain, c.id, uint64(la), 0)
+	}, persistent)
+	c.sb = c.sb[:0]
+	return n
+}
+
+// FlushSB is CrashDrainSB without its effects on the core: the store
+// buffer keeps its entries and no trace event is emitted, so a live crash
+// snapshot can compute the drain into a copy of the image.
+func (c *Core) FlushSB(read func(memory.Addr, *[memory.LineSize]byte), write func(memory.Addr, *[memory.LineSize]byte), persistent func(memory.Addr) bool) int {
 	n := 0
 	for _, e := range c.sb {
 		if !persistent(e.addr) {
@@ -485,10 +498,8 @@ func (c *Core) CrashDrainSB(read func(memory.Addr, *[memory.LineSize]byte), writ
 		read(la, &line)
 		writeValueAt(&line, memory.LineOffset(e.addr), e.size, e.val)
 		write(la, &line)
-		c.eng.EmitTrace(trace.KindCrashDrain, c.id, uint64(la), 0)
 		n++
 	}
-	c.sb = c.sb[:0]
 	return n
 }
 

@@ -28,3 +28,21 @@ func BenchmarkCrashMCEnumerate(b *testing.B) {
 	}
 	b.ReportMetric(float64(images)/b.Elapsed().Seconds(), "images/s")
 }
+
+// BenchmarkCrashMCCampaign measures a whole model-checking campaign — the
+// per-worker machine walk, live snapshots, enumeration and recovery-check
+// validation — over the Figures 2/3 linked list under BEP without
+// barriers at 40 crash points spread over the run (it finishes near cycle
+// 56k). `make bench-json` records images/s (distinct images validated per
+// second) in the BENCH_<n>.json trail.
+func BenchmarkCrashMCCampaign(b *testing.B) {
+	c := mcConfig(workload.NewLinkedList(), persistency.BEP, true)
+	c.Points = 40
+	c.Step = 1_300
+	images := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		images += c.Run().TotalDistinct
+	}
+	b.ReportMetric(float64(images)/b.Elapsed().Seconds(), "images/s")
+}

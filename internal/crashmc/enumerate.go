@@ -1,8 +1,10 @@
 package crashmc
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"bbb/internal/memory"
@@ -78,38 +80,49 @@ type Enumeration struct {
 	Images []Image
 }
 
-// Enumerate materializes the reachable crash-state space of rec within b.
+// Enumerate materializes the reachable crash-state space of rec within b:
+// the collecting form of stream.
 func Enumerate(rec *Record, b Bounds) Enumeration {
+	var enum Enumeration
+	enum.Sets, enum.SetsSkipped = stream(rec, b, func(img Image, _ []LineWrite) {
+		enum.Images = append(enum.Images, img.clone())
+	})
+	return enum
+}
+
+// stream walks the reachable crash-state space of rec within b and calls fn
+// once per distinct image, in first-seen order, with the image and the base
+// image's lines under its overlay (base[i] is the base line Overlay[i]
+// replaces, so a caller that applies the overlay to rec.Base in place can
+// restore it). The survival set, overlay, line and hash buffers are reused
+// from one set to the next: img and base are valid only during the call.
+// It returns the Sets and SetsSkipped counts of the Enumeration.
+func stream(rec *Record, b Bounds, fn func(img Image, base []LineWrite)) (sets int, skipped uint64) {
 	b = b.withDefaults()
 	groups, total := survivalGroups(rec, b)
 
 	var (
-		enum Enumeration
-		seen = make(map[[32]byte]bool)
+		seen = make(map[[32]byte]struct{}, min(total, uint64(b.MaxImages)))
 		pick = make([]int, len(groups))
+		set  = make([]int, 0, len(rec.Pending))
+		m    materializer
 	)
-	emit := func(set []int) {
-		if enum.Sets >= b.MaxImages {
-			return
-		}
-		enum.Sets++
-		img := materialize(rec, set)
-		if !seen[img.Hash] {
-			seen[img.Hash] = true
-			enum.Images = append(enum.Images, img)
-		}
-	}
 	// Odometer cross product over the groups' candidate sets, in
 	// deterministic lexicographic order; the empty survival set (every
 	// group's first candidate) always comes first.
 	for {
-		set := make([]int, 0)
+		set = set[:0]
 		for gi, g := range groups {
 			set = append(set, g[pick[gi]]...)
 		}
-		sort.Ints(set)
-		emit(set)
-		if enum.Sets >= b.MaxImages {
+		slices.Sort(set)
+		sets++
+		img := m.image(rec, set)
+		if _, dup := seen[img.Hash]; !dup {
+			seen[img.Hash] = struct{}{}
+			fn(img, m.base)
+		}
+		if sets >= b.MaxImages {
 			break
 		}
 		i := len(groups) - 1
@@ -125,10 +138,10 @@ func Enumerate(rec *Record, b Bounds) Enumeration {
 			break
 		}
 	}
-	if total > uint64(enum.Sets) {
-		enum.SetsSkipped = total - uint64(enum.Sets)
+	if total > uint64(sets) {
+		skipped = total - uint64(sets)
 	}
-	return enum
+	return sets, skipped
 }
 
 // survivalGroups splits the pending set into independent groups and
@@ -310,43 +323,71 @@ func setKey(s []int) string {
 	return string(k)
 }
 
-// materialize resolves a survival set into its canonical image: survivors
-// apply in capture (Seq) order, lines whose final bytes equal the base
-// image drop out, and the rest hash in address order.
+// materialize resolves a survival set into its canonical image, in
+// buffers of its own.
 func materialize(rec *Record, survivors []int) Image {
-	img := Image{Survivors: survivors}
-	var lines []LineWrite
-	for _, i := range survivors { // ascending index == ascending Seq
-		w := rec.Pending[i]
-		found := false
-		for j := range lines {
-			if lines[j].Addr == w.Addr {
-				lines[j].Data = w.Data
-				found = true
-				break
-			}
-		}
-		if !found {
-			lines = append(lines, LineWrite{Addr: w.Addr, Data: w.Data})
-		}
+	var m materializer
+	return m.image(rec, survivors)
+}
+
+// clone detaches an image from a stream's reused buffers.
+func (img Image) clone() Image {
+	img.Survivors = slices.Clone(img.Survivors)
+	if len(img.Overlay) == 0 {
+		img.Overlay = nil
+	} else {
+		img.Overlay = slices.Clone(img.Overlay)
 	}
-	var base [memory.LineSize]byte
-	for _, lw := range lines {
-		rec.Base.PeekLine(lw.Addr, &base)
-		if base != lw.Data {
-			img.Overlay = append(img.Overlay, lw)
-		}
-	}
-	sort.Slice(img.Overlay, func(i, j int) bool { return img.Overlay[i].Addr < img.Overlay[j].Addr })
-	h := sha256.New()
-	var buf [8]byte
-	for _, lw := range img.Overlay {
-		binary.LittleEndian.PutUint64(buf[:], lw.Addr)
-		h.Write(buf[:])
-		h.Write(lw.Data[:])
-	}
-	copy(img.Hash[:], h.Sum(nil))
 	return img
+}
+
+// materializer resolves survival sets into images, reusing its buffers
+// from one set to the next.
+type materializer struct {
+	lines   []lineRef   // the set's lines and the newest surviving write to each
+	overlay []LineWrite // the lines that differ from the base image
+	base    []LineWrite // the base image's bytes under each overlay line
+	canon   []byte      // the overlay's canonical encoding, the hash input
+}
+
+type lineRef struct {
+	addr    memory.Addr
+	pending int // index into Record.Pending
+}
+
+// image resolves a survival set into its canonical image: survivors apply
+// in capture (Seq) order, lines whose final bytes equal the base image drop
+// out, and the rest hash in address order. The image's Overlay and m.base
+// alias m's buffers until the next call.
+func (m *materializer) image(rec *Record, survivors []int) Image {
+	m.lines = m.lines[:0]
+	for _, i := range survivors { // ascending index == ascending Seq
+		a := rec.Pending[i].Addr
+		j := 0
+		for j < len(m.lines) && m.lines[j].addr != a {
+			j++
+		}
+		if j == len(m.lines) {
+			m.lines = append(m.lines, lineRef{addr: a})
+		}
+		m.lines[j].pending = i
+	}
+	slices.SortFunc(m.lines, func(a, b lineRef) int { return cmp.Compare(a.addr, b.addr) })
+	m.overlay, m.base, m.canon = m.overlay[:0], m.base[:0], m.canon[:0]
+	for _, l := range m.lines {
+		data := &rec.Pending[l.pending].Data
+		m.base = append(m.base, LineWrite{Addr: l.addr})
+		base := &m.base[len(m.base)-1]
+		rec.Base.PeekLine(l.addr, &base.Data)
+		if base.Data == *data {
+			m.base = m.base[:len(m.base)-1]
+			continue
+		}
+		m.overlay = append(m.overlay, LineWrite{Addr: l.addr, Data: *data})
+		m.canon = binary.LittleEndian.AppendUint64(m.canon, l.addr)
+		m.canon = append(m.canon, data[:]...)
+	}
+	return Image{Survivors: survivors, Overlay: m.overlay, Hash: sha256.Sum256(m.canon)}
 }
 
 func satPow2(n int) uint64 {

@@ -82,8 +82,11 @@ type Record struct {
 	// Finished reports whether every program completed before the crash.
 	Finished bool
 	// Base is the machine's memory after the deterministic flush-on-fail:
-	// the image every legal survival set extends. It aliases the stopped
-	// machine's memory; the enumerator clones it before mutating.
+	// the image every legal survival set extends. Capture's Base aliases
+	// the crashed machine's memory. Snapshot's is the machine's crash-image
+	// copy (System.CrashImage), valid until the next Snapshot of the same
+	// machine; Config.Run's validator overlays it in place and restores it
+	// line by line after checking each image. The enumerator only reads it.
 	Base *memory.Memory
 	// Drain is the flush-on-fail report (battery accounting).
 	Drain persistency.DrainReport
@@ -101,8 +104,10 @@ type Record struct {
 
 // Capture stops nothing and runs nothing: sys must already be halted at
 // the crash cycle (workload.BuildToCrash). It snapshots the scheme's
-// pending persistence-domain writes, then performs the deterministic
-// flush-on-fail, and returns the record describing the reachable space.
+// pending persistence-domain writes, then crashes the machine — the
+// deterministic flush-on-fail into sys.Mem, emptying the drained buffers
+// with their counters and trace — and returns the record describing the
+// reachable space. Snapshot records the same thing without the crash.
 //
 // Survival classes per scheme:
 //
@@ -121,6 +126,28 @@ type Record struct {
 //   - BBB, BBBProc, eADR, NVCache: flush-on-fail drains the whole
 //     persistence path, so Pending is empty and the space is {Base}.
 func Capture(sys *system.System, crashCycle engine.Cycle, finished bool) *Record {
+	rec := pending(sys, crashCycle, finished)
+	rec.Drain = sys.Crash()
+	rec.Base = sys.Mem
+	return rec
+}
+
+// Snapshot is the live form of Capture: the same Record, with Base a copy
+// of the image the crash would leave (System.CrashImage, reused by the
+// machine's next Snapshot). It leaves sys untouched — memory, caches,
+// buffers, WPQ, store buffers, counters and trace — so the machine can run
+// on to the next crash point (workload.WalkCrashPoints) and finish exactly
+// as if it had never been snapshotted.
+func Snapshot(sys *system.System, crashCycle engine.Cycle, finished bool) *Record {
+	rec := pending(sys, crashCycle, finished)
+	rec.Base, rec.Drain = sys.CrashImage()
+	return rec
+}
+
+// pending collects the part of the record that precedes the drain: the
+// domain-resident line count and the enumerable pending writes with their
+// survival classes. It reads the machine without modifying it.
+func pending(sys *system.System, crashCycle engine.Cycle, finished bool) *Record {
 	rec := &Record{
 		Scheme:     sys.Cfg.Scheme,
 		CrashCycle: crashCycle,
@@ -148,8 +175,5 @@ func Capture(sys *system.System, crashCycle engine.Cycle, finished bool) *Record
 			}
 		}
 	}
-
-	rec.Drain = sys.Crash()
-	rec.Base = sys.Mem
 	return rec
 }

@@ -2,11 +2,11 @@ package crashmc
 
 import (
 	"fmt"
+	"slices"
 
 	"bbb/internal/engine"
 	"bbb/internal/memory"
 	"bbb/internal/persistency"
-	"bbb/internal/sweep"
 	"bbb/internal/system"
 	"bbb/internal/workload"
 )
@@ -23,9 +23,11 @@ type Config struct {
 	FirstCrash engine.Cycle
 	Step       engine.Cycle
 	Points     int
-	// Parallel bounds how many crash points run concurrently, each on a
-	// fresh machine; the report is byte-identical at any width. Workloads
-	// outside the registry run serially (no ByName re-resolution).
+	// Parallel bounds how many machines walk the crash points at once:
+	// worker k of Parallel advances one machine through points k,
+	// k+Parallel, … (workload.WalkCrashPoints), snapshotting it live at
+	// each. The report is byte-identical at any width. Workloads outside
+	// the registry run serially (no ByName re-resolution).
 	Parallel int
 	// Bounds prune the per-point enumeration.
 	Bounds Bounds
@@ -87,9 +89,11 @@ type Report struct {
 	Truncated       bool
 }
 
-// Run executes the campaign. Every crash point is an independent run from
-// a fresh image, enumerated and validated in isolation, so the fan-out is
-// embarrassingly parallel and deterministic.
+// Run executes the campaign. Each worker walks one machine through its
+// share of the crash points (workload.WalkCrashPoints), takes a live
+// Snapshot at each, and validates the point's images as the enumerator
+// streams them; every point's result equals an independent run from a
+// fresh machine, so the report is byte-identical at any width.
 func (c Config) Run() Report {
 	if c.Points <= 0 {
 		panic("crashmc: Points must be positive")
@@ -105,20 +109,10 @@ func (c Config) Run() Report {
 		Barriers: !c.Params.NoBarriers,
 		Bounds:   b,
 	}
-	workers := c.Parallel
-	if workers > 1 {
-		if _, err := workload.ByName(c.Workload.Name()); err != nil {
-			workers = 1
-		}
-	}
-	rep.Points = sweep.Map(workers, c.Points, func(i int) PointResult {
-		w := c.Workload
-		if workers > 1 {
-			w, _ = workload.ByName(c.Workload.Name())
-		}
-		crashAt := c.FirstCrash + engine.Cycle(i)*c.Step
-		return checkPoint(w, c, b, maxViol, crashAt)
-	})
+	rep.Points = workload.WalkCrashPoints(c.Workload, c.Scheme, c.System, c.Params, c.FirstCrash, c.Step, c.Points, c.Parallel,
+		func(w workload.Workload, sys *system.System, at engine.Cycle, finished bool) PointResult {
+			return checkPoint(w, c, b, maxViol, Snapshot(sys, at, finished))
+		})
 	for _, p := range rep.Points {
 		rep.TotalSets += p.Sets
 		rep.TotalDistinct += p.DistinctImages
@@ -136,54 +130,50 @@ func (c Config) Run() Report {
 	return rep
 }
 
-// checkPoint explores one crash cycle: run, capture, enumerate, validate.
-func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, crashAt engine.Cycle) PointResult {
-	sys, finished := workload.BuildToCrash(w, c.Scheme, c.System, c.Params, crashAt)
-	rec := Capture(sys, crashAt, finished)
-	enum := Enumerate(rec, b)
-
+// checkPoint enumerates and validates one crash point's snapshot. Each new
+// distinct image is applied to rec.Base in place, checked, and restored
+// from the base lines the enumerator read while diffing it.
+func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Record) PointResult {
 	res := PointResult{
-		CrashCycle:     crashAt,
-		Finished:       finished,
-		Drain:          rec.Drain,
-		DomainLines:    rec.DomainLines,
-		Pending:        len(rec.Pending),
-		Sets:           enum.Sets,
-		SetsSkipped:    enum.SetsSkipped,
-		DistinctImages: len(enum.Images),
+		CrashCycle:  rec.CrashCycle,
+		Finished:    rec.Finished,
+		Drain:       rec.Drain,
+		DomainLines: rec.DomainLines,
+		Pending:     len(rec.Pending),
 	}
-
-	// One scratch image per point: apply an overlay, check, revert.
-	scratch := rec.Base.Clone()
+	check := func(img Image, base []LineWrite) error {
+		applyOverlay(rec.Base, img.Overlay)
+		err := w.Check(rec.Base)
+		applyOverlay(rec.Base, base)
+		return err
+	}
+	// Minimization materializes into buffers of its own: it runs inside
+	// the stream's callback, whose buffers still hold the current image.
+	var mm materializer
 	checkSet := func(survivors []int) string {
-		img := materialize(rec, survivors)
-		applyOverlay(scratch, img.Overlay)
-		errStr := ""
-		if err := w.Check(scratch); err != nil {
-			errStr = err.Error()
+		if err := check(mm.image(rec, survivors), mm.base); err != nil {
+			return err.Error()
 		}
-		revertOverlay(scratch, rec.Base, img.Overlay)
-		return errStr
+		return ""
 	}
 
-	for _, img := range enum.Images {
-		applyOverlay(scratch, img.Overlay)
-		err := w.Check(scratch)
-		revertOverlay(scratch, rec.Base, img.Overlay)
+	res.Sets, res.SetsSkipped = stream(rec, b, func(img Image, base []LineWrite) {
+		res.DistinctImages++
+		err := check(img, base)
 		if err == nil {
-			continue
+			return
 		}
 		res.ViolatingImages++
 		if len(res.Violations) >= maxViol {
-			continue
+			return
 		}
-		v := Violation{Hash: img.Hash, Survivors: img.Survivors, Err: err.Error()}
+		v := Violation{Hash: img.Hash, Survivors: slices.Clone(img.Survivors), Err: err.Error()}
 		if len(res.Violations) == 0 {
-			v.Minimized, v.MinimizedErr = minimize(rec, img.Survivors, checkSet)
-			res.Witness = newWitness(c, crashAt, rec, v.Minimized, v.MinimizedErr)
+			v.Minimized, v.MinimizedErr = minimize(rec, v.Survivors, checkSet)
+			res.Witness = newWitness(c, rec.CrashCycle, rec, v.Minimized, v.MinimizedErr)
 		}
 		res.Violations = append(res.Violations, v)
-	}
+	})
 	return res
 }
 

@@ -45,7 +45,7 @@ func (w *Workload) Setup(mem *memory.Memory, arena *palloc.Arena, p workload.Par
 	w.addrs = make([]memory.Addr, len(w.test.Vars))
 	for i := range w.test.Vars {
 		a := arena.Alloc(memory.LineSize)
-		pokeVar(mem, a, 0)
+		mem.Poke64(a, 0)
 		w.addrs[i] = a
 	}
 }
@@ -71,7 +71,7 @@ func (w *Workload) Programs(p workload.Params) []system.Program {
 // question, not this recovery-shaped sanity check's.
 func (w *Workload) Check(mem *memory.Memory) error {
 	for i, name := range w.test.Vars {
-		got := peekVar(mem, w.addrs[i])
+		got := mem.Peek64(w.addrs[i])
 		if got == 0 {
 			continue
 		}
@@ -98,28 +98,9 @@ func (w *Workload) VarAddrs() []memory.Addr { return w.addrs }
 func (w *Workload) ReadOutcome(mem *memory.Memory) []uint64 {
 	out := make([]uint64, len(w.addrs))
 	for i, a := range w.addrs {
-		out[i] = peekVar(mem, a)
+		out[i] = mem.Peek64(a)
 	}
 	return out
-}
-
-// peekVar and pokeVar are the little-endian uint64 image accessors (the
-// workload package keeps its equivalents unexported).
-func peekVar(mem *memory.Memory, a memory.Addr) uint64 {
-	b := mem.Peek(a, 8)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func pokeVar(mem *memory.Memory, a memory.Addr, v uint64) {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * uint(i)))
-	}
-	mem.Poke(a, b)
 }
 
 // init publishes every corpus test under "litmus/<name>" so witness

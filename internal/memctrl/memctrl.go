@@ -420,23 +420,30 @@ func (c *Controller) PendingLines() []memory.Addr {
 	return out
 }
 
-// CrashDrain flushes every WPQ entry (and any stalled writers) straight to
-// the memory image, as the ADR battery would on power failure. It returns
-// the number of lines drained. Timing-free: used only at crash points and at
-// end-of-run finalization.
-func (c *Controller) CrashDrain() int {
-	n := 0
+// FlushPending writes every line queued in the WPQ, then every write
+// stalled behind a full WPQ, into write (oldest first) and returns how many
+// it wrote. It leaves the controller untouched — queue, counters, trace —
+// so a live crash snapshot can compute the drained image into a copy.
+func (c *Controller) FlushPending(write func(memory.Addr, *[memory.LineSize]byte)) int {
 	for i := range c.wpq {
-		c.mem.WriteLine(c.wpq[i].addr, &c.wpq[i].data)
-		c.eng.EmitTrace(trace.KindCrashDrain, -1, c.wpq[i].addr, 0)
-		n++
+		write(c.wpq[i].addr, &c.wpq[i].data)
 	}
+	for i := range c.waiters {
+		write(c.waiters[i].addr, &c.waiters[i].data)
+	}
+	return len(c.wpq) + len(c.waiters)
+}
+
+// CrashDrain flushes every WPQ entry (and any stalled writers) straight to
+// the memory image, as the ADR battery would on power failure, and empties
+// the queue. It returns the number of lines drained. Timing-free: used only
+// at crash points and at end-of-run finalization.
+func (c *Controller) CrashDrain() int {
+	n := c.FlushPending(func(a memory.Addr, data *[memory.LineSize]byte) {
+		c.mem.WriteLine(a, data)
+		c.eng.EmitTrace(trace.KindCrashDrain, -1, a, 0)
+	})
 	c.wpq = c.wpq[:0]
-	for _, w := range c.waiters {
-		c.mem.WriteLine(w.addr, &w.data)
-		c.eng.EmitTrace(trace.KindCrashDrain, -1, w.addr, 0)
-		n++
-	}
 	c.waiters = nil
 	c.Stats.Add(c.counter("crash_drained"), uint64(n))
 	return n

@@ -197,6 +197,21 @@ func (m *Memory) Peek(a Addr, n int) []byte {
 	return out
 }
 
+// Peek64 reads a little-endian uint64 at a without accounting or
+// allocation, mirroring Poke64: an unmaterialized page reads as zero, and
+// only a read crossing a page boundary falls back to Peek.
+func (m *Memory) Peek64(a Addr) uint64 {
+	off := a & (PageSize - 1)
+	if off+8 > PageSize {
+		return binary.LittleEndian.Uint64(m.Peek(a, 8))
+	}
+	p := m.page(a, false)
+	if p == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(p[off:])
+}
+
 // Poke writes raw bytes without accounting (test/initialization helper).
 func (m *Memory) Poke(a Addr, b []byte) {
 	for i := 0; i < len(b); {
@@ -231,14 +246,35 @@ func (m *Memory) TouchedPages() int { return len(m.pages) }
 // Clone returns a deep copy of the memory contents with fresh accounting
 // (Writes/Reads/wear start at zero). The crash-image model checker clones
 // the post-drain image once per crash point and mutates the copy.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{layout: m.layout, pages: make(map[Addr]*[PageSize]byte, len(m.pages))}
+func (m *Memory) Clone() *Memory { return m.CloneInto(nil) }
+
+// CloneInto is Clone reusing dst: dst's pages are overwritten with m's
+// contents, pages m does not have are dropped, and its accounting restarts
+// at zero. A nil dst gets a fresh copy. It returns the copy. Machines that
+// take a crash image at every crash point of a walk copy into the same
+// image each time instead of allocating one per point.
+func (m *Memory) CloneInto(dst *Memory) *Memory {
+	if dst == nil {
+		dst = &Memory{layout: m.layout, pages: make(map[Addr]*[PageSize]byte, len(m.pages))}
+	} else {
+		for _, base := range dst.PageBases() {
+			if m.pages[base] == nil {
+				delete(dst.pages, base)
+			}
+		}
+		dst.layout, dst.wear, dst.lastPage = m.layout, nil, nil
+		dst.Writes, dst.Reads = [2]uint64{}, [2]uint64{}
+	}
 	//bbbvet:ignore detlint independent per-page copies into a fresh map; order cannot matter
 	for base, p := range m.pages {
-		cp := *p
-		c.pages[base] = &cp
+		if cp := dst.pages[base]; cp != nil {
+			*cp = *p
+		} else {
+			cp := *p
+			dst.pages[base] = &cp
+		}
 	}
-	return c
+	return dst
 }
 
 // PageBases returns the base addresses of every materialized page, sorted.

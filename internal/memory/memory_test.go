@@ -2,6 +2,8 @@ package memory
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +106,85 @@ func TestPokePeekCrossPage(t *testing.T) {
 	}
 	if m.TouchedPages() != 4 {
 		t.Fatalf("TouchedPages = %d, want 4", m.TouchedPages())
+	}
+}
+
+func TestPeek64CrossPage(t *testing.T) {
+	m := New(DefaultLayout())
+	for _, a := range []Addr{PageSize - 3, 2*PageSize - 8, 3*PageSize - 1} {
+		m.Poke64(a, 0x0123456789abcdef)
+		if got := m.Peek64(a); got != 0x0123456789abcdef {
+			t.Fatalf("Peek64(%#x) = %#x after Poke64", a, got)
+		}
+		if got, want := m.Peek64(a), binary.LittleEndian.Uint64(m.Peek(a, 8)); got != want {
+			t.Fatalf("Peek64(%#x) = %#x, Peek says %#x", a, got, want)
+		}
+	}
+	// Half of a page-crossing read lands on a page that was never written.
+	m2 := New(DefaultLayout())
+	m2.Poke(PageSize-4, []byte{1, 2, 3, 4})
+	if got := m2.Peek64(PageSize - 4); got != 0x04030201 {
+		t.Fatalf("Peek64 across an absent page = %#x, want 0x04030201", got)
+	}
+}
+
+func TestPeek64AbsentPage(t *testing.T) {
+	m := New(DefaultLayout())
+	if got := m.Peek64(5 * PageSize); got != 0 {
+		t.Fatalf("Peek64 of an unmaterialized page = %#x, want 0", got)
+	}
+	if m.TouchedPages() != 0 {
+		t.Fatal("Peek64 should not materialize pages")
+	}
+}
+
+func TestPeek64FastPathAllocs(t *testing.T) {
+	m := New(DefaultLayout())
+	m.Poke64(128, 42)
+	var sink uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		sink += m.Peek64(128) + m.Peek64(7*PageSize)
+	})
+	if allocs != 0 {
+		t.Fatalf("Peek64 allocates %v times per call pair, want 0", allocs)
+	}
+	if sink == 0 {
+		t.Fatal("unreachable: reads returned nothing")
+	}
+}
+
+func TestCloneIntoReusesAndMatchesClone(t *testing.T) {
+	src := New(DefaultLayout())
+	src.Poke64(0, 1)
+	src.Poke64(3*PageSize+8, 2)
+	var line [LineSize]byte
+	line[0] = 9
+	src.WriteLine(64, &line)
+
+	// A stale copy: an older image of src plus a page src never had.
+	dst := src.Clone()
+	src.Poke64(3*PageSize+8, 3)
+	dst.Poke64(7*PageSize, 4)
+	dst.WriteLine(128, &line)
+	page0 := dst.pages[0]
+
+	if got := src.CloneInto(dst); got != dst {
+		t.Fatal("CloneInto did not reuse dst")
+	}
+	if dst.pages[0] != page0 {
+		t.Fatal("CloneInto reallocated a page dst already had")
+	}
+	want := src.Clone()
+	if !reflect.DeepEqual(dst.PageBases(), want.PageBases()) {
+		t.Fatalf("pages %v, want %v", dst.PageBases(), want.PageBases())
+	}
+	for _, base := range want.PageBases() {
+		if !bytes.Equal(dst.Peek(base, PageSize), want.Peek(base, PageSize)) {
+			t.Fatalf("page %#x differs from a fresh Clone", base)
+		}
+	}
+	if dst.Writes != ([2]uint64{}) || dst.Reads != ([2]uint64{}) {
+		t.Fatalf("accounting not reset: writes %v reads %v", dst.Writes, dst.Reads)
 	}
 }
 

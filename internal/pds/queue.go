@@ -142,11 +142,4 @@ func RecoverQueue(mem *memory.Memory, hdr memory.Addr) (QueueImage, error) {
 }
 
 // peek reads a little-endian uint64 from the durable image.
-func peek(mem *memory.Memory, a memory.Addr) uint64 {
-	b := mem.Peek(a, 8)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
+func peek(mem *memory.Memory, a memory.Addr) uint64 { return mem.Peek64(a) }

@@ -82,19 +82,43 @@ func (m *Model) BufferedLines() int {
 }
 
 // CrashDrain performs the scheme's flush-on-fail at the instant of a crash,
-// mutating the NVMM image exactly as the battery-powered drain would. The
-// simulation must already be stopped; no simulated time passes.
+// mutating the NVMM image exactly as the battery-powered drain would and
+// emptying every drained source. The simulation must already be stopped; no
+// simulated time passes.
+func (m *Model) CrashDrain(cores []*cpu.Core, h *coherence.Hierarchy, nvmm *memctrl.Controller, mem *memory.Memory) DrainReport {
+	return m.flushOnFail(cores, h, nvmm, mem, true)
+}
+
+// SnapshotDrain computes the same flush-on-fail into img, a copy of the
+// machine's durable image, and returns the same report, without touching
+// the machine: no WPQ, persist buffer or store buffer is emptied, no counter
+// moves and no trace event is emitted, so the run can continue as if no
+// snapshot had been taken.
+func (m *Model) SnapshotDrain(cores []*cpu.Core, h *coherence.Hierarchy, nvmm *memctrl.Controller, img *memory.Memory) DrainReport {
+	return m.flushOnFail(cores, h, nvmm, img, false)
+}
+
+// flushOnFail is the one flush-on-fail routine behind CrashDrain (crash)
+// and SnapshotDrain (!crash). A crash writes into the machine's own image
+// (mem), empties each drained source, counts it (*.crash_drained,
+// vpb.crash_lost) and traces it (KindCrashDrain); a snapshot only writes
+// the same lines into mem, a copy.
 //
 // Freshness ordering: the WPQ holds the oldest copies (earlier drains and
 // writebacks), bbPB entries and cache lines are fresher, and battery-backed
 // store-buffer entries are freshest, so stages apply in that order.
-func (m *Model) CrashDrain(cores []*cpu.Core, h *coherence.Hierarchy, nvmm *memctrl.Controller, mem *memory.Memory) DrainReport {
+func (m *Model) flushOnFail(cores []*cpu.Core, h *coherence.Hierarchy, nvmm *memctrl.Controller, mem *memory.Memory, crash bool) DrainReport {
 	rep := DrainReport{Scheme: m.Scheme}
 	layout := mem.Layout()
 
 	// Stage 1: the WPQ is inside the persistence domain for every scheme
-	// (ADR baseline, footnote 1 of the paper).
-	rep.WPQLines = nvmm.CrashDrain()
+	// (ADR baseline, footnote 1 of the paper). A crash drains it into the
+	// controller's image, which is mem.
+	if crash {
+		rep.WPQLines = nvmm.CrashDrain()
+	} else {
+		rep.WPQLines = nvmm.FlushPending(mem.WriteLine)
+	}
 
 	// Stage 2: the scheme's own persistence domain above the controller.
 	switch m.Scheme {
@@ -109,20 +133,28 @@ func (m *Model) CrashDrain(cores []*cpu.Core, h *coherence.Hierarchy, nvmm *memc
 				return // DRAM-bound dirty lines are simply lost state
 			}
 			mem.WriteLine(la, data)
-			m.eng.EmitTrace(trace.KindCrashDrain, -1, uint64(la), 0)
+			if crash {
+				m.eng.EmitTrace(trace.KindCrashDrain, -1, uint64(la), 0)
+			}
 			rep.CacheLines++
 		})
 	case BBB, BBBProc:
 		for _, b := range m.Buffers {
-			rep.BufLines += b.CrashDrain(func(la memory.Addr, data *[memory.LineSize]byte) {
-				mem.WriteLine(la, data)
-			})
+			if crash {
+				rep.BufLines += b.CrashDrain(mem.WriteLine)
+			} else {
+				rep.BufLines += b.Flush(mem.WriteLine)
+			}
 		}
 	case BEP:
 		// Traditional persist buffers are volatile: their contents are
 		// simply gone. Only the WPQ prefix survived.
 		for _, v := range m.vpbs {
-			rep.LostLines += v.crashLoss()
+			if crash {
+				rep.LostLines += v.crashLoss()
+			} else {
+				rep.LostLines += len(v.entries)
+			}
 		}
 	}
 
@@ -133,11 +165,11 @@ func (m *Model) CrashDrain(cores []*cpu.Core, h *coherence.Hierarchy, nvmm *memc
 		if !c.BatteryBackedSB() {
 			continue
 		}
-		rep.SBStores += c.CrashDrainSB(
-			mem.PeekLine,
-			func(la memory.Addr, data *[memory.LineSize]byte) { mem.WriteLine(la, data) },
-			layout.Persistent,
-		)
+		if crash {
+			rep.SBStores += c.CrashDrainSB(mem.PeekLine, mem.WriteLine, layout.Persistent)
+		} else {
+			rep.SBStores += c.FlushSB(mem.PeekLine, mem.WriteLine, layout.Persistent)
+		}
 	}
 	return rep
 }

@@ -15,7 +15,6 @@ import (
 
 	"bbb/internal/engine"
 	"bbb/internal/persistency"
-	"bbb/internal/sweep"
 	"bbb/internal/system"
 	"bbb/internal/workload"
 )
@@ -30,11 +29,11 @@ type CampaignConfig struct {
 	FirstCrash engine.Cycle
 	Step       engine.Cycle
 	Points     int
-	// Parallel bounds how many crash points run concurrently (each on a
-	// fresh machine and workload instance). <= 1 is serial; the report is
-	// identical either way. Workloads not in the registry (no ByName
-	// lookup) always run serially, since points would otherwise share one
-	// instance.
+	// Parallel bounds how many machines walk the crash points at once,
+	// each with its own workload instance (workload.WalkCrashPoints). <= 1
+	// is serial; the report is identical either way. Workloads not in the
+	// registry (no ByName lookup) always run serially, since workers would
+	// otherwise share one instance.
 	Parallel int
 }
 
@@ -58,8 +57,11 @@ type Report struct {
 	DrainedLinesMax int
 }
 
-// Run executes the campaign. Every crash point is an independent run from a
-// fresh image, so failures cannot mask each other.
+// Run executes the campaign. Each worker walks one machine through its
+// share of the crash points (workload.WalkCrashPoints) and checks the
+// image a crash would leave at each (System.CrashImage) without crashing
+// the machine, so every point's outcome equals an independent run from a
+// fresh image and failures cannot mask each other.
 func (c CampaignConfig) Run() Report {
 	if c.Points <= 0 {
 		panic("recovery: Points must be positive")
@@ -69,28 +71,11 @@ func (c CampaignConfig) Run() Report {
 		Workload: c.Workload.Name(),
 		Barriers: !c.Params.NoBarriers,
 	}
-	// Setup and Programs mutate workload-instance state, so concurrent
-	// points each resolve a private instance by name. A workload outside
-	// the registry cannot be re-resolved and forces a serial sweep.
-	workers := c.Parallel
-	if workers > 1 {
-		if _, err := workload.ByName(c.Workload.Name()); err != nil {
-			workers = 1
-		}
-	}
-	rep.Outcomes = sweep.Map(workers, c.Points, func(i int) Outcome {
-		w := c.Workload
-		if workers > 1 {
-			w, _ = workload.ByName(c.Workload.Name())
-		}
-		crashAt := c.FirstCrash + engine.Cycle(i)*c.Step
-		sys, drain, finished := workload.RunToCrash(w, c.Scheme, c.System, c.Params, crashAt)
-		out := Outcome{CrashCycle: crashAt, Finished: finished, Drain: drain}
-		if err := w.Check(sys.Mem); err != nil {
-			out.Err = err
-		}
-		return out
-	})
+	rep.Outcomes = workload.WalkCrashPoints(c.Workload, c.Scheme, c.System, c.Params, c.FirstCrash, c.Step, c.Points, c.Parallel,
+		func(w workload.Workload, sys *system.System, at engine.Cycle, finished bool) Outcome {
+			img, drain := sys.CrashImage()
+			return Outcome{CrashCycle: at, Finished: finished, Drain: drain, Err: w.Check(img)}
+		})
 	for _, out := range rep.Outcomes {
 		if out.Err != nil {
 			rep.Inconsistent++

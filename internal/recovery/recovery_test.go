@@ -1,8 +1,10 @@
 package recovery
 
 import (
+	"reflect"
 	"testing"
 
+	"bbb/internal/engine"
 	"bbb/internal/persistency"
 	"bbb/internal/system"
 	"bbb/internal/workload"
@@ -180,6 +182,37 @@ func TestCrashMidForcedDrain(t *testing.T) {
 	}
 	if rep.DrainedLinesMax == 0 {
 		t.Fatal("no crash point caught in-flight lines; the sweep missed every forced drain")
+	}
+}
+
+// TestWalkMatchesFreshRuns pins the walked campaign to the per-point
+// definition it replaces — rebuild, re-simulate to the crash point, crash,
+// check the machine's image — at several fan-out widths: outcomes, checker
+// errors and the drain maximum must all be deep-equal.
+func TestWalkMatchesFreshRuns(t *testing.T) {
+	for _, s := range persistency.Schemes() {
+		for _, noBarriers := range []bool{false, true} {
+			cc := campaignConfig(workload.NewLinkedList(), s, noBarriers)
+			want := Report{Scheme: s, Workload: cc.Workload.Name(), Barriers: !noBarriers}
+			for i := 0; i < cc.Points; i++ {
+				w := workload.NewLinkedList()
+				at := cc.FirstCrash + engine.Cycle(i)*cc.Step
+				sys, drain, finished := workload.RunToCrash(w, s, cc.System, cc.Params, at)
+				out := Outcome{CrashCycle: at, Finished: finished, Drain: drain, Err: w.Check(sys.Mem)}
+				want.Outcomes = append(want.Outcomes, out)
+				if out.Err != nil {
+					want.Inconsistent++
+				}
+				want.DrainedLinesMax = max(want.DrainedLinesMax, drain.Lines())
+			}
+			for _, width := range []int{1, 2, 3} {
+				cc.Parallel = width
+				if got := cc.Run(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v nobarriers=%t parallel=%d: walked report differs from fresh runs:\n got: %+v\nwant: %+v",
+						s, noBarriers, width, got, want)
+				}
+			}
+		}
 	}
 }
 

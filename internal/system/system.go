@@ -73,6 +73,9 @@ type System struct {
 	Cores []*cpu.Core
 	// Prov tracks durability provenance when tracing is enabled.
 	Prov *trace.Provenance
+
+	// crashImg is CrashImage's copy of Mem, reused from call to call.
+	crashImg *memory.Memory
 }
 
 // New builds a machine from cfg.
@@ -209,13 +212,8 @@ func (r Result) DurabilitySummary() string {
 // completes, then finalizes the WPQ so NVMM write counts are comparable
 // across schemes. programs must have exactly one entry per core.
 func (s *System) Run(programs []Program) Result {
-	if len(programs) != s.Cfg.Cores {
-		panic(fmt.Sprintf("system: %d programs for %d cores", len(programs), s.Cfg.Cores))
-	}
 	defer s.Shutdown()
-	for i, p := range programs {
-		s.Cores[i].Start(p)
-	}
+	s.Start(programs)
 	s.Eng.Run()
 	for i, c := range s.Cores {
 		if !c.Done() {
@@ -228,23 +226,38 @@ func (s *System) Run(programs []Program) Result {
 	return s.result()
 }
 
-// RunUntil runs the machine until the given cycle (or completion) and
-// reports whether every program finished. Used by crash injection.
-func (s *System) RunUntil(limit engine.Cycle, programs []Program) bool {
+// Start hands one program to each core without running anything; Advance
+// then drives the machine. programs must have exactly one entry per core.
+func (s *System) Start(programs []Program) {
 	if len(programs) != s.Cfg.Cores {
 		panic(fmt.Sprintf("system: %d programs for %d cores", len(programs), s.Cfg.Cores))
 	}
 	for i, p := range programs {
 		s.Cores[i].Start(p)
 	}
+}
+
+// RunUntil runs the machine until the given cycle (or completion) and
+// reports whether every program finished. Used by crash injection.
+func (s *System) RunUntil(limit engine.Cycle, programs []Program) bool {
+	s.Start(programs)
+	return s.Advance(limit)
+}
+
+// Advance continues a started machine until the given cycle (or
+// completion) and reports whether every program has finished. Events at
+// exactly limit still execute, so advancing through ascending limits
+// leaves the machine in the same state as one RunUntil to the last of
+// them; the crash walkers step one machine through their crash points
+// this way.
+func (s *System) Advance(limit engine.Cycle) bool {
 	s.Eng.RunUntil(limit)
-	done := true
 	for _, c := range s.Cores {
 		if !c.Done() {
-			done = false
+			return false
 		}
 	}
-	return done
+	return true
 }
 
 // Crash stops the machine and performs the scheme's flush-on-fail drain,
@@ -252,6 +265,17 @@ func (s *System) RunUntil(limit engine.Cycle, programs []Program) bool {
 func (s *System) Crash() persistency.DrainReport {
 	s.Shutdown()
 	return s.Model.CrashDrain(s.Cores, s.Hier, s.NVMM, s.Mem)
+}
+
+// CrashImage returns the durable image a crash at this instant would leave
+// (a copy of the NVMM image with the flush-on-fail applied) and the drain
+// report, without crashing: memory, buffers, WPQ, store buffers, counters
+// and trace are left exactly as they were, and the run may continue. The
+// image is the machine's own scratch copy, overwritten by the next
+// CrashImage call; Clone it to keep it longer.
+func (s *System) CrashImage() (*memory.Memory, persistency.DrainReport) {
+	s.crashImg = s.Mem.CloneInto(s.crashImg)
+	return s.crashImg, s.Model.SnapshotDrain(s.Cores, s.Hier, s.NVMM, s.crashImg)
 }
 
 // Shutdown stops every core's workload program, unwinding any that are

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"bbb/internal/cpu"
 	"bbb/internal/memory"
 	"bbb/internal/palloc"
@@ -100,7 +98,8 @@ func (l *LinkedList) volWork(p Params) int {
 // Check implements Workload: walk every thread's list in the durable image.
 // A head (or next pointer) must reference a fully initialized node, and the
 // values along the chain must strictly descend — prepends of i+1 mean a
-// node's value is exactly one more than its successor's.
+// node's value is exactly one more than its successor's. Its errors format
+// lazily (errorf): under PMEM without barriers most reachable images fail.
 func (l *LinkedList) Check(mem *memory.Memory) error {
 	for t := 0; t < l.threads; t++ {
 		ptr := peek64(mem, l.head(t))
@@ -108,19 +107,19 @@ func (l *LinkedList) Check(mem *memory.Memory) error {
 		prev := uint64(0)
 		for ptr != 0 {
 			if magic := peek64(mem, memory.Addr(ptr)+offListMagic); magic != magicListNode {
-				return fmt.Errorf("linkedlist[%d]: reachable node %#x has magic %#x (dangling publish — the Figure 2 bug)", t, ptr, magic)
+				return errorf("linkedlist[%d]: reachable node %#x has magic %#x (dangling publish — the Figure 2 bug)", t, ptr, magic)
 			}
 			val := peek64(mem, memory.Addr(ptr)+offListVal)
 			if val == 0 {
-				return fmt.Errorf("linkedlist[%d]: node %#x has zero value", t, ptr)
+				return errorf("linkedlist[%d]: node %#x has zero value", t, ptr)
 			}
 			if prev != 0 && val != prev-1 {
-				return fmt.Errorf("linkedlist[%d]: chain values %d -> %d not consecutive", t, prev, val)
+				return errorf("linkedlist[%d]: chain values %d -> %d not consecutive", t, prev, val)
 			}
 			prev = val
 			ptr = peek64(mem, memory.Addr(ptr)+offListNext)
 			if steps++; steps > 1<<22 {
-				return fmt.Errorf("linkedlist[%d]: cycle detected", t)
+				return errorf("linkedlist[%d]: cycle detected", t)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"bbb/internal/palloc"
 	"bbb/internal/persistency"
 	"bbb/internal/stats"
+	"bbb/internal/sweep"
 	"bbb/internal/system"
 )
 
@@ -63,6 +64,45 @@ func BuildToCrash(w Workload, s persistency.Scheme, cfg system.Config, p Params,
 	sys, progs := Build(w, s, cfg, p)
 	finished := sys.RunUntil(crashCycle, progs)
 	return sys, finished
+}
+
+// WalkCrashPoints visits the n crash points first, first+step, … and
+// returns visit's results in point order. Instead of rebuilding and
+// re-simulating a machine per point (BuildToCrash), it builds one machine
+// per worker: worker k of workers owns points k, k+workers, … and advances
+// its machine through them in ascending order, calling visit with the
+// machine stopped at each. visit must leave the machine as it found it —
+// take a live snapshot (System.CrashImage) rather than crashing it —
+// because the walk continues from that state; the results are then the
+// same as BuildToCrash's at every point, at any worker count.
+//
+// Setup and Programs mutate workload-instance state, so with more than one
+// worker each resolves a private instance by name, and visit receives the
+// instance whose machine it is looking at. A workload outside the registry
+// cannot be re-resolved and walks serially.
+func WalkCrashPoints[T any](w Workload, s persistency.Scheme, cfg system.Config, p Params, first, step engine.Cycle, n, workers int,
+	visit func(w Workload, sys *system.System, at engine.Cycle, finished bool) T) []T {
+	workers = min(max(workers, 1), n)
+	if workers > 1 {
+		if _, err := ByName(w.Name()); err != nil {
+			workers = 1
+		}
+	}
+	out := make([]T, n)
+	sweep.Run(workers, workers, func(k int) {
+		wk := w
+		if workers > 1 {
+			wk, _ = ByName(w.Name())
+		}
+		sys, progs := Build(wk, s, cfg, p)
+		defer sys.Shutdown()
+		sys.Start(progs)
+		for i := k; i < n; i += workers {
+			at := first + engine.Cycle(i)*step
+			out[i] = visit(wk, sys, at, sys.Advance(at))
+		}
+	})
+	return out
 }
 
 // RunToCrash executes the workload, crashes it at crashCycle (or lets it

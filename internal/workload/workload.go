@@ -208,15 +208,21 @@ func volatileWork(e cpu.Env, thread, n int, r *rand.Rand) {
 	}
 }
 
-// peek64 reads a little-endian uint64 from the durable image.
-func peek64(mem *memory.Memory, a memory.Addr) uint64 {
-	b := mem.Peek(a, 8)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
+// errorf is fmt.Errorf with the formatting deferred until Error is called,
+// for checkers that reject many images: the crash-image model checker
+// validates thousands of reachable images per crash point but reads the
+// text of only the few it records. The text is fmt.Errorf's.
+func errorf(format string, args ...any) error { return &lazyError{format, args} }
+
+type lazyError struct {
+	format string
+	args   []any
 }
+
+func (e *lazyError) Error() string { return fmt.Sprintf(e.format, e.args...) }
+
+// peek64 reads a little-endian uint64 from the durable image.
+func peek64(mem *memory.Memory, a memory.Addr) uint64 { return mem.Peek64(a) }
 
 // poke64 writes a little-endian uint64 into the durable image (setup only).
 func poke64(mem *memory.Memory, a memory.Addr, v uint64) {

@@ -77,14 +77,7 @@ func (m *Machine) Poke(a Addr, b []byte) { m.sys.Mem.Poke(a, b) }
 func (m *Machine) Peek(a Addr, n int) []byte { return m.sys.Mem.Peek(a, n) }
 
 // Peek64 reads a little-endian 64-bit value from the durable image.
-func (m *Machine) Peek64(a Addr) uint64 {
-	b := m.Peek(a, 8)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
+func (m *Machine) Peek64(a Addr) uint64 { return m.sys.Mem.Peek64(a) }
 
 // RunPrograms runs one program per core to completion and returns the
 // run's metrics. The machine is single-shot: build a new one per run.
