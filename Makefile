@@ -61,7 +61,9 @@ bench-profile:
 # Observability smoke: drive the full cmd/bbbtrace pipeline end to end —
 # record the same run twice (streams must be byte-identical), filter by
 # kind (exercising the JSONL re-parse), replay durability provenance
-# offline, and export to Perfetto JSON. See docs/ARCHITECTURE.md §11.
+# offline, and export to Perfetto JSON; then record the same crash twice
+# (byte-identical again) and require the battery's crash-drain events in
+# its summary. See docs/ARCHITECTURE.md §11.
 trace-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -o $$tmp/a.jsonl; \
@@ -73,6 +75,11 @@ trace-smoke:
 		|| { echo "trace-smoke: FAIL: bbb left stores unresolved"; exit 1; }; \
 	$(GO) run ./cmd/bbbtrace export -i $$tmp/a.jsonl -o $$tmp/a.json >/dev/null; \
 	grep -q '"traceEvents"' $$tmp/a.json || { echo "trace-smoke: FAIL: export missing traceEvents"; exit 1; }; \
+	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -crash 20000 -o $$tmp/c.jsonl >/dev/null; \
+	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -crash 20000 -o $$tmp/d.jsonl >/dev/null; \
+	cmp -s $$tmp/c.jsonl $$tmp/d.jsonl || { echo "trace-smoke: FAIL: same crash, different streams"; exit 1; }; \
+	$(GO) run ./cmd/bbbtrace summarize -i $$tmp/c.jsonl -scheme bbb | grep -q '^  crash-drain ' \
+		|| { echo "trace-smoke: FAIL: crash stream has no crash-drain events"; exit 1; }; \
 	echo "trace-smoke: ok"
 
 # A bounded pass over every fuzz target.
@@ -80,6 +87,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzCacheOps -fuzztime=10s ./internal/cache
 	$(GO) test -run=^$$ -fuzz=FuzzCrashPoints -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzParseWitness -fuzztime=10s ./internal/crashmc
+	$(GO) test -run=^$$ -fuzz=FuzzParseJSONL -fuzztime=10s ./internal/trace
 
 # Crash-image model checking at short bounds: the bbbmc acceptance matrix
 # (battery schemes single-image, PMEM Figures 2/3 over the whole reachable

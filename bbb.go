@@ -90,11 +90,32 @@ type Options struct {
 	TrackWear bool
 	// TraceCapacity, when positive, retains the last N microarchitectural
 	// events (persist commits, bbPB traffic, coherence actions, WPQ
-	// activity) for inspection via Machine.DumpTrace or bbbsim -trace.
+	// activity) for inspection via Machine.DumpTrace, or for Run to write
+	// to Trace.
 	TraceCapacity int
-	// TraceFull retains the entire event stream instead of a bounded tail
-	// (needed for Perfetto export and offline provenance analysis).
-	TraceFull bool
+	// Trace, when non-nil, receives Run's microarchitectural trace. With
+	// TraceCapacity > 0 the retained tail is written as text after the
+	// run; otherwise every event streams as a JSON line while the run
+	// executes (cmd/bbbtrace filters, summarizes and exports the stream),
+	// and nothing is held in memory. Either way the result carries the
+	// histogram/gauge metrics and durability provenance (Result.Metrics,
+	// Result.DurabilitySummary). Read by Run only; the experiment drivers
+	// ignore it.
+	Trace io.Writer
+	// Check arms the runtime invariant auditor for Run: every 1000 cycles
+	// the machine's coherence and persist-buffer invariants are verified
+	// between engine events (see internal/invariant), and again once a
+	// completed run stops. The first violation is Run's error, alongside
+	// the (tainted) result. Read by Run only; the experiment drivers
+	// ignore it.
+	Check bool
+	// CrashAt, when nonzero, makes Run crash the machine at that cycle and
+	// perform the scheme's flush-on-fail, returning the post-crash result
+	// (System.ResultAfterCrash). With Trace streaming, the crash-drain
+	// events show which visible stores only became durable because of the
+	// battery and, for volatile designs, which never did. Read by Run
+	// only; the experiment drivers ignore it.
+	CrashAt Cycle
 	// StorePrefetch enables request-for-ownership prefetching of buffered
 	// stores' lines, recovering some of the memory-level parallelism an
 	// out-of-order core would have (the in-order store-buffer drain is the
@@ -173,7 +194,6 @@ func (o Options) sysConfig(s Scheme) system.Config {
 	}
 	cfg.TrackWear = o.TrackWear
 	cfg.TraceCapacity = o.TraceCapacity
-	cfg.TraceFull = o.TraceFull
 	cfg.Core.StorePrefetch = o.StorePrefetch
 	cfg.Core.RelaxedSBDrain = o.RelaxedConsistency
 	return cfg
@@ -188,13 +208,60 @@ func Workloads() []string {
 	return names
 }
 
-// Run executes one workload under one scheme to completion.
+// checkPeriod is how often, in cycles, Options.Check audits the machine.
+const checkPeriod Cycle = 1000
+
+// Run executes one workload under one scheme: to completion, or to a crash
+// at Options.CrashAt. Options.Check audits it as it runs and Options.Trace
+// records it; the modes compose.
 func Run(workloadName string, s Scheme, o Options) (Result, error) {
-	w, err := workload.ByName(workloadName)
+	wl, err := workload.ByName(workloadName)
 	if err != nil {
 		return Result{}, err
 	}
-	return workload.Run(w, s, o.sysConfig(s), o.params()), nil
+	cfg := o.sysConfig(s)
+	if o.Trace != nil && o.TraceCapacity == 0 {
+		cfg.TraceSink = trace.NewJSONL(o.Trace)
+	}
+	sys, progs := workload.Build(wl, s, cfg, o.params())
+	defer sys.Shutdown()
+	var violation error
+	if o.Check {
+		allDone := func() bool {
+			for _, c := range sys.Cores {
+				if !c.Done() {
+					return false
+				}
+			}
+			return true
+		}
+		invariant.Attach(sys, checkPeriod, allDone, func(err error) { violation = err })
+	}
+	var res Result
+	if o.CrashAt > 0 {
+		sys.RunUntil(o.CrashAt, progs)
+		sys.Crash()
+		res = sys.ResultAfterCrash()
+	} else {
+		res = sys.Run(progs)
+	}
+	workload.FoldServiceMetrics(wl, &res)
+	if o.Trace != nil {
+		if o.TraceCapacity > 0 {
+			sys.Trace().Dump(o.Trace)
+		} else if err := sys.Trace().Flush(); err != nil {
+			return res, fmt.Errorf("bbb: flushing trace stream: %w", err)
+		}
+	}
+	if violation != nil {
+		return res, fmt.Errorf("invariant violation mid-run: %w", violation)
+	}
+	if o.Check && o.CrashAt == 0 {
+		if err := invariant.CheckSystem(sys); err != nil {
+			return res, fmt.Errorf("invariant violation after run: %w", err)
+		}
+	}
+	return res, nil
 }
 
 // MustRun is Run for callers with vetted names (benchmarks, examples).
@@ -206,109 +273,11 @@ func MustRun(workloadName string, s Scheme, o Options) Result {
 	return r
 }
 
-// RunChecked is Run with the runtime invariant auditor armed: every
-// checkPeriod cycles (default 1000 when zero) the machine's coherence and
-// persist-buffer invariants are verified between engine events — see
-// internal/invariant — and the first violation is returned as the error
-// alongside the (tainted) result. bbbsim's -check flag uses it.
-func RunChecked(workloadName string, s Scheme, o Options, checkPeriod Cycle) (Result, error) {
-	wl, err := workload.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	if checkPeriod == 0 {
-		checkPeriod = 1000
-	}
-	sys, progs := workload.Build(wl, s, o.sysConfig(s), o.params())
-	defer sys.Shutdown()
-	allDone := func() bool {
-		for _, c := range sys.Cores {
-			if !c.Done() {
-				return false
-			}
-		}
-		return true
-	}
-	var violation error
-	invariant.Attach(sys, checkPeriod, allDone, func(err error) { violation = err })
-	res := sys.Run(progs)
-	workload.FoldServiceMetrics(wl, &res)
-	if violation != nil {
-		return res, fmt.Errorf("invariant violation mid-run: %w", violation)
-	}
-	if err := invariant.CheckSystem(sys); err != nil {
-		return res, fmt.Errorf("invariant violation after run: %w", err)
-	}
-	return res, nil
-}
-
-// RunTraced is Run plus a dump of the retained microarchitectural trace to
-// w after the run. Set Options.TraceCapacity to bound the tail kept.
-func RunTraced(workloadName string, s Scheme, o Options, w io.Writer) (Result, error) {
-	wl, err := workload.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	if o.TraceCapacity == 0 {
-		o.TraceCapacity = 4096
-	}
-	sys, progs := workload.Build(wl, s, o.sysConfig(s), o.params())
-	defer sys.Shutdown()
-	res := sys.Run(progs)
-	workload.FoldServiceMetrics(wl, &res)
-	if rec := sys.Trace(); rec != nil && w != nil {
-		rec.Dump(w)
-	}
-	return res, nil
-}
-
-// RunStreaming is Run with full tracing on: every microarchitectural event
-// streams to w as a JSON line while the run executes, and the result
-// carries the histogram/gauge metrics and durability provenance
-// (Result.Metrics, Result.DurabilitySummary). Use cmd/bbbtrace to filter,
-// summarize or export the stream.
-func RunStreaming(workloadName string, s Scheme, o Options, w io.Writer) (Result, error) {
-	wl, err := workload.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	o.TraceFull = true
-	cfg := o.sysConfig(s)
-	sink := trace.NewJSONL(w)
-	cfg.TraceSink = sink
-	sys, progs := workload.Build(wl, s, cfg, o.params())
-	defer sys.Shutdown()
-	res := sys.Run(progs)
-	workload.FoldServiceMetrics(wl, &res)
-	if err := sys.Trace().Flush(); err != nil {
-		return res, fmt.Errorf("bbb: flushing trace stream: %w", err)
-	}
-	return res, nil
-}
-
-// CrashTraced runs workloadName under s with full tracing, crashes it at
-// crashCycle and performs the scheme's flush-on-fail, streaming every
-// event — including the crash-drain ones — to w as JSON lines. The result
-// shows, via provenance, which visible stores only became durable because
-// of the battery (and, for volatile designs, which never did).
-func CrashTraced(workloadName string, s Scheme, o Options, crashCycle Cycle, w io.Writer) (Result, error) {
-	wl, err := workload.ByName(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	o.TraceFull = true
-	cfg := o.sysConfig(s)
-	sink := trace.NewJSONL(w)
-	cfg.TraceSink = sink
-	sys, progs := workload.Build(wl, s, cfg, o.params())
-	defer sys.Shutdown()
-	sys.RunUntil(crashCycle, progs)
-	sys.Crash()
-	res := sys.ResultAfterCrash()
-	if err := sys.Trace().Flush(); err != nil {
-		return res, fmt.Errorf("bbb: flushing trace stream: %w", err)
-	}
-	return res, nil
+// sweepRun is MustRun for the experiment drivers: every sweep point runs
+// to completion untraced and unaudited, whatever o's per-run fields say.
+func sweepRun(workloadName string, s Scheme, o Options) Result {
+	o.Trace, o.Check, o.CrashAt = nil, false, 0
+	return MustRun(workloadName, s, o)
 }
 
 // CrashCampaign sweeps crash points over a workload run and checks the

@@ -200,7 +200,7 @@ func RunFrontierCampaign(o Options, fc FrontierConfig) (FrontierResult, error) {
 			oc := o
 			oc.BBPBEntries = c.Entries
 			oc.DrainThreshold = c.Threshold
-			r := MustRun(fc.Workload, SchemeBBB, oc)
+			r := sweepRun(fc.Workload, SchemeBBB, oc)
 			return FrontierPoint{
 				Entries:      c.Entries,
 				Threshold:    c.Threshold,

@@ -8,6 +8,7 @@
 //	bbbench -fig 7a              # one figure (7a, 7b, 8)
 //	bbbench -ops 400 -threads 8  # workload scale
 //	bbbench -scale               # full Table III caches (slower, larger)
+//	bbbench -markdown            # paper-vs-measured markdown report
 package main
 
 import (
@@ -30,6 +31,7 @@ func main() {
 		scale    = flag.Bool("scale", false, "use the full Table III cache sizes (default: proportionally scaled caches)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (1 = serial; output is identical either way)")
 		jsonPath = flag.String("json", "", "also write the simulation-backed figure data as JSON to this file")
+		markdown = flag.Bool("markdown", false, "instead of the tables, write a self-contained paper-vs-measured markdown report to stdout")
 	)
 	flag.Parse()
 
@@ -37,6 +39,14 @@ func main() {
 	if !*scale {
 		o.L1Size = 8 * 1024
 		o.L2Size = 64 * 1024
+	}
+
+	if *markdown {
+		if err := writeMarkdown(os.Stdout, o, !*scale); err != nil {
+			fmt.Fprintln(os.Stderr, "bbbench:", err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	out := os.Stdout

@@ -100,7 +100,9 @@ func main() {
 			if err != nil {
 				return outcome{err: err}
 			}
-			r, err := bbb.RunStreaming(c.workload, c.scheme, o, f)
+			ot := o
+			ot.Trace = f
+			r, err := bbb.Run(c.workload, c.scheme, ot)
 			if err == nil {
 				err = f.Close()
 			}

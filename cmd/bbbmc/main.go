@@ -1,5 +1,6 @@
-// Command bbbmc model-checks crash images: where bbbcrash validates the
-// single deterministic flush-on-fail image per crash point, bbbmc
+// Command bbbmc model-checks crash images: where a crash campaign
+// (bbb.CrashCampaign) validates the single deterministic flush-on-fail
+// image per crash point, bbbmc
 // enumerates EVERY durable state a power failure could legally leave
 // behind under the scheme's persist-ordering rules (any fence-respecting
 // cache subset for PMEM, epoch-prefix-plus-frontier-reorder for BEP, the

@@ -62,7 +62,7 @@ func main() {
 		verbose    = flag.Bool("verbose", false, "dump all component counters")
 		traceN     = flag.Int("trace", 0, "dump the last N microarchitectural events after the run")
 		traceOut   = flag.String("trace-out", "", "stream the full event trace as JSON lines to this file (see cmd/bbbtrace)")
-		check      = flag.Bool("check", false, "audit coherence and bbPB invariants every 1000 cycles (see internal/invariant)")
+		check      = flag.Bool("check", false, "audit coherence and bbPB invariants every 1000 cycles in every run (see internal/invariant)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulations to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile taken after the simulations to this file")
 
@@ -142,41 +142,33 @@ func main() {
 		BatchWindow:    bbb.Cycle(*window),
 	}
 
-	if *check || *traceN > 0 || *traceOut != "" {
+	o.Check = *check
+	if *traceN > 0 || *traceOut != "" {
 		if len(combos) > 1 {
-			log.Fatal("-check, -trace and -trace-out need a single workload/scheme combination")
+			log.Fatal("-trace and -trace-out need a single workload/scheme combination")
 		}
-		exclusive := 0
-		for _, on := range []bool{*check, *traceN > 0, *traceOut != ""} {
-			if on {
-				exclusive++
-			}
-		}
-		if exclusive > 1 {
-			log.Fatal("-check, -trace and -trace-out are mutually exclusive")
+		if *traceN > 0 && *traceOut != "" {
+			log.Fatal("-trace and -trace-out are mutually exclusive")
 		}
 		c := combos[0]
-		var (
-			res bbb.Result
-			err error
-		)
-		switch {
-		case *check:
-			res, err = bbb.RunChecked(c.workload, c.scheme, o, 0)
-		case *traceOut != "":
-			var f *os.File
-			f, err = os.Create(*traceOut)
-			if err != nil {
+		var f *os.File
+		if *traceOut != "" {
+			var err error
+			if f, err = os.Create(*traceOut); err != nil {
 				log.Fatal(err)
 			}
-			res, err = bbb.RunStreaming(c.workload, c.scheme, o, f)
-			if err == nil {
-				err = f.Close()
-			}
-		default:
+			o.Trace = f
+		} else {
 			o.TraceCapacity = *traceN
+			o.Trace = os.Stdout
 			fmt.Printf("--- last %d microarchitectural events ---\n", *traceN)
-			res, err = bbb.RunTraced(c.workload, c.scheme, o, os.Stdout)
+		}
+		res, err := bbb.Run(c.workload, c.scheme, o)
+		if f != nil {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		} else {
 			fmt.Println("---")
 		}
 		if err != nil {

@@ -81,13 +81,8 @@ func record(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	o := bbb.Options{Threads: *threads, OpsPerThread: *ops, Seed: *seed}
-	var res bbb.Result
-	if *crash > 0 {
-		res, err = bbb.CrashTraced(*wl, s, o, bbb.Cycle(*crash), f)
-	} else {
-		res, err = bbb.RunStreaming(*wl, s, o, f)
-	}
+	o := bbb.Options{Threads: *threads, OpsPerThread: *ops, Seed: *seed, Trace: f, CrashAt: bbb.Cycle(*crash)}
+	res, err := bbb.Run(*wl, s, o)
 	if err != nil {
 		log.Fatal(err)
 	}

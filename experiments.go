@@ -52,11 +52,11 @@ func RunFig7(o Options) Fig7Result {
 		name := reg[i/3].Name()
 		switch i % 3 {
 		case 0:
-			res[i/3].eadr = MustRun(name, SchemeEADR, o)
+			res[i/3].eadr = sweepRun(name, SchemeEADR, o)
 		case 1:
-			res[i/3].b32 = MustRun(name, SchemeBBB, o32)
+			res[i/3].b32 = sweepRun(name, SchemeBBB, o32)
 		case 2:
-			res[i/3].b1024 = MustRun(name, SchemeBBB, o1024)
+			res[i/3].b1024 = sweepRun(name, SchemeBBB, o1024)
 		}
 	})
 
@@ -96,9 +96,9 @@ func ProcSideWriteRatio(o Options) float64 {
 	sweep.Run(o.workers(), 2*len(reg), func(i int) {
 		name := reg[i/2].Name()
 		if i%2 == 0 {
-			res[i/2].eadr = MustRun(name, SchemeEADR, o)
+			res[i/2].eadr = sweepRun(name, SchemeEADR, o)
 		} else {
-			res[i/2].proc = MustRun(name, SchemeBBBProc, o)
+			res[i/2].proc = sweepRun(name, SchemeBBBProc, o)
 		}
 	})
 	var ratios []float64
@@ -132,7 +132,7 @@ func RunFig8(o Options, sizes []int) []Fig8Point {
 	cells := sweep.Map(o.workers(), len(reg)*len(sizes), func(c int) Result {
 		on := o
 		on.BBPBEntries = sizes[c%len(sizes)]
-		return MustRun(reg[c/len(sizes)].Name(), SchemeBBB, on)
+		return sweepRun(reg[c/len(sizes)].Name(), SchemeBBB, on)
 	})
 	type raw struct{ rej, exec, drains []float64 }
 	perSize := make([]raw, len(sizes))
@@ -173,7 +173,7 @@ func RunTable4(o Options) []PStoreRow {
 	reg := workload.Registry()
 	return sweep.Map(o.workers(), len(reg), func(i int) PStoreRow {
 		w := reg[i]
-		r := MustRun(w.Name(), SchemeEADR, o)
+		r := sweepRun(w.Name(), SchemeEADR, o)
 		return PStoreRow{
 			Workload:    w.Name(),
 			Description: w.Description(),
@@ -210,9 +210,9 @@ func RunSeedSweep(workloadName string, o Options, seeds []int64) (SeedSweep, err
 		os := o
 		os.Seed = seeds[i/2]
 		if i%2 == 0 {
-			return MustRun(workloadName, SchemeEADR, os)
+			return sweepRun(workloadName, SchemeEADR, os)
 		}
-		return MustRun(workloadName, SchemeBBB, os)
+		return sweepRun(workloadName, SchemeBBB, os)
 	})
 	var exec, writes stats.Distribution
 	for si := range seeds {
@@ -256,7 +256,7 @@ func RunSchemeComparison(workloadName string, o Options) ([]SchemeRow, error) {
 	schemes := persistencySchemes()
 	rows := sweep.Map(o.workers(), len(schemes), func(i int) SchemeRow {
 		s := schemes[i]
-		r := MustRun(workloadName, s, o)
+		r := sweepRun(workloadName, s, o)
 		return SchemeRow{
 			Workload:   workloadName,
 			Scheme:     s,
@@ -330,7 +330,7 @@ func RunDrainThresholdAblation(workloadName string, o Options, thresholds []floa
 	out := sweep.Map(o.workers(), len(thresholds), func(i int) DrainThresholdPoint {
 		ot := o
 		ot.DrainThreshold = thresholds[i]
-		r := MustRun(workloadName, SchemeBBB, ot)
+		r := sweepRun(workloadName, SchemeBBB, ot)
 		return DrainThresholdPoint{
 			Threshold: thresholds[i], Cycles: r.Cycles, NVMMWrites: r.NVMMWrites, Rejections: r.Rejections,
 		}

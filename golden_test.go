@@ -131,17 +131,23 @@ func TestResultsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload x scheme x seed matrix")
 	}
-	got := goldenLines()
+	checkGoldenLines(t, resultsGoldenPath, goldenLines())
+}
+
+// checkGoldenLines compares got with the golden file at path line by line,
+// or rewrites the file under -update.
+func checkGoldenLines(t *testing.T, path string, got []string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(resultsGoldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(resultsGoldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(resultsGoldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (generate with -update)", err)
 	}
@@ -154,4 +160,60 @@ func TestResultsGolden(t *testing.T) {
 			t.Errorf("line %d diverged:\n got: %s\nwant: %s", i+1, got[i], want[i])
 		}
 	}
+}
+
+const harnessGoldenPath = "testdata/harness.golden"
+
+// harnessCase is one run through Run's harness modes; the Options' Trace
+// writer is filled in per run.
+type harnessCase struct {
+	name     string
+	workload string
+	scheme   Scheme
+	o        Options
+}
+
+// harnessCases covers every harness mode — invariant audit, bounded text
+// tail, JSON-lines stream and crash with flush-on-fail — on a battery
+// scheme, the barrier-free PMEM variant and the service tier.
+func harnessCases() []harnessCase {
+	hm := scaled(40)
+	check, tail, crash := hm, hm, hm
+	check.Check = true
+	tail.TraceCapacity = 32
+	crash.CrashAt = 20_000
+	ll := scaled(40)
+	ll.NoBarriers = true
+	llCrash := ll
+	llCrash.CrashAt = 20_000
+	kv := Options{Clients: 2, OpsPerThread: 60, Seed: 1}
+	return []harnessCase{
+		{"hashmap/bbb check", "hashmap", SchemeBBB, check},
+		{"hashmap/bbb tail 32", "hashmap", SchemeBBB, tail},
+		{"hashmap/bbb stream", "hashmap", SchemeBBB, hm},
+		{"hashmap/bbb crash@20000", "hashmap", SchemeBBB, crash},
+		{"linkedlist/pmem no-barriers stream", "linkedlist", SchemePMEM, ll},
+		{"linkedlist/pmem no-barriers crash@20000", "linkedlist", SchemePMEM, llCrash},
+		{"kv/bbb stream", "kv", SchemeBBB, kv},
+	}
+}
+
+// TestHarnessGolden pins every harness mode byte for byte: one sha256 per
+// case over the encoded Result followed by everything the run wrote to
+// its trace writer. Regenerate with `go test -run TestHarnessGolden
+// -update .` only for a deliberate change to what a mode records.
+func TestHarnessGolden(t *testing.T) {
+	var got []string
+	for _, c := range harnessCases() {
+		var buf bytes.Buffer
+		if !c.o.Check {
+			c.o.Trace = &buf
+		}
+		res, err := Run(c.workload, c.scheme, c.o)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got = append(got, fmt.Sprintf("%s %x", c.name, sha256.Sum256(append(encodeResult(res), buf.Bytes()...))))
+	}
+	checkGoldenLines(t, harnessGoldenPath, got)
 }

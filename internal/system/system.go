@@ -33,11 +33,9 @@ type Config struct {
 	// TraceCapacity, when positive, retains the last N microarchitectural
 	// events for post-run inspection (System.Trace).
 	TraceCapacity int
-	// TraceFull retains the entire event stream (unbounded memory; meant
-	// for export and offline analysis). Overrides TraceCapacity.
-	TraceFull bool
-	// TraceSink, when non-nil, additionally streams every event into the
-	// given sink (e.g. a JSON-lines file) as the run executes.
+	// TraceSink, when non-nil, streams every event into the given sink
+	// (e.g. a JSON-lines file) as the run executes. A sink alone retains
+	// nothing: memory stays flat however long the run.
 	TraceSink trace.Sink
 	// AblateSBBattery removes the store buffer from the persistence domain
 	// even for schemes that battery-back it — the §III-C ablation showing
@@ -94,12 +92,11 @@ func NewOnImage(cfg Config, img *memory.Memory) *System {
 	cfg.Hierarchy.Cores = cfg.Cores
 	eng := engine.New()
 	var prov *trace.Provenance
-	if cfg.TraceFull {
-		eng.Trace = trace.NewFull()
-	} else if cfg.TraceCapacity > 0 {
-		eng.Trace = trace.New(cfg.TraceCapacity)
-	}
-	if eng.Trace != nil {
+	if cfg.TraceCapacity > 0 || cfg.TraceSink != nil {
+		eng.Trace = new(trace.Recorder) // a sink alone: stream, retain nothing
+		if cfg.TraceCapacity > 0 {
+			eng.Trace = trace.New(cfg.TraceCapacity)
+		}
 		// Tracing brings the rest of the observability stack with it:
 		// histogram/gauge metrics and the durability-provenance tracker.
 		eng.Metrics = stats.NewMetrics()

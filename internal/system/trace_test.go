@@ -1,6 +1,7 @@
 package system
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -76,5 +77,36 @@ func TestTracingBEPShowsEpochs(t *testing.T) {
 	counts := trace.CountKinds(sys.Trace().Events())
 	if counts[trace.KindEpochMark] == 0 {
 		t.Fatalf("BEP trace missing epoch marks: %v", counts)
+	}
+}
+
+// A sink alone builds a recorder that streams every event and retains
+// none, and its stream is the same one a ring-retaining run produces.
+func TestTraceSinkAloneStreamsAndRetainsNothing(t *testing.T) {
+	stream := func(capacity int) (*System, []byte) {
+		var buf bytes.Buffer
+		cfg := smallConfig(persistency.BBB)
+		cfg.TraceCapacity = capacity
+		cfg.TraceSink = trace.NewJSONL(&buf)
+		sys := New(cfg)
+		sys.Run(mixedPrograms(sys, 50, 30))
+		if err := sys.Trace().Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return sys, buf.Bytes()
+	}
+	sinkOnly, got := stream(0)
+	rec := sinkOnly.Trace()
+	if rec == nil || rec.Emitted == 0 {
+		t.Fatal("a sink without a capacity streamed nothing")
+	}
+	if rec.Len() != 0 {
+		t.Fatalf("sink-only recorder retained %d events, want 0", rec.Len())
+	}
+	if _, want := stream(1 << 10); !bytes.Equal(got, want) {
+		t.Fatalf("sink-only stream (%d bytes) differs from the ring run's (%d bytes)", len(got), len(want))
+	}
+	if n := bytes.Count(got, []byte("\n")); uint64(n) != rec.Emitted {
+		t.Fatalf("stream holds %d lines for %d emitted events", n, rec.Emitted)
 	}
 }

@@ -17,13 +17,6 @@ type Sink interface {
 	Flush() error
 }
 
-// RetentionSink is a Sink that can replay what it holds.
-type RetentionSink interface {
-	Sink
-	Events() []Event
-	Len() int
-}
-
 // RingSink keeps the most recent capacity events — the tail a user
 // debugging a persistency bug wants, at fixed memory cost.
 type RingSink struct {
@@ -71,23 +64,6 @@ func (s *RingSink) Events() []Event {
 	out = append(out, s.ring[:s.next]...)
 	return out
 }
-
-// BufferSink retains the entire event stream in memory.
-type BufferSink struct {
-	events []Event
-}
-
-// Write implements Sink.
-func (s *BufferSink) Write(e Event) { s.events = append(s.events, e) }
-
-// Flush implements Sink (nothing buffered externally).
-func (s *BufferSink) Flush() error { return nil }
-
-// Len reports how many events are retained.
-func (s *BufferSink) Len() int { return len(s.events) }
-
-// Events returns the retained events, oldest first.
-func (s *BufferSink) Events() []Event { return append([]Event(nil), s.events...) }
 
 // JSONLSink streams events as JSON lines (one object per event) to an
 // io.Writer, typically a file. Fields are written in a fixed order by

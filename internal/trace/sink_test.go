@@ -21,32 +21,42 @@ func sampleEvents() []Event {
 	}
 }
 
-func TestBufferSinkRetainsEverything(t *testing.T) {
-	r := NewFull()
+// collectSink keeps every event it is given, for asserting what a
+// recorder forwarded.
+type collectSink struct{ events []Event }
+
+func (s *collectSink) Write(e Event) { s.events = append(s.events, e) }
+func (s *collectSink) Flush() error  { return nil }
+
+// A recorder without a ring streams every event to its sinks and keeps
+// none itself: a streamed run's memory does not grow with its length.
+func TestStreamRecorderRetainsNothing(t *testing.T) {
+	var r Recorder
+	var all collectSink
+	r.Attach(&all)
 	for i := 0; i < 10000; i++ {
 		r.Emit(uint64(i), KindClwb, 0, uint64(i), 0)
 	}
-	if r.Len() != 10000 || r.Emitted != 10000 {
-		t.Fatalf("Len=%d Emitted=%d", r.Len(), r.Emitted)
+	if r.Len() != 0 || r.Events() != nil || r.Emitted != 10000 {
+		t.Fatalf("Len=%d Events=%d Emitted=%d", r.Len(), len(r.Events()), r.Emitted)
 	}
-	evs := r.Events()
-	if evs[0].Cycle != 0 || evs[9999].Cycle != 9999 {
-		t.Fatal("full buffer lost or reordered events")
+	if len(all.events) != 10000 || all.events[0].Cycle != 0 || all.events[9999].Cycle != 9999 {
+		t.Fatal("stream recorder lost or reordered events")
 	}
 }
 
 func TestAttachForwardsToAllSinks(t *testing.T) {
 	r := New(4) // tiny ring, so retention drops events...
-	var full BufferSink
-	r.Attach(&full)
+	var all collectSink
+	r.Attach(&all)
 	for _, e := range sampleEvents() {
 		r.Emit(e.Cycle, e.Kind, int(e.Core), e.Addr, e.Aux)
 	}
 	if r.Len() != 4 {
 		t.Fatalf("ring Len = %d, want 4", r.Len())
 	}
-	if !reflect.DeepEqual(full.Events(), sampleEvents()) { // ...but attached sinks see all
-		t.Fatalf("attached sink missed events: %v", full.Events())
+	if !reflect.DeepEqual(all.events, sampleEvents()) { // ...but attached sinks see all
+		t.Fatalf("attached sink missed events: %v", all.events)
 	}
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)

@@ -3,11 +3,11 @@
 // microarchitectural event (persisting-store commits, bbPB
 // allocations/coalesces/drains/migrations, coherence invalidations, WPQ
 // traffic, epoch marks, crash drains). Records flow through a Recorder
-// into pluggable sinks — a bounded ring for tail debugging, a full
-// in-memory buffer for analysis, or a JSON-lines stream for offline
-// tooling — and can be exported as a Perfetto/Chrome trace or fed to the
-// durability-provenance tracker. Everything is cycle-stamped: no wall
-// clock anywhere, so traces of the same seed are byte-identical.
+// into pluggable sinks — a bounded ring for tail debugging or a
+// JSON-lines stream for offline tooling — and can be exported as a
+// Perfetto/Chrome trace or fed to the durability-provenance tracker.
+// Everything is cycle-stamped: no wall clock anywhere, so traces of the
+// same seed are byte-identical.
 package trace
 
 import (
@@ -115,13 +115,14 @@ type Event struct {
 const MaxCore = math.MaxInt16
 
 // Recorder is the tracing front-end. Every Emit lands in the retention
-// sink (ring or full buffer, queryable afterwards) and is forwarded to
-// any attached streaming sinks. A nil *Recorder is a valid, disabled
-// recorder: Emit on nil is an allocation-free no-op, so components hold
-// one unconditionally.
+// ring, if any (queryable afterwards), and is forwarded to any attached
+// streaming sinks. The zero Recorder retains nothing: it only forwards,
+// so a streamed run holds no events in memory. A nil *Recorder is a
+// valid, disabled recorder: Emit on nil is an allocation-free no-op, so
+// components hold one unconditionally.
 type Recorder struct {
-	retain RetentionSink
-	sinks  []Sink
+	ring  *RingSink
+	sinks []Sink
 	// Emitted counts all events ever emitted, including ones a ring
 	// retention sink has overwritten.
 	Emitted uint64
@@ -133,13 +134,7 @@ func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		panic("trace: capacity must be positive")
 	}
-	return &Recorder{retain: NewRing(capacity)}
-}
-
-// NewFull returns a recorder that retains the entire event stream
-// in memory, for analysis and export.
-func NewFull() *Recorder {
-	return &Recorder{retain: &BufferSink{}}
+	return &Recorder{ring: NewRing(capacity)}
 }
 
 // Attach adds a streaming sink that receives every subsequent event
@@ -151,31 +146,37 @@ func (r *Recorder) Attach(s Sink) {
 	r.sinks = append(r.sinks, s)
 }
 
-// Emit records one event. Safe on a nil recorder. It panics if core is
-// outside [-1, MaxCore]: Event stores cores as int16 and silent
+// Emit records one event. Safe on a nil recorder: the disabled check is
+// small enough to inline into every component's emit site. It panics if
+// core is outside [-1, MaxCore]: Event stores cores as int16 and silent
 // truncation would misattribute events.
 func (r *Recorder) Emit(cycle uint64, kind Kind, core int, addr, aux uint64) {
-	if r == nil {
-		return
+	if r != nil {
+		r.emit(cycle, kind, core, addr, aux)
 	}
+}
+
+func (r *Recorder) emit(cycle uint64, kind Kind, core int, addr, aux uint64) {
 	if core < -1 || core > MaxCore {
 		panic(fmt.Sprintf("trace: core %d outside [-1, %d]", core, MaxCore))
 	}
 	e := Event{Cycle: cycle, Kind: kind, Core: int16(core), Addr: addr, Aux: aux}
-	r.retain.Write(e)
+	if r.ring != nil {
+		r.ring.Write(e)
+	}
 	for _, s := range r.sinks {
 		s.Write(e)
 	}
 	r.Emitted++
 }
 
-// Flush flushes the retention sink and every attached sink, returning
-// the first error. Safe on a nil recorder.
+// Flush flushes every attached sink, returning the first error. Safe on
+// a nil recorder.
 func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil
 	}
-	err := r.retain.Flush()
+	var err error
 	for _, s := range r.sinks {
 		if e := s.Flush(); err == nil {
 			err = e
@@ -186,18 +187,18 @@ func (r *Recorder) Flush() error {
 
 // Len reports how many events are currently retained.
 func (r *Recorder) Len() int {
-	if r == nil {
+	if r == nil || r.ring == nil {
 		return 0
 	}
-	return r.retain.Len()
+	return r.ring.Len()
 }
 
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []Event {
-	if r == nil {
+	if r == nil || r.ring == nil {
 		return nil
 	}
-	return r.retain.Events()
+	return r.ring.Events()
 }
 
 // Dump writes the retained events, one per line, oldest first.

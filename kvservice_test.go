@@ -50,14 +50,18 @@ func TestKVServiceLatencyGolden(t *testing.T) {
 	}
 }
 
-// TestKVServiceStreamingCarriesServiceMetrics pins that the tracing
-// harnesses fold service metrics the same way Run does: a kv run through
-// RunStreaming (the bbbkv -trace-out path) must surface the kv.* histograms
-// and the kv.lat.win timeline, identical to the plain run's.
+// TestKVServiceStreamingCarriesServiceMetrics pins that every harness mode
+// folds service metrics the same way a plain Run does: a streamed kv run
+// (the bbbkv -trace-out path) must surface the kv.* histograms and the
+// kv.lat.win timeline, identical to the plain run's, and a crashed one
+// (bbbtrace record -crash) must still carry kv.lat for the requests that
+// completed before the crash.
 func TestKVServiceStreamingCarriesServiceMetrics(t *testing.T) {
 	o := Options{Clients: 2, OpsPerThread: 60, Seed: 1}
 	plain := MustRun("kv", SchemeBBB, o)
-	streamed, err := RunStreaming("kv", SchemeBBB, o, io.Discard)
+	so := o
+	so.Trace = io.Discard
+	streamed, err := Run("kv", SchemeBBB, so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +78,19 @@ func TestKVServiceStreamingCarriesServiceMetrics(t *testing.T) {
 	}
 	if a, b := plain.Metrics.Windowed("kv.lat.win").Snapshots(), streamed.Metrics.Windowed("kv.lat.win").Snapshots(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("streamed kv.lat.win differs from plain run's:\n%+v\n%+v", a, b)
+	}
+
+	co := so
+	co.CrashAt = Cycle(plain.Cycles / 2)
+	crashed, err := Run("kv", SchemeBBB, co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crashed.Metrics == nil || crashed.Metrics.Hist("kv.lat") == nil {
+		t.Fatal("crashed kv run missing kv.lat histogram")
+	}
+	if n, all := crashed.Metrics.Hist("kv.lat").Count(), plain.Metrics.Hist("kv.lat").Count(); n == 0 || n >= all {
+		t.Fatalf("crash at cycle %d kept %d of %d kv.lat samples, want some but not all", co.CrashAt, n, all)
 	}
 }
 

@@ -100,7 +100,10 @@ func TestMachineDumpTrace(t *testing.T) {
 
 func TestRunTraced(t *testing.T) {
 	var b strings.Builder
-	res, err := RunTraced("hashmap", SchemeBBB, scaled(30), &b)
+	o := scaled(30)
+	o.TraceCapacity = 4096
+	o.Trace = &b
+	res, err := Run("hashmap", SchemeBBB, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,9 @@ func TestDurabilityGapBBBvsPMEM(t *testing.T) {
 	}
 	for _, g := range golden {
 		var buf bytes.Buffer
-		res, err := RunStreaming("hashmap", g.scheme, opt, &buf)
+		o := opt
+		o.Trace = &buf
+		res, err := Run("hashmap", g.scheme, o)
 		if err != nil {
 			t.Fatalf("%s: %v", g.scheme, err)
 		}
@@ -46,7 +48,7 @@ func TestDurabilityGapBBBvsPMEM(t *testing.T) {
 			t.Errorf("%s unresolved stores = %d, want %d", g.scheme, got, g.unresolved)
 		}
 		if res.Metrics == nil {
-			t.Fatalf("%s: RunStreaming left Metrics nil", g.scheme)
+			t.Fatalf("%s: streamed Run left Metrics nil", g.scheme)
 		}
 		h := res.Metrics.Hist("persist.vis_to_dur_gap")
 		if h == nil {
@@ -94,13 +96,11 @@ func TestDurabilityGapBBBvsPMEM(t *testing.T) {
 // runs of the same seed — the property bbbtrace's golden workflows and the
 // detlint sink rules exist to protect.
 func TestStreamedTraceDeterministic(t *testing.T) {
-	opt := Options{Threads: 4, OpsPerThread: 50}
 	var a, b bytes.Buffer
-	if _, err := RunStreaming("ctree", SchemeBBB, opt, &a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunStreaming("ctree", SchemeBBB, opt, &b); err != nil {
-		t.Fatal(err)
+	for _, w := range []*bytes.Buffer{&a, &b} {
+		if _, err := Run("ctree", SchemeBBB, Options{Threads: 4, OpsPerThread: 50, Trace: w}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if a.Len() == 0 {
 		t.Fatal("empty trace stream")
