@@ -1,6 +1,7 @@
 package bbb
 
 import (
+	"math"
 	"testing"
 )
 
@@ -215,4 +216,24 @@ func TestSeedSweepStability(t *testing.T) {
 		t.Fatalf("exec ratio unstable across seeds: stddev %.3f", sw.ExecStdDev)
 	}
 	t.Logf("exec %.3f±%.3f writes %.3f±%.3f", sw.ExecMean, sw.ExecStdDev, sw.WriteMean, sw.WriteStdDev)
+}
+
+// TestFig7TinyScaleReportsZeroWrites runs Figure 7 at a scale where the
+// BBB-1024 runs never write NVMM. The zero write ratio must come out as a
+// mean write overhead of -1 (a geometric mean of 0), not a panic.
+func TestFig7TinyScaleReportsZeroWrites(t *testing.T) {
+	f := RunFig7(Options{Threads: 2, OpsPerThread: 60, L1Size: 8 << 10, L2Size: 64 << 10, Seed: 1})
+	zero := false
+	for _, r := range f.Rows {
+		zero = zero || r.WritesBBB1024 == 0
+	}
+	if !zero {
+		t.Fatal("no BBB-1024 write ratio is 0 at this scale; the test no longer covers the zero case")
+	}
+	if f.MeanWriteOverheadBBB1024 != -1 {
+		t.Fatalf("BBB-1024 mean write overhead = %g, want -1 for a zero ratio", f.MeanWriteOverheadBBB1024)
+	}
+	if math.IsNaN(f.MeanWriteOverheadBBB32) {
+		t.Fatal("BBB-32 mean write overhead is NaN")
+	}
 }

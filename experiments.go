@@ -81,9 +81,22 @@ func RunFig7(o Options) Fig7Result {
 	}
 	out.MeanExecOverheadBBB32 = stats.Geomean(execs) - 1
 	out.WorstExecOverheadBBB32 = stats.Max(execs) - 1
-	out.MeanWriteOverheadBBB32 = stats.Geomean(writes32) - 1
-	out.MeanWriteOverheadBBB1024 = stats.Geomean(writes1024) - 1
+	out.MeanWriteOverheadBBB32 = geomeanOrZero(writes32) - 1
+	out.MeanWriteOverheadBBB1024 = geomeanOrZero(writes1024) - 1
 	return out
+}
+
+// geomeanOrZero is stats.Geomean for write ratios, which can be 0: at tiny
+// scales (2 threads x 60 ops) a BBB-1024 run may write no NVMM line at all.
+// The geometric mean of a set that contains 0 is 0, so the figure reports
+// it (an overhead of -1) instead of panicking.
+func geomeanOrZero(xs []float64) float64 {
+	for _, x := range xs {
+		if x == 0 {
+			return 0
+		}
+	}
+	return stats.Geomean(xs)
 }
 
 // ProcSideWriteRatio reproduces §V-C's processor-side comparison: the mean

@@ -22,7 +22,10 @@ type programPanic struct{ point int }
 // program comes out of System.Run on the simulating goroutine with its
 // original value, so sweep's lowest-index panic propagation hands it to the
 // caller, where it can be recovered. Points 1 and 3 panic mid-run, after
-// simulated time has advanced; point 1's panic must win.
+// simulated time has advanced: point 1 in a program body, point 3 in an
+// engine event, which the running programs dispatch inline on their own
+// coroutines. Point 1's panic must win, and point 3's must surface when it
+// runs alone.
 func TestProgramPanicReachesSweepCaller(t *testing.T) {
 	point := func(i int) Result {
 		cfg := system.DefaultConfig(persistency.BBB)
@@ -36,25 +39,33 @@ func TestProgramPanicReachesSweepCaller(t *testing.T) {
 			progs[c] = func(e cpu.Env) {
 				for j := 0; j < 20; j++ {
 					cpu.Store64(e, region+memory.Addr(j)*memory.LineSize, uint64(j))
-					if c == 1 && j == 10 && i%2 == 1 {
+					e.Compute(40)
+					if c == 1 && j == 10 && i == 1 {
 						panic(programPanic{point: i})
 					}
 				}
 			}
 		}
+		if i == 3 {
+			sys.Eng.Schedule(500, func() { panic(programPanic{point: i}) })
+		}
 		return sys.Run(progs)
 	}
-	got := func() (r any) {
+	recovered := func(f func()) (r any) {
 		defer func() { r = recover() }()
-		sweep.Map(2, 4, point)
+		f()
 		return nil
-	}()
-	if got != (programPanic{point: 1}) {
+	}
+	if got := recovered(func() { sweep.Map(2, 4, point) }); got != (programPanic{point: 1}) {
 		t.Fatalf("recovered %#v, want programPanic{point: 1}", got)
 	}
-	// The surviving points still run to completion afterwards.
-	if res := point(0); res.Stores != 40 {
-		t.Fatalf("clean point stored %d times, want 40", res.Stores)
+	if got := recovered(func() { point(3) }); got != (programPanic{point: 3}) {
+		t.Fatalf("recovered %#v from point 3, want programPanic{point: 3}", got)
+	}
+	// The surviving points still run to completion afterwards, and they run
+	// past cycle 500, so point 3's event fires while programs drive the loop.
+	if res := point(0); res.Stores != 40 || res.Cycles <= 500 {
+		t.Fatalf("clean point stored %d times by cycle %d, want 40 after cycle 500", res.Stores, res.Cycles)
 	}
 }
 

@@ -25,3 +25,33 @@ func TestPersistBarrierZeroAlloc(t *testing.T) {
 		t.Fatalf("PersistBarrier allocates %.1f objects per call on the battery fast path, want 0", avg)
 	}
 }
+
+// TestStoreBufferStallZeroAlloc runs a store loop that keeps the store
+// buffer full, so the program parks on every few stores and is woken by a
+// drain, and requires the steady state to allocate nothing: the waiter
+// list must reuse its retained backing arrays across park/wake cycles.
+func TestStoreBufferStallZeroAlloc(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SBEntries = 2
+	r := newRig(t, 1, cfg)
+	c := r.cores[0]
+	// 1024 lines overflow both caches, so drains miss and the SB fills.
+	c.Start(func(e Env) {
+		for i := uint64(0); ; i++ {
+			Store64(e, r.nv(i%1024), i)
+		}
+	})
+	limit := uint64(2_000_000) // warm-up: every page, cache set and queue at its high-water mark
+	r.eng.RunUntil(limit)
+	stalls := c.Stats.Get("core.sb_full_stalls")
+	avg := testing.AllocsPerRun(100, func() {
+		limit += 20_000
+		r.eng.RunUntil(limit)
+	})
+	if c.Stats.Get("core.sb_full_stalls") == stalls {
+		t.Fatal("the measured window never stalled on a full store buffer")
+	}
+	if avg != 0 {
+		t.Fatalf("full-store-buffer stall loop allocates %.1f objects per 20k cycles, want 0", avg)
+	}
+}

@@ -66,7 +66,6 @@ const (
 	reqEpoch   // epoch barrier (buffered epoch persistency)
 	reqCAS     // atomic compare-and-swap
 	reqCompute
-	reqDone
 )
 
 type request struct {
@@ -93,16 +92,23 @@ type Core struct {
 	h   *coherence.Hierarchy
 
 	// next and stop drive the program coroutine (Start); val is the value
-	// the program's pending load or CAS resumes with.
-	next func() (request, bool)
-	stop func()
-	val  uint64
+	// the program's pending load or CAS resumes with. driving is set while
+	// the program is dispatching events itself (env.do), and woken once
+	// its reply has arrived there. switches counts coroutine switches, two
+	// per resume, for the handoff benchmark.
+	next     func() (struct{}, bool)
+	stop     func()
+	val      uint64
+	driving  bool
+	woken    bool
+	switches uint64
 
 	sb          []sbEntry
 	sbDraining  bool
 	sbInFlight  sbEntry    // the entry being drained, valid while sbDraining
 	sbDrainDone func()     // preallocated completion for the in-flight drain
 	sbWaiters   []sbWaiter // program stalled on an SB occupancy condition
+	sbSpare     []sbWaiter // retained backing array swapped in on wake
 
 	outstandingClwb int
 	fenceWaiter     func()
@@ -110,8 +116,9 @@ type Core struct {
 	// Preallocated callbacks for the per-instruction schedule sites, so the
 	// hot path (stores, loads, fences) schedules without allocating a fresh
 	// closure per event: replyVal resumes the program with the event's
-	// argument, reply0 with zero, fetchFn runs the program to its first
-	// instruction, and fenceReply is the one-cycle fence resume.
+	// argument, reply0 with zero, fetchFn is the resume the engine runs
+	// after an event that replied, and fenceReply is the one-cycle fence
+	// resume.
 	replyVal   func(uint64)
 	reply0     func()
 	fetchFn    func()
@@ -204,18 +211,19 @@ func (c *Core) Done() bool { return c.done }
 // FinishedAt returns the cycle the program finished (valid once Done).
 func (c *Core) FinishedAt() engine.Cycle { return c.finished }
 
-// Start wraps the workload in a coroutine and schedules the core's first
-// instruction fetch. run executes against the core's Env and must use only
-// that Env to touch simulated memory.
+// Start wraps the workload in a coroutine and schedules its start at cycle
+// 0, as a reply with nothing to deliver. run executes against the core's
+// Env and must use only that Env to touch simulated memory.
 //
 // The program runs only inside fetch: each next() resumes it until it
-// yields its next request, so it never runs concurrently with the event
-// loop, and nothing of it runs before the cycle-0 fetch. A panic in run
-// (other than the teardown signal) propagates out of next() and so out of
+// yields, and while resumed it drives the event loop itself (env.do), so
+// it never runs concurrently with the loop, and nothing of it runs before
+// the cycle-0 start. A panic in run or in an event it dispatches (other
+// than the teardown signal) propagates out of next() and so out of
 // System.Run on the simulating goroutine.
 func (c *Core) Start(run func(Env)) {
 	e := &env{core: c}
-	c.next, c.stop = iter.Pull(func(yield func(request) bool) {
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil && r != errAbandoned {
 				panic(r)
@@ -224,7 +232,7 @@ func (c *Core) Start(run func(Env)) {
 		e.yield = yield
 		run(e)
 	})
-	c.eng.Schedule(0, c.fetchFn)
+	c.eng.Schedule(0, c.reply0)
 }
 
 // Stop abandons the workload program; used at crash points and teardown.
@@ -237,23 +245,21 @@ func (c *Core) Stop() {
 	}
 }
 
-// fetch resumes the program until it issues its next request and
-// dispatches it; a program that has returned issues reqDone.
+// fetch resumes the program with its reply. The program handles its next
+// requests and dispatches events itself until it has to wait for another
+// program or the loop; fetch returns when it yields or has returned.
 func (c *Core) fetch() {
-	req, ok := c.next()
-	if !ok {
-		req = request{kind: reqDone}
-	}
-	c.handle(req)
-}
-
-func (c *Core) handle(req request) {
-	switch req.kind {
-	case reqDone:
+	c.switches += 2
+	if _, ok := c.next(); !ok {
 		c.done = true
 		c.finished = c.eng.Now()
-		// No resume: the program has returned.
+	}
+}
 
+// handle starts executing req; its completion calls reply. It runs on the
+// program's coroutine, from env.do.
+func (c *Core) handle(req request) {
+	switch req.kind {
 	case reqCompute:
 		c.Stats.Add("core.compute_cycles", uint64(req.cycles))
 		c.eng.Schedule(req.cycles, c.reply0)
@@ -294,10 +300,18 @@ func (c *Core) handle(req request) {
 	}
 }
 
-// reply resumes the program with val and advances to its next request.
+// reply delivers val to the program. Every reply is the tail of its event.
+// When the program is itself dispatching that event (env.do) and no other
+// program's resume is queued ahead of it, reply only marks it woken and the
+// program carries on without a coroutine switch; otherwise the program's
+// resume is queued to run once the event returns.
 func (c *Core) reply(val uint64) {
 	c.val = val
-	c.fetch()
+	if c.driving && !c.eng.ResumeQueued() {
+		c.woken = true
+		return
+	}
+	c.eng.Resume(c.fetchFn)
 }
 
 // --- store buffer ---
@@ -379,9 +393,10 @@ type sbWaiter struct {
 
 func (c *Core) wakeSBWaiters() {
 	// Snapshot: a still-blocked waiter re-appends itself, so iterating the
-	// live slice would spin.
+	// live slice would spin. The two backing arrays swap roles, so parking
+	// after a wake reuses retained capacity instead of reallocating.
 	waiters := c.sbWaiters
-	c.sbWaiters = c.sbWaiters[len(c.sbWaiters):]
+	c.sbWaiters, c.sbSpare = c.sbSpare[:0], nil
 	for _, w := range waiters {
 		if w.n < 0 {
 			w.fn()
@@ -389,6 +404,7 @@ func (c *Core) wakeSBWaiters() {
 		}
 		c.waitSBBelow(w.n, w.fn)
 	}
+	c.sbSpare = waiters[:0]
 }
 
 // --- loads ---

@@ -17,7 +17,7 @@ type rig struct {
 	cores []*Core
 }
 
-func newRig(t *testing.T, n int, ccfg Config) *rig {
+func newRig(t testing.TB, n int, ccfg Config) *rig {
 	t.Helper()
 	eng := engine.New()
 	mem := memory.New(memory.DefaultLayout())

@@ -56,18 +56,34 @@ type Env interface {
 
 type env struct {
 	core  *Core
-	yield func(request) bool
+	yield func(struct{}) bool
 }
 
 var _ Env = (*env)(nil)
 
-// do hands r to the core and suspends the program until the core replies.
-// yield returns false only when Core.Stop tears the program down.
+// do executes r and returns the core's reply. The program's coroutine hands
+// r to the core itself and then dispatches events (Engine.StepInline), in
+// the order the loop would have, until its reply arrives, so a program that
+// is the only one with work pending runs without a coroutine switch. It
+// yields to the loop when the engine refuses: another program's resume is
+// queued, the run stopped or reached its limit, or no event is pending.
+// Only the reply resumes it (Core.reply); yield returns false only when
+// Core.Stop tears the program down.
 func (e *env) do(r request) uint64 {
-	if !e.yield(r) {
+	c := e.core
+	c.driving = true
+	c.handle(r)
+	for !c.woken && c.eng.StepInline() {
+	}
+	c.driving = false
+	if c.woken {
+		c.woken = false
+		return c.val
+	}
+	if !e.yield(struct{}{}) {
 		panic(errAbandoned)
 	}
-	return e.core.val
+	return c.val
 }
 
 func (e *env) CoreID() int { return e.core.id }
@@ -131,11 +147,12 @@ func (e *env) CompareAndSwap(addr memory.Addr, size int, old, new uint64) (uint6
 }
 
 // Now reads the engine clock without a machine round-trip. This is safe and
-// deterministic because the program only runs inside the core's fetch: it
-// is resumed by next() from an engine event and runs until it yields its
-// next request, so the event loop is suspended in that same-timestamp event
-// for the whole window and the clock cannot advance. The coroutine switch
-// itself orders the program's accesses after the engine's.
+// deterministic because the program only runs inside the core's fetch and
+// the clock moves only when an event is dispatched. Between Env calls the
+// program dispatches nothing, so the clock stays at the cycle of the event
+// that delivered its last reply — whether that event ran in the loop or
+// inline on the program's own coroutine (env.do). The coroutine switch of
+// a resume orders the program's accesses after the engine's.
 func (e *env) Now() engine.Cycle { return e.core.eng.Now() }
 
 // Load64 is a convenience for pointer-sized loads.

@@ -11,6 +11,12 @@
 // schedule sites, ScheduleArg carries a uint64 argument in the event itself
 // so callers can reuse one long-lived callback instead of allocating a
 // closure per event.
+//
+// An event may queue continuations with Resume; Step runs them once the
+// event's callback has returned. Inside Run or RunUntil a continuation may
+// dispatch the following events itself with StepInline, in the order the
+// loop would have: the cores' workload programs drive the loop this way
+// and switch coroutines only when a different program must run.
 package engine
 
 import (
@@ -23,6 +29,9 @@ import (
 
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle = uint64
+
+// maxCycle is the limit of an unbounded Run.
+const maxCycle = ^Cycle(0)
 
 // event is a callback scheduled to fire at a particular cycle. Exactly one
 // of fn and afn is set; afn receives arg, saving a closure allocation at
@@ -97,6 +106,13 @@ type Engine struct {
 	now     Cycle
 	seq     uint64
 	stopped bool
+	// resumes is the FIFO of continuations queued by Resume, read from
+	// rhead. running and limit describe the enclosing Run/RunUntil call,
+	// which is what lets StepInline dispatch from a continuation.
+	resumes []func()
+	rhead   int
+	running bool
+	limit   Cycle
 	// Dispatched counts events executed, useful for sanity limits in tests.
 	Dispatched uint64
 	// Trace, when non-nil, receives microarchitectural events from every
@@ -284,7 +300,8 @@ func (e *Engine) At(when Cycle, fn func()) {
 	e.Schedule(when-e.now, fn)
 }
 
-// Stop makes the current Run call return after the in-flight event.
+// Stop makes the current Run call return after the in-flight event and the
+// continuations it queued.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of queued events.
@@ -296,8 +313,9 @@ func (e *Engine) Pending() int {
 // same-cycle ring, the timing wheel, and the overflow heap by (when, seq).
 // Ring entries always have when == now, so they win unless an equal-cycle
 // wheel or heap event carries a smaller seq (scheduled on an earlier cycle
-// for this one). It reports false when no event is pending.
-func (e *Engine) next() (event, bool) {
+// for this one). It reports false, removing nothing, when no event is
+// pending or the earliest one falls after limit.
+func (e *Engine) next(limit Cycle) (event, bool) {
 	const (
 		fromRing = iota
 		fromWheel
@@ -316,8 +334,11 @@ func (e *Engine) next() (event, bool) {
 	}
 	if len(e.pq) > 0 {
 		if src < 0 || e.pq[0].when < when || (e.pq[0].when == when && e.pq[0].seq < seq) {
-			src = fromHeap
+			src, when = fromHeap, e.pq[0].when
 		}
+	}
+	if src < 0 || when > limit {
+		return event{}, false
 	}
 	switch src {
 	case fromRing:
@@ -331,20 +352,13 @@ func (e *Engine) next() (event, bool) {
 		return ev, true
 	case fromWheel:
 		return e.wheelPop(), true
-	case fromHeap:
-		return e.pop(), true
 	default:
-		return event{}, false
+		return e.pop(), true
 	}
 }
 
-// Step executes the single earliest event, advancing the clock to its time.
-// It reports whether an event was executed.
-func (e *Engine) Step() bool {
-	ev, ok := e.next()
-	if !ok {
-		return false
-	}
+// dispatch advances the clock to ev and runs its callback.
+func (e *Engine) dispatch(ev event) {
 	if ev.when < e.now {
 		panic("engine: time went backwards")
 	}
@@ -355,39 +369,78 @@ func (e *Engine) Step() bool {
 	} else {
 		ev.fn()
 	}
+}
+
+// Resume queues fn, a continuation of the event being dispatched, to run
+// once that event's callback has returned. Step runs queued continuations
+// in FIFO order before it returns, so a continuation never nests inside
+// another: the cores resume their workload programs this way. It is meant
+// for work that is the tail of its event, which running after the callback
+// returns leaves in the same order.
+func (e *Engine) Resume(fn func()) {
+	e.resumes = append(e.resumes, fn)
+}
+
+// ResumeQueued reports whether a continuation is waiting to run.
+func (e *Engine) ResumeQueued() bool { return e.rhead < len(e.resumes) }
+
+// Step executes the single earliest event, advancing the clock to its time,
+// and then the continuations it queued with Resume. It reports whether an
+// event was executed. Continuations run under a bare Step cannot dispatch
+// further events (StepInline refuses outside Run and RunUntil).
+func (e *Engine) Step() bool { return e.step(maxCycle) }
+
+func (e *Engine) step(limit Cycle) bool {
+	ev, ok := e.next(limit)
+	if !ok {
+		return false
+	}
+	e.dispatch(ev)
+	// A continuation may drive the loop itself (StepInline) and so queue
+	// further resumes; the queue is reset the moment it empties, before the
+	// popped continuation runs, so its appends start from the front again.
+	// Without that a run executed inside one top-level Step would grow the
+	// queue by one slot per resume.
+	for e.ResumeQueued() {
+		fn := e.resumes[e.rhead]
+		e.rhead++
+		if e.rhead == len(e.resumes) {
+			e.resumes = e.resumes[:0]
+			e.rhead = 0
+		}
+		fn()
+	}
+	return true
+}
+
+// StepInline dispatches the next event from inside a continuation, as the
+// loop itself would have done next, and reports whether it did. It refuses
+// (false) unless the engine is inside Run or RunUntil, the run has not been
+// stopped, no continuation is queued, and the next event is within the
+// run's limit; the caller then returns control to the loop. Continuations
+// the dispatched event queues are left for the loop to run.
+func (e *Engine) StepInline() bool {
+	if !e.running || e.stopped || e.ResumeQueued() {
+		return false
+	}
+	ev, ok := e.next(e.limit)
+	if !ok {
+		return false
+	}
+	e.dispatch(ev)
 	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
-}
+func (e *Engine) Run() { e.RunUntil(maxCycle) }
 
 // RunUntil executes events until the queue is empty, Stop is called, or the
 // clock would pass limit. Events at exactly limit still execute.
 func (e *Engine) RunUntil(limit Cycle) {
 	e.stopped = false
-	for !e.stopped {
-		if e.Pending() == 0 {
-			return
-		}
-		nextWhen := Cycle(0)
-		have := false
-		if e.head < len(e.ring) {
-			nextWhen, have = e.ring[e.head].when, true
-		}
-		if wh := e.wheelHead(); wh != nil && (!have || wh.when < nextWhen) {
-			nextWhen, have = wh.when, true
-		}
-		if len(e.pq) > 0 && (!have || e.pq[0].when < nextWhen) {
-			nextWhen = e.pq[0].when
-		}
-		if nextWhen > limit {
-			return
-		}
-		e.Step()
+	e.running, e.limit = true, limit
+	defer func() { e.running = false }()
+	for !e.stopped && e.step(limit) {
 	}
 }
 

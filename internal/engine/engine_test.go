@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -152,4 +153,120 @@ func TestPropertyMonotonicDispatch(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestResumeRunsFIFOAfterCallback checks that continuations queued by one
+// event run in the order they were queued, only after the event's callback
+// has returned, and before Step returns.
+func TestResumeRunsFIFOAfterCallback(t *testing.T) {
+	e := New()
+	var order []string
+	e.Schedule(1, func() {
+		e.Resume(func() { order = append(order, "first") })
+		e.Resume(func() { order = append(order, "second") })
+		e.Resume(func() { order = append(order, "third") })
+		order = append(order, "callback")
+	})
+	e.Schedule(1, func() { order = append(order, "next event") })
+	e.Step()
+	want := []string{"callback", "first", "second", "third"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("after one Step: %v, want %v", order, want)
+	}
+	if e.ResumeQueued() {
+		t.Fatal("continuations left queued after Step")
+	}
+	e.Run()
+	if got := order[len(order)-1]; got != "next event" {
+		t.Fatalf("last = %q, want the next event", got)
+	}
+}
+
+// TestResumeQueueStaysCompact drives a long chain the way a program does —
+// each continuation dispatches inline and queues the next — all inside one
+// top-level Step, and requires the queue's backing array to stay small.
+func TestResumeQueueStaysCompact(t *testing.T) {
+	e := New()
+	const n = 10_000
+	runs := 0
+	var cont func()
+	cont = func() {
+		runs++
+		if runs < n {
+			e.Schedule(1, func() { e.Resume(cont) })
+		}
+		for e.StepInline() {
+		}
+	}
+	e.Schedule(0, func() { e.Resume(cont) })
+	e.Run()
+	if runs != n {
+		t.Fatalf("ran %d continuations, want %d", runs, n)
+	}
+	if c := cap(e.resumes); c > 8 {
+		t.Fatalf("resume queue grew to capacity %d over one Step", c)
+	}
+}
+
+// TestStepInlineRefuses checks every condition under which a continuation
+// must hand control back to the loop instead of dispatching.
+func TestStepInlineRefuses(t *testing.T) {
+	t.Run("bare Step", func(t *testing.T) {
+		e := New()
+		var inline bool
+		e.Schedule(1, func() { e.Resume(func() { inline = e.StepInline() }) })
+		e.Schedule(2, func() {})
+		e.Step()
+		if inline {
+			t.Fatal("StepInline dispatched under a bare Step")
+		}
+		if e.Dispatched != 1 || e.Pending() != 1 {
+			t.Fatalf("Dispatched = %d, Pending = %d; want 1 and 1", e.Dispatched, e.Pending())
+		}
+	})
+	t.Run("past the RunUntil limit", func(t *testing.T) {
+		e := New()
+		var got []bool
+		e.Schedule(10, func() {
+			e.Resume(func() {
+				got = append(got, e.StepInline()) // the event at 10: within the limit
+				got = append(got, e.StepInline()) // the event at 11: past it
+			})
+		})
+		e.Schedule(10, func() {})
+		e.Schedule(11, func() {})
+		e.RunUntil(10)
+		if !reflect.DeepEqual(got, []bool{true, false}) || e.Now() != 10 || e.Pending() != 1 {
+			t.Fatalf("StepInline = %v, now %d, pending %d; want [true false], 10, 1", got, e.Now(), e.Pending())
+		}
+		if e.StepInline() {
+			t.Fatal("StepInline dispatched after RunUntil returned")
+		}
+	})
+	t.Run("after Stop", func(t *testing.T) {
+		e := New()
+		var inline bool
+		e.Schedule(1, func() {
+			e.Stop()
+			e.Resume(func() { inline = e.StepInline() })
+		})
+		e.Schedule(2, func() {})
+		e.Run()
+		if inline || e.Pending() != 1 {
+			t.Fatalf("StepInline = %t with %d pending after Stop; want false, 1", inline, e.Pending())
+		}
+	})
+	t.Run("continuation queued", func(t *testing.T) {
+		e := New()
+		var inline bool
+		e.Schedule(1, func() {
+			e.Resume(func() { inline = e.StepInline() })
+			e.Resume(func() {})
+		})
+		e.Schedule(2, func() {})
+		e.Run()
+		if inline {
+			t.Fatal("StepInline dispatched ahead of a queued continuation")
+		}
+	})
 }

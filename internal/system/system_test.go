@@ -1,9 +1,13 @@
 package system
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"bbb/internal/cpu"
+	"bbb/internal/engine"
 	"bbb/internal/memory"
 	"bbb/internal/persistency"
 )
@@ -321,4 +325,53 @@ func TestTableIVStoreMix(t *testing.T) {
 	if res.PersistingStores > res.Stores {
 		t.Fatal("more persisting stores than stores")
 	}
+}
+
+// TestAdvanceMatchesRunUntil walks one machine through ascending limits
+// and, at each, requires the same crash image, drain report, completion
+// state and event count as a fresh machine run to that limit in one
+// RunUntil. Programs drive the event loop themselves, so this pins that
+// they stop exactly at each limit and pick up where they left off.
+func TestAdvanceMatchesRunUntil(t *testing.T) {
+	limits := []engine.Cycle{0, 1, 700, 701, 2_500, 9_000, 9_001, 20_000, 45_000, 90_000, 1 << 40}
+	for _, s := range persistency.Schemes() {
+		cfg := smallConfig(s)
+		walker := New(cfg)
+		walker.Start(counterPrograms(walker, 60))
+		for _, at := range limits {
+			walked := walker.Advance(at)
+			img, rep := walker.CrashImage()
+
+			fresh := New(cfg)
+			finished := fresh.RunUntil(at, counterPrograms(fresh, 60))
+			freshImg, freshRep := fresh.CrashImage()
+			fresh.Shutdown()
+
+			if now := walker.Eng.Now(); now > at {
+				t.Fatalf("%s: Advance(%d) dispatched an event at cycle %d", s, at, now)
+			}
+			if walked != finished || rep != freshRep || walker.Eng.Dispatched != fresh.Eng.Dispatched {
+				t.Fatalf("%s @%d: walker finished=%t %+v after %d events; fresh finished=%t %+v after %d",
+					s, at, walked, rep, walker.Eng.Dispatched, finished, freshRep, fresh.Eng.Dispatched)
+			}
+			if err := sameImage(img, freshImg); err != nil {
+				t.Fatalf("%s @%d: %v", s, at, err)
+			}
+		}
+		walker.Shutdown()
+	}
+}
+
+// sameImage reports the first page at which two memory images differ.
+func sameImage(a, b *memory.Memory) error {
+	pa, pb := a.PageBases(), b.PageBases()
+	if !reflect.DeepEqual(pa, pb) {
+		return fmt.Errorf("images materialize different pages: %d vs %d", len(pa), len(pb))
+	}
+	for _, base := range pa {
+		if !bytes.Equal(a.Peek(base, memory.PageSize), b.Peek(base, memory.PageSize)) {
+			return fmt.Errorf("images differ in page %#x", base)
+		}
+	}
+	return nil
 }
