@@ -30,15 +30,17 @@ invariant:
 	$(GO) test -race -tags invariant ./internal/...
 
 # Perf trajectory: run the key benchmarks (simulator throughput and
-# allocation pressure, Figure 7 wall-clock, raw event-kernel rate, crash
+# allocation pressure, Figure 7 wall-clock, raw event-kernel rate at a
+# fixed depth and in Figure 7's delay mix, coherence load hit / store
+# upgrade / L2 miss, program handoff, crash
 # image enumeration and whole model-checking campaigns) and
 # record them as the next BENCH_<n>.json, also appending the recording to
 # the .ledger run ledger for provenance (who ran it, where, when).
 # Non-gating; CI uploads the files as artifacts and `make regress` judges
 # the trajectory.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkHandoff|BenchmarkCrashMCEnumerate|BenchmarkCrashMCCampaign|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
-		-benchmem . ./internal/engine ./internal/cpu ./internal/crashmc ./internal/axiomatic ./internal/trace ./internal/vet/pressurelint ./internal/kvservice ./internal/pds \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCoherence|BenchmarkHandoff|BenchmarkCrashMCEnumerate|BenchmarkCrashMCCampaign|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
+		-benchmem . ./internal/engine ./internal/coherence ./internal/cpu ./internal/crashmc ./internal/axiomatic ./internal/trace ./internal/vet/pressurelint ./internal/kvservice ./internal/pds \
 		| $(GO) run ./cmd/benchjson -ledger .ledger -name bench-json > BENCH_$$(ls BENCH_*.json 2>/dev/null | wc -l).json
 	@ls BENCH_*.json | tail -1
 

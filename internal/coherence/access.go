@@ -55,7 +55,7 @@ func (h *Hierarchy) AtomicCAS(core int, addr memory.Addr, size int, old, new uin
 // on the line). A cheap peek used by relaxed store-buffer scheduling.
 func (h *Hierarchy) LineWritable(core int, addr memory.Addr) bool {
 	la := memory.LineAddr(addr)
-	if pg, bit := h.lockPageFor(la); pg.held&(1<<bit) != 0 {
+	if pg := h.locks.Lookup(la); pg != nil && pg.held&(1<<lockBit(la)) != 0 {
 		return false
 	}
 	l := h.l1s[core].Probe(la)

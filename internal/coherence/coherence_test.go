@@ -18,7 +18,7 @@ type rig struct {
 	h    *Hierarchy
 }
 
-func newRig(t *testing.T, cfg Config, policy PersistPolicy) *rig {
+func newRig(t testing.TB, cfg Config, policy PersistPolicy) *rig {
 	t.Helper()
 	eng := engine.New()
 	mem := memory.New(memory.DefaultLayout())

@@ -53,10 +53,11 @@ func DefaultConfig() Config {
 //
 // The locks of one page's 64 lines are two bitmaps in a lockPage: held
 // marks lines with a transaction in flight, waiting marks held lines with
-// queued transactions behind them. Keeping pages pointer-free and the map
-// page-granular (one entry per touched page, not per touched line) makes
-// the per-access lookup cheap and invisible to the garbage collector; the
-// waiter queues themselves live in a side map touched only on contention.
+// queued transactions behind them. The pages sit in a dense page table
+// indexed by page number, so the per-access lookup is two array indexings
+// and no hash; being pointer-free, the leaves are invisible to the garbage
+// collector. The waiter queues themselves live in a side map touched only
+// on contention.
 type lockPage struct {
 	held    uint64
 	waiting uint64
@@ -70,13 +71,13 @@ type Hierarchy struct {
 	layout memory.Layout
 	l1s    []*cache.Cache
 	l2     *cache.Cache
-	locks  map[memory.Addr]*lockPage
+	locks  memory.PageTable[lockPage]
 	// lockWaiters holds the FIFO queue of transactions blocked behind a
 	// held line lock, keyed by line address; an entry exists exactly while
 	// the line's waiting bit is set.
 	lockWaiters map[memory.Addr][]func()
-	// Last-page memo for lockPageFor; pages are never removed, so the memo
-	// cannot dangle.
+	// Last-page memo for lockPageFor; page-table entries never move, so
+	// the memo cannot dangle.
 	lockLast     *lockPage
 	lockLastBase memory.Addr
 	dram         *memctrl.Controller
@@ -88,9 +89,11 @@ type Hierarchy struct {
 
 	// Cached handles for the per-access counters; registration still
 	// happens at first increment, so counter listings are unchanged.
-	nLoadHits, nLoadMisses, nStoreHits, nStoreUpgrades, nStoreMisses stats.Lazy
-	nL2Hits, nL2Misses, nPersisting                                  stats.Lazy
-	nL1Evictions, nL2Evictions, nBackInvals, nInvals                 stats.Lazy
+	nLoadHits, nLoadMisses, nStoreHits, nStoreUpgrades, nStoreMisses   stats.Lazy
+	nL2Hits, nL2Misses, nPersisting                                    stats.Lazy
+	nL1Evictions, nL2Evictions, nBackInvals, nInvals                   stats.Lazy
+	nInterventions, nPrefetches, nAtomics, nClwbClean, nClwbWritebacks stats.Lazy
+	nWritebacks, nWritebacksSkipped, nPersistRejected, nCommitWaits    stats.Lazy
 
 	// Stats holds hierarchy counters (hits, misses, invalidations, ...).
 	Stats *stats.Counters
@@ -109,7 +112,7 @@ func New(cfg Config, eng *engine.Engine, layout memory.Layout, dram, nvmm *memct
 		eng:         eng,
 		layout:      layout,
 		l2:          cache.New("L2", cfg.L2Size, cfg.L2Ways),
-		locks:       make(map[memory.Addr]*lockPage),
+		locks:       memory.NewPageTable[lockPage](layout.NVMMBase),
 		lockWaiters: make(map[memory.Addr][]func()),
 		dram:        dram,
 		nvmm:        nvmm,
@@ -131,6 +134,15 @@ func New(cfg Config, eng *engine.Engine, layout memory.Layout, dram, nvmm *memct
 	h.nL2Evictions = h.Stats.Lazy("l2.evictions")
 	h.nBackInvals = h.Stats.Lazy("l1.back_invalidations")
 	h.nInvals = h.Stats.Lazy("l1.invalidations")
+	h.nInterventions = h.Stats.Lazy("l1.interventions")
+	h.nPrefetches = h.Stats.Lazy("l1.store_prefetches")
+	h.nAtomics = h.Stats.Lazy("l1.atomics")
+	h.nClwbClean = h.Stats.Lazy("clwb.clean")
+	h.nClwbWritebacks = h.Stats.Lazy("clwb.writebacks")
+	h.nWritebacks = h.Stats.Lazy("l2.writebacks")
+	h.nWritebacksSkipped = h.Stats.Lazy("l2.writebacks_skipped")
+	h.nPersistRejected = h.Stats.Lazy("store.persist_rejected")
+	h.nCommitWaits = h.Stats.Lazy("store.persist_commit_waits")
 	return h
 }
 
@@ -151,27 +163,26 @@ func (h *Hierarchy) controllerFor(addr memory.Addr) *memctrl.Controller {
 	return h.dram
 }
 
-// lockPageFor returns la's lock page and its line's bit position, creating
-// the page on first touch.
+// lockPageFor returns la's lock page and its line's bit position.
 func (h *Hierarchy) lockPageFor(la memory.Addr) (*lockPage, uint) {
-	base := la &^ (memory.PageSize - 1)
 	pg := h.lockLast
-	if pg == nil || base != h.lockLastBase {
-		pg = h.locks[base]
-		if pg == nil {
-			pg = new(lockPage)
-			h.locks[base] = pg
-		}
+	if base := la &^ (memory.PageSize - 1); pg == nil || base != h.lockLastBase {
+		pg = h.locks.Slot(base)
 		h.lockLast, h.lockLastBase = pg, base
 	}
-	return pg, uint(la/memory.LineSize) % 64
+	return pg, lockBit(la)
 }
+
+// lockBit is la's line's bit in its lock page.
+func lockBit(la memory.Addr) uint { return uint(la/memory.LineSize) % 64 }
 
 // lockTxn runs t's locked dispatch with its line lock held, queueing it
 // behind any transaction already in flight on the line; finish releases the
-// lock exactly once when the transaction completes.
+// lock exactly once when the transaction completes. t keeps its lock page,
+// so the release looks nothing up.
 func (h *Hierarchy) lockTxn(t *accessTxn) {
 	pg, bit := h.lockPageFor(t.la)
+	t.lockPg, t.lockBit = pg, bit
 	if pg.held&(1<<bit) != 0 {
 		pg.waiting |= 1 << bit
 		h.lockWaiters[t.la] = append(h.lockWaiters[t.la], t.lockedFn)
@@ -181,10 +192,10 @@ func (h *Hierarchy) lockTxn(t *accessTxn) {
 	h.locked(t)
 }
 
-// unlock releases la's line lock, handing it to the next queued transaction
+// unlock releases t's line lock, handing it to the next queued transaction
 // if one is waiting (the held bit stays set across the handoff).
-func (h *Hierarchy) unlock(la memory.Addr) {
-	pg, bit := h.lockPageFor(la)
+func (h *Hierarchy) unlock(t *accessTxn) {
+	la, pg, bit := t.la, t.lockPg, t.lockBit
 	if pg.held&(1<<bit) == 0 {
 		panic("coherence: release of unheld line lock")
 	}

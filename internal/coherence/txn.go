@@ -47,6 +47,10 @@ type accessTxn struct {
 	line *cache.Line
 	lat  engine.Cycle
 
+	// The line lock's page and bit, set when the transaction asks for it.
+	lockPg  *lockPage
+	lockBit uint
+
 	// L2 miss fill state.
 	fillFrom engine.Cycle
 	fillRead bool
@@ -107,7 +111,7 @@ func (h *Hierarchy) admitStore(t *accessTxn) {
 	if t.persistent && !h.policy.CanAcceptStore(t.core, t.la) {
 		if !t.rejected {
 			t.rejected = true
-			h.Stats.Inc("store.persist_rejected")
+			h.nPersistRejected.Inc()
 		}
 		h.policy.OnSpace(t.core, t.admitFn)
 		return
@@ -125,7 +129,7 @@ func (h *Hierarchy) locked(t *accessTxn) {
 	case txnClwb:
 		h.lockedClwb(t)
 	case txnPrefetch:
-		h.Stats.Inc("l1.store_prefetches")
+		h.nPrefetches.Inc()
 		h.lockedStore(t)
 	default:
 		h.lockedStore(t)
@@ -152,7 +156,7 @@ func (h *Hierarchy) lockedLoad(t *accessTxn) {
 			// M->S, merge the data into L2 and mark it dirty; per Fig. 6(c)
 			// no memory writeback happens here in any scheme — under BBB
 			// the bbPB entry simply stays where it is.
-			h.Stats.Inc("l1.interventions")
+			h.nInterventions.Inc()
 			h.eng.EmitTrace(trace.KindIntervene, l2line.Owner, t.la, uint64(t.core))
 			oline := h.l1s[l2line.Owner].Probe(t.la)
 			if oline == nil {
@@ -337,10 +341,10 @@ func (h *Hierarchy) evictDone(t *accessTxn, writeBack bool) {
 	}
 	h.eng.EmitTrace(trace.KindLLCEvict, -1, t.evLA, wb)
 	if writeBack {
-		h.Stats.Inc("l2.writebacks")
+		h.nWritebacks.Inc()
 		h.controllerFor(t.evLA).Write(t.evLA, t.evData, nil)
 	} else if t.evDirty {
-		h.Stats.Inc("l2.writebacks_skipped")
+		h.nWritebacksSkipped.Inc()
 	}
 	h.fillStep(t)
 }
@@ -360,11 +364,11 @@ func (h *Hierarchy) lockedClwb(t *accessTxn) {
 		freshest = l2line
 	}
 	if freshest == nil || !freshest.Dirty {
-		h.Stats.Inc("clwb.clean")
+		h.nClwbClean.Inc()
 		h.eng.Schedule(lat, t.finishFn)
 		return
 	}
-	h.Stats.Inc("clwb.writebacks")
+	h.nClwbWritebacks.Inc()
 	t.clwbData = freshest.Data
 	// clwb retains the copy but leaves it clean everywhere.
 	if l2line != nil {
@@ -400,7 +404,7 @@ func (h *Hierarchy) commit(t *accessTxn) {
 
 	case txnStore:
 		if t.persistent && !h.policy.CanAcceptStore(t.core, t.la) {
-			h.Stats.Inc("store.persist_commit_waits")
+			h.nCommitWaits.Inc()
 			h.policy.OnSpace(t.core, t.commitFn)
 			return
 		}
@@ -416,11 +420,11 @@ func (h *Hierarchy) commit(t *accessTxn) {
 
 	case txnCAS:
 		if t.persistent && !h.policy.CanAcceptStore(t.core, t.la) {
-			h.Stats.Inc("store.persist_commit_waits")
+			h.nCommitWaits.Inc()
 			h.policy.OnSpace(t.core, t.commitFn)
 			return
 		}
-		h.Stats.Inc("l1.atomics")
+		h.nAtomics.Inc()
 		h.eng.EmitTrace(trace.KindAtomic, t.core, t.la, t.old)
 		prev := readValue(&t.line.Data, memory.LineOffset(t.addr), t.size)
 		t.res = prev
@@ -460,7 +464,7 @@ func (h *Hierarchy) commit(t *accessTxn) {
 // new access (the common pattern: a core's store drain completion pumps the
 // next store) reuse the same transaction immediately.
 func (h *Hierarchy) finish(t *accessTxn) {
-	h.unlock(t.la)
+	h.unlock(t)
 	kind, res := t.kind, t.res
 	done, doneVal := t.done, t.doneVal
 	h.putTxn(t)

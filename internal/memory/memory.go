@@ -103,8 +103,12 @@ func (l Layout) Persistent(a Addr) bool {
 // is purely in Layout.
 type Memory struct {
 	layout Layout
-	pages  map[Addr]*[PageSize]byte
-	wear   map[Addr]uint64 // per-line NVMM write counts (optional)
+	// pages holds every materialized page by base address, for counting,
+	// cloning and sorted iteration; index finds the same pages by page
+	// number, without hashing, for the per-access lookups.
+	pages map[Addr]*[PageSize]byte
+	index PageTable[*[PageSize]byte]
+	wear  map[Addr]uint64 // per-line NVMM write counts (optional)
 
 	// Last-page memo: accesses cluster heavily within a page (sequential
 	// setup pokes, line reads), and pages are never removed once
@@ -120,21 +124,32 @@ type Memory struct {
 
 // New returns an empty memory with the given layout.
 func New(l Layout) *Memory {
-	return &Memory{layout: l, pages: make(map[Addr]*[PageSize]byte)}
+	return &Memory{layout: l, pages: make(map[Addr]*[PageSize]byte), index: NewPageTable[*[PageSize]byte](l.NVMMBase)}
 }
 
 // Layout returns the address map.
 func (m *Memory) Layout() Layout { return m.layout }
 
 func (m *Memory) page(a Addr, create bool) *[PageSize]byte {
-	base := a &^ (PageSize - 1)
-	if m.lastPage != nil && base == m.lastBase {
+	if m.lastPage != nil && a&^(PageSize-1) == m.lastBase {
 		return m.lastPage
 	}
-	p := m.pages[base]
-	if p == nil && create {
-		p = new([PageSize]byte)
-		m.pages[base] = p
+	return m.lookupPage(a, create)
+}
+
+// lookupPage is page past the memo, kept out of line so page inlines.
+func (m *Memory) lookupPage(a Addr, create bool) *[PageSize]byte {
+	base := a &^ (PageSize - 1)
+	var p *[PageSize]byte
+	if create {
+		slot := m.index.Slot(base)
+		if *slot == nil {
+			*slot = new([PageSize]byte)
+			m.pages[base] = *slot
+		}
+		p = *slot
+	} else if slot := m.index.Lookup(base); slot != nil {
+		p = *slot
 	}
 	if p != nil {
 		m.lastBase, m.lastPage = base, p
@@ -255,11 +270,12 @@ func (m *Memory) Clone() *Memory { return m.CloneInto(nil) }
 // image each time instead of allocating one per point.
 func (m *Memory) CloneInto(dst *Memory) *Memory {
 	if dst == nil {
-		dst = &Memory{layout: m.layout, pages: make(map[Addr]*[PageSize]byte, len(m.pages))}
+		dst = &Memory{layout: m.layout, pages: make(map[Addr]*[PageSize]byte, len(m.pages)), index: NewPageTable[*[PageSize]byte](m.layout.NVMMBase)}
 	} else {
 		for _, base := range dst.PageBases() {
 			if m.pages[base] == nil {
 				delete(dst.pages, base)
+				*dst.index.Slot(base) = nil
 			}
 		}
 		dst.layout, dst.wear, dst.lastPage = m.layout, nil, nil
@@ -272,6 +288,7 @@ func (m *Memory) CloneInto(dst *Memory) *Memory {
 		} else {
 			cp := *p
 			dst.pages[base] = &cp
+			*dst.index.Slot(base) = &cp
 		}
 	}
 	return dst
