@@ -89,6 +89,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzCacheOps -fuzztime=10s ./internal/cache
 	$(GO) test -run=^$$ -fuzz=FuzzCrashPoints -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzParseWitness -fuzztime=10s ./internal/crashmc
+	$(GO) test -run=^$$ -fuzz=FuzzEnumerate -fuzztime=10s ./internal/crashmc
 	$(GO) test -run=^$$ -fuzz=FuzzParseJSONL -fuzztime=10s ./internal/trace
 
 # Crash-image model checking at short bounds: the bbbmc acceptance matrix

@@ -12,7 +12,8 @@ import (
 // set instead of workload.Check — so it needs the image, overlay,
 // minimization and witness plumbing individually.
 
-// Materialize builds the durable image overlay for one survival set.
+// Materialize builds the durable image overlay for one survival set. The
+// image's Hash is left zero.
 func Materialize(rec *Record, survivors []int) Image { return materialize(rec, survivors) }
 
 // ApplyOverlay writes an image overlay into m.

@@ -1,11 +1,10 @@
 package crashmc
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"bbb/internal/memory"
 )
@@ -61,8 +60,12 @@ type Image struct {
 	// Overlay holds the lines whose bytes differ from the base image,
 	// ascending by address — the canonical form the hash covers.
 	Overlay []LineWrite
-	// Hash is the canonical image hash: images with equal hashes are the
-	// same durable state even if reached by different survival sets.
+	// Hash is the canonical image hash: SHA-256 over each Overlay line's
+	// little-endian address and 64 data bytes, in address order, so equal
+	// images have equal hashes. Only reported images carry it — every
+	// image of Enumerate and every recorded Violation. Deduplication does
+	// not need it, so the images Run validates as they stream and those
+	// Materialize returns leave it zero.
 	Hash [32]byte
 }
 
@@ -81,31 +84,38 @@ type Enumeration struct {
 }
 
 // Enumerate materializes the reachable crash-state space of rec within b:
-// the collecting form of stream.
+// the collecting form of stream, with every image's Hash computed.
 func Enumerate(rec *Record, b Bounds) Enumeration {
-	var enum Enumeration
-	enum.Sets, enum.SetsSkipped = stream(rec, b, func(img Image, _ []LineWrite) {
-		enum.Images = append(enum.Images, img.clone())
+	var (
+		enum Enumeration
+		h    hasher
+	)
+	enum.Sets, enum.SetsSkipped = stream(newLineTable(rec), b, func(img Image, _ []LineWrite) {
+		img = img.clone()
+		img.Hash = h.sum(img.Overlay)
+		enum.Images = append(enum.Images, img)
 	})
 	return enum
 }
 
-// stream walks the reachable crash-state space of rec within b and calls fn
-// once per distinct image, in first-seen order, with the image and the base
-// image's lines under its overlay (base[i] is the base line Overlay[i]
-// replaces, so a caller that applies the overlay to rec.Base in place can
-// restore it). The survival set, overlay, line and hash buffers are reused
-// from one set to the next: img and base are valid only during the call.
-// It returns the Sets and SetsSkipped counts of the Enumeration.
-func stream(rec *Record, b Bounds, fn func(img Image, base []LineWrite)) (sets int, skipped uint64) {
+// stream walks the reachable crash-state space of t's record within b and
+// calls fn once per distinct image, in first-seen order, with the image and
+// the base image's lines under its overlay (base[i] is the base line
+// Overlay[i] replaces, so a caller that applies the overlay to the record's
+// Base in place can restore it). Images are deduplicated exactly by their
+// line table keys and carry no Hash. The survival set, key and overlay
+// buffers are reused from one set to the next: img and base are valid only
+// during the call. It returns the Sets and SetsSkipped counts of the
+// Enumeration.
+func stream(t *lineTable, b Bounds, fn func(img Image, base []LineWrite)) (sets int, skipped uint64) {
 	b = b.withDefaults()
-	groups, total := survivalGroups(rec, b)
+	groups, total := survivalGroups(t.rec, b)
 
 	var (
-		seen = make(map[[32]byte]struct{}, min(total, uint64(b.MaxImages)))
+		seen = make(map[string]struct{}, min(total, uint64(b.MaxImages)))
 		pick = make([]int, len(groups))
-		set  = make([]int, 0, len(rec.Pending))
-		m    materializer
+		set  = make([]int, 0, len(t.rec.Pending))
+		r    = t.resolver()
 	)
 	// Odometer cross product over the groups' candidate sets, in
 	// deterministic lexicographic order; the empty survival set (every
@@ -117,10 +127,10 @@ func stream(rec *Record, b Bounds, fn func(img Image, base []LineWrite)) (sets i
 		}
 		slices.Sort(set)
 		sets++
-		img := m.image(rec, set)
-		if _, dup := seen[img.Hash]; !dup {
-			seen[img.Hash] = struct{}{}
-			fn(img, m.base)
+		key := r.resolve(set)
+		if _, dup := seen[string(key)]; !dup {
+			seen[string(key)] = struct{}{}
+			fn(r.image(set), r.base)
 		}
 		if sets >= b.MaxImages {
 			break
@@ -217,38 +227,60 @@ func epochRuns(rec *Record, idx []int) []int {
 	return runs
 }
 
-// boundedSubsets returns subsets of idx per Bounds, deterministically
-// ordered: by cardinality ascending, lexicographic within a cardinality,
-// with the near-full complements last. The empty set is always first.
-func boundedSubsets(idx []int, b Bounds) [][]int {
-	n := len(idx)
-	if n <= b.ExhaustiveLimit {
-		out := make([][]int, 0, 1<<uint(n))
-		for mask := 0; mask < 1<<uint(n); mask++ {
-			var s []int
-			for i := 0; i < n; i++ {
-				if mask&(1<<uint(i)) != 0 {
-					s = append(s, idx[i])
-				}
-			}
-			out = append(out, s)
-		}
-		sort.SliceStable(out, func(i, j int) bool { return len(out[i]) < len(out[j]) })
-		return out
-	}
-	var sizes []int
-	for k := 0; k <= n; k++ {
-		if k <= b.MaxFlips || k >= n-b.MaxFlips {
-			sizes = append(sizes, k)
-		}
-	}
-	var out [][]int
-	for _, k := range sizes {
-		combinations(idx, k, func(s []int) {
-			out = append(out, append([]int(nil), s...))
-		})
+// subsetArena lays subsets back to back in one slice. sets carves them out
+// only once all are in, so no append can move a subset already handed out.
+type subsetArena struct {
+	ints []int
+	ends []int // ends[i] is where subset i stops in ints
+}
+
+// cut ends the subset being appended to ints.
+func (a *subsetArena) cut() { a.ends = append(a.ends, len(a.ints)) }
+
+func (a *subsetArena) sets() [][]int {
+	out := make([][]int, len(a.ends))
+	start := 0
+	for i, end := range a.ends {
+		out[i] = a.ints[start:end:end]
+		start = end
 	}
 	return out
+}
+
+// boundedSubsets returns subsets of idx per Bounds, deterministically
+// ordered by cardinality ascending, so the empty set is always first and
+// the near-full complements last. Within a cardinality an exhaustive group
+// is in mask order (bit i standing for idx[i]) and a bounded one in
+// lexicographic order.
+func boundedSubsets(idx []int, b Bounds) [][]int {
+	n := len(idx)
+	var a subsetArena
+	if n <= b.ExhaustiveLimit {
+		a.ints, a.ends = make([]int, 0, n<<n>>1), make([]int, 0, 1<<n)
+		for k := 0; k <= n; k++ {
+			for mask := uint(0); mask < 1<<n; mask++ {
+				if bits.OnesCount(mask) != k {
+					continue
+				}
+				for i := 0; i < n; i++ {
+					if mask&(1<<i) != 0 {
+						a.ints = append(a.ints, idx[i])
+					}
+				}
+				a.cut()
+			}
+		}
+		return a.sets()
+	}
+	for k := 0; k <= n; k++ {
+		if k <= b.MaxFlips || k >= n-b.MaxFlips {
+			combinations(idx, k, func(s []int) {
+				a.ints = append(a.ints, s...)
+				a.cut()
+			})
+		}
+	}
+	return a.sets()
 }
 
 // combinations calls fn with every k-of-idx combination in lexicographic
@@ -273,61 +305,32 @@ func combinations(idx []int, k int, fn func(s []int)) {
 	rec(0, 0)
 }
 
-// epochSubsets returns one core's legal vpb survival sets: for each cut
-// epoch, every earlier epoch survives in full and the frontier epoch
-// contributes any bounded subset. Duplicates across adjacent cuts (full
-// frontier == next cut's empty frontier) are removed.
+// epochSubsets returns one core's legal vpb survival sets: the empty set,
+// then for each cut epoch, every earlier epoch in full plus a nonempty
+// bounded subset of the frontier epoch. A frontier's empty subset is left
+// out because it repeats the previous cut's full frontier (or, for the
+// first cut, the leading empty set), which boundedSubsets always includes.
 func epochSubsets(rec *Record, idx []int, b Bounds) [][]int {
-	// Group the core's pending indices by epoch, ascending. Capture
-	// order is allocation order and epochs only ever increment, so idx
-	// is already epoch-nondecreasing.
-	var (
-		epochs [][]int
-		last   uint64
-	)
-	for _, i := range idx {
-		e := rec.Pending[i].Epoch
-		if len(epochs) == 0 || e != last {
-			epochs = append(epochs, nil)
-			last = e
+	var a subsetArena
+	a.cut()     // nothing extra drained
+	prefix := 0 // idx[:prefix] are the earlier epochs' writes
+	for _, n := range epochRuns(rec, idx) {
+		for _, fs := range boundedSubsets(idx[prefix:prefix+n], b)[1:] {
+			a.ints = append(a.ints, idx[:prefix]...)
+			a.ints = append(a.ints, fs...)
+			a.cut()
 		}
-		epochs[len(epochs)-1] = append(epochs[len(epochs)-1], i)
+		prefix += n
 	}
-	var (
-		out    [][]int
-		seen   = make(map[string]bool)
-		prefix []int
-	)
-	add := func(s []int) {
-		key := setKey(s)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, append([]int(nil), s...))
-		}
-	}
-	add(nil) // nothing extra drained
-	for _, frontier := range epochs {
-		for _, fs := range boundedSubsets(frontier, b) {
-			add(append(append([]int(nil), prefix...), fs...))
-		}
-		prefix = append(prefix, frontier...)
-	}
-	return out
+	return a.sets()
 }
 
-func setKey(s []int) string {
-	k := make([]byte, 0, 4*len(s))
-	for _, i := range s {
-		k = binary.LittleEndian.AppendUint32(k, uint32(i))
-	}
-	return string(k)
-}
-
-// materialize resolves a survival set into its canonical image, in
-// buffers of its own.
+// materialize resolves a survival set into its image, through a line table
+// of its own. The image carries no Hash.
 func materialize(rec *Record, survivors []int) Image {
-	var m materializer
-	return m.image(rec, survivors)
+	r := newLineTable(rec).resolver()
+	r.resolve(survivors)
+	return r.image(survivors)
 }
 
 // clone detaches an image from a stream's reused buffers.
@@ -341,53 +344,125 @@ func (img Image) clone() Image {
 	return img
 }
 
-// materializer resolves survival sets into images, reusing its buffers
-// from one set to the next.
-type materializer struct {
-	lines   []lineRef   // the set's lines and the newest surviving write to each
-	overlay []LineWrite // the lines that differ from the base image
-	base    []LineWrite // the base image's bytes under each overlay line
-	canon   []byte      // the overlay's canonical encoding, the hash input
+// lineTable is one record's pending writes resolved to lines, built once
+// per record before any overlay touches its Base: survival sets then
+// resolve to images without reading memory, sorting or hashing.
+type lineTable struct {
+	rec   *Record
+	addrs []memory.Addr           // the distinct pending lines, ascending
+	base  [][memory.LineSize]byte // each line's bytes in rec.Base
+	line  []int32                 // per pending write: its index into addrs
+	// class is each pending write's value class: 0 when its bytes equal
+	// the base line's, otherwise 1 plus the smallest pending index with
+	// the same line and the same bytes. Two writes to one line leave the
+	// same bytes exactly when their classes are equal.
+	class []int32
 }
 
-type lineRef struct {
-	addr    memory.Addr
-	pending int // index into Record.Pending
-}
-
-// image resolves a survival set into its canonical image: survivors apply
-// in capture (Seq) order, lines whose final bytes equal the base image drop
-// out, and the rest hash in address order. The image's Overlay and m.base
-// alias m's buffers until the next call.
-func (m *materializer) image(rec *Record, survivors []int) Image {
-	m.lines = m.lines[:0]
-	for _, i := range survivors { // ascending index == ascending Seq
-		a := rec.Pending[i].Addr
-		j := 0
-		for j < len(m.lines) && m.lines[j].addr != a {
-			j++
-		}
-		if j == len(m.lines) {
-			m.lines = append(m.lines, lineRef{addr: a})
-		}
-		m.lines[j].pending = i
+func newLineTable(rec *Record) *lineTable {
+	t := &lineTable{
+		rec:   rec,
+		line:  make([]int32, len(rec.Pending)),
+		class: make([]int32, len(rec.Pending)),
 	}
-	slices.SortFunc(m.lines, func(a, b lineRef) int { return cmp.Compare(a.addr, b.addr) })
-	m.overlay, m.base, m.canon = m.overlay[:0], m.base[:0], m.canon[:0]
-	for _, l := range m.lines {
-		data := &rec.Pending[l.pending].Data
-		m.base = append(m.base, LineWrite{Addr: l.addr})
-		base := &m.base[len(m.base)-1]
-		rec.Base.PeekLine(l.addr, &base.Data)
-		if base.Data == *data {
-			m.base = m.base[:len(m.base)-1]
+	for _, w := range rec.Pending {
+		t.addrs = append(t.addrs, w.Addr)
+	}
+	slices.Sort(t.addrs)
+	t.addrs = slices.Compact(t.addrs)
+	t.base = make([][memory.LineSize]byte, len(t.addrs))
+	for l, a := range t.addrs {
+		rec.Base.PeekLine(a, &t.base[l])
+	}
+	for i := range rec.Pending {
+		w := &rec.Pending[i]
+		l, _ := slices.BinarySearch(t.addrs, w.Addr)
+		t.line[i] = int32(l)
+		if w.Data == t.base[l] {
 			continue
 		}
-		m.overlay = append(m.overlay, LineWrite{Addr: l.addr, Data: *data})
-		m.canon = binary.LittleEndian.AppendUint64(m.canon, l.addr)
-		m.canon = append(m.canon, data[:]...)
+		t.class[i] = int32(i + 1)
+		for j := 0; j < i; j++ {
+			if t.line[j] == int32(l) && rec.Pending[j].Data == w.Data {
+				t.class[i] = t.class[j]
+				break
+			}
+		}
 	}
-	return Image{Survivors: survivors, Overlay: m.overlay, Hash: sha256.Sum256(m.canon)}
+	return t
+}
+
+// resolver turns survival sets into dedupe keys and images through a line
+// table, reusing its buffers from one set to the next.
+type resolver struct {
+	t      *lineTable
+	newest []int32 // per line: 1 + its newest survivor, 0 for none; all 0 between calls
+	hits   []int32 // the set's newest survivors whose bytes differ from the base, in line order
+	key    []byte
+	// overlay and base are the image of the set resolved last: its
+	// overlay lines and the base lines under them.
+	overlay []LineWrite
+	base    []LineWrite
+}
+
+func (t *lineTable) resolver() *resolver {
+	return &resolver{t: t, newest: make([]int32, len(t.addrs))}
+}
+
+// resolve resolves a survival set and returns its dedupe key: the (line,
+// class) pair of every line whose resolved bytes differ from the base
+// image, in line order. A line resolves to its newest surviving write —
+// the highest index, as pending writes are in Seq order — so two sets get
+// equal keys exactly when their images are byte-equal. The pairs are
+// uvarints, which are self-delimiting, so the encoding is one-to-one and a
+// small record's pair takes two bytes. The key aliases r's buffer until
+// the next call.
+func (r *resolver) resolve(survivors []int) []byte {
+	t := r.t
+	for _, i := range survivors {
+		if l := t.line[i]; int32(i)+1 > r.newest[l] {
+			r.newest[l] = int32(i) + 1
+		}
+	}
+	r.hits, r.key = r.hits[:0], r.key[:0]
+	for l, n := range r.newest {
+		if n == 0 {
+			continue
+		}
+		r.newest[l] = 0
+		if c := t.class[n-1]; c != 0 {
+			r.hits = append(r.hits, n-1)
+			r.key = binary.AppendUvarint(r.key, uint64(l))
+			r.key = binary.AppendUvarint(r.key, uint64(c))
+		}
+	}
+	return r.key
+}
+
+// image builds the image of the set resolve saw last, in r's buffers:
+// Overlay and r.base alias them until the next call.
+func (r *resolver) image(survivors []int) Image {
+	t := r.t
+	r.overlay, r.base = r.overlay[:0], r.base[:0]
+	for _, p := range r.hits {
+		l := t.line[p]
+		r.overlay = append(r.overlay, LineWrite{Addr: t.addrs[l], Data: t.rec.Pending[p].Data})
+		r.base = append(r.base, LineWrite{Addr: t.addrs[l], Data: t.base[l]})
+	}
+	return Image{Survivors: survivors, Overlay: r.overlay}
+}
+
+// hasher computes canonical image hashes (see Image.Hash), reusing one
+// encoding buffer.
+type hasher struct{ canon []byte }
+
+func (h *hasher) sum(overlay []LineWrite) [32]byte {
+	h.canon = h.canon[:0]
+	for i := range overlay {
+		h.canon = binary.LittleEndian.AppendUint64(h.canon, overlay[i].Addr)
+		h.canon = append(h.canon, overlay[i].Data[:]...)
+	}
+	return sha256.Sum256(h.canon)
 }
 
 func satPow2(n int) uint64 {

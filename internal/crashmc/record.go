@@ -19,8 +19,9 @@
 //     base image plus the pending persistence-domain writes and each
 //     write's survival class;
 //   - the enumerator (enumerate.go) materializes every legal survival
-//     set within configurable bounds, deduplicating equivalent images by
-//     canonical hash;
+//     set within configurable bounds through a per-record line table,
+//     deduplicating equivalent images exactly by each line's value class
+//     (a canonical SHA-256 is computed only for the images it reports);
 //   - the validator (run.go) checks every distinct image with the
 //     workload's recovery checker and minimizes the surviving-write set
 //     of the first violation into a replayable witness (witness.go).

@@ -132,7 +132,7 @@ func (c Config) Run() Report {
 
 // checkPoint enumerates and validates one crash point's snapshot. Each new
 // distinct image is applied to rec.Base in place, checked, and restored
-// from the base lines the enumerator read while diffing it.
+// from the base lines the line table read before the first overlay.
 func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Record) PointResult {
 	res := PointResult{
 		CrashCycle:  rec.CrashCycle,
@@ -147,17 +147,20 @@ func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Recor
 		applyOverlay(rec.Base, base)
 		return err
 	}
-	// Minimization materializes into buffers of its own: it runs inside
-	// the stream's callback, whose buffers still hold the current image.
-	var mm materializer
+	t := newLineTable(rec)
+	// Minimization resolves through a resolver of its own: it runs inside
+	// the stream's callback, whose resolver still holds the current image.
+	mr := t.resolver()
 	checkSet := func(survivors []int) string {
-		if err := check(mm.image(rec, survivors), mm.base); err != nil {
+		mr.resolve(survivors)
+		if err := check(mr.image(survivors), mr.base); err != nil {
 			return err.Error()
 		}
 		return ""
 	}
 
-	res.Sets, res.SetsSkipped = stream(rec, b, func(img Image, base []LineWrite) {
+	var h hasher
+	res.Sets, res.SetsSkipped = stream(t, b, func(img Image, base []LineWrite) {
 		res.DistinctImages++
 		err := check(img, base)
 		if err == nil {
@@ -167,7 +170,7 @@ func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Recor
 		if len(res.Violations) >= maxViol {
 			return
 		}
-		v := Violation{Hash: img.Hash, Survivors: slices.Clone(img.Survivors), Err: err.Error()}
+		v := Violation{Hash: h.sum(img.Overlay), Survivors: slices.Clone(img.Survivors), Err: err.Error()}
 		if len(res.Violations) == 0 {
 			v.Minimized, v.MinimizedErr = minimize(rec, v.Survivors, checkSet)
 			res.Witness = newWitness(c, rec.CrashCycle, rec, v.Minimized, v.MinimizedErr)

@@ -14,25 +14,32 @@ import (
 )
 
 // sameRecord reports how a live snapshot differs from a fresh capture:
-// Base is compared byte for byte over the union of both images' pages
-// (restoring a line can materialize a zero page the capture never had),
-// every other field by deep equality.
+// Base is compared by sameBase, every other field by deep equality.
 func sameRecord(got, want *Record) error {
-	pages := map[memory.Addr]bool{}
-	for _, m := range []*memory.Memory{got.Base, want.Base} {
-		for _, p := range m.PageBases() {
-			pages[p] = true
-		}
-	}
-	for p := range pages {
-		if !bytes.Equal(got.Base.Peek(p, memory.PageSize), want.Base.Peek(p, memory.PageSize)) {
-			return fmt.Errorf("base image differs in page %#x", p)
-		}
+	if err := sameBase(got.Base, want.Base); err != nil {
+		return err
 	}
 	g, w := *got, *want
 	g.Base, w.Base = nil, nil
 	if !reflect.DeepEqual(g, w) {
 		return fmt.Errorf("record differs:\n got: %+v\nwant: %+v", g, w)
+	}
+	return nil
+}
+
+// sameBase compares two base images byte for byte over the union of their
+// pages (restoring a line can materialize a zero page the other never had).
+func sameBase(got, want *memory.Memory) error {
+	pages := map[memory.Addr]bool{}
+	for _, m := range []*memory.Memory{got, want} {
+		for _, p := range m.PageBases() {
+			pages[p] = true
+		}
+	}
+	for p := range pages {
+		if !bytes.Equal(got.Peek(p, memory.PageSize), want.Peek(p, memory.PageSize)) {
+			return fmt.Errorf("base image differs in page %#x", p)
+		}
 	}
 	return nil
 }
@@ -108,5 +115,40 @@ func TestSnapshotsDoNotDisturbRun(t *testing.T) {
 				t.Errorf("%s/%s: snapshotted run's trace differs from an uninterrupted run's", name, s)
 			}
 		}
+	}
+}
+
+// TestCheckPointRestoresBase model-checks PMEM-without-barriers snapshots
+// whose reachable images include violations, and requires checkPoint to
+// leave each snapshot's Base byte for byte as it found it: every streamed
+// image and every set the first violation's minimization tries is applied
+// in place and must be restored from the base lines under it. The stream is
+// cut after 1, 2, … sets up to the first violation, so that a restore the
+// minimization gets wrong is not mended by the images streamed after it.
+func TestCheckPointRestoresBase(t *testing.T) {
+	c := mcConfig(workload.NewLinkedList(), persistency.PMEM, true)
+	minimized := 0
+	for _, at := range []engine.Cycle{4_000, 10_000, 16_000} {
+		w := workload.NewLinkedList()
+		sys, finished := workload.BuildToCrash(w, c.Scheme, c.System, c.Params, at)
+		rec := Snapshot(sys, at, finished)
+		before := rec.Base.Clone()
+		for sets := 1; ; sets++ {
+			res := checkPoint(w, c, Bounds{MaxImages: sets}.withDefaults(), 4, rec)
+			if err := sameBase(rec.Base, before); err != nil {
+				t.Fatalf("@%d, stream cut after %d sets (%d violating): checkPoint changed the base image: %v",
+					at, sets, res.ViolatingImages, err)
+			}
+			if res.Witness != nil {
+				minimized++
+				break
+			}
+			if res.SetsSkipped == 0 {
+				break
+			}
+		}
+	}
+	if minimized == 0 {
+		t.Fatal("no crash point had a violation to minimize; the test checks nothing")
 	}
 }

@@ -10,7 +10,6 @@ package memory
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Addr is a physical byte address.
@@ -103,11 +102,10 @@ func (l Layout) Persistent(a Addr) bool {
 // is purely in Layout.
 type Memory struct {
 	layout Layout
-	// pages holds every materialized page by base address, for counting,
-	// cloning and sorted iteration; index finds the same pages by page
-	// number, without hashing, for the per-access lookups.
-	pages map[Addr]*[PageSize]byte
+	// index finds every materialized page by page number, without hashing,
+	// and walks them in address order; pages counts them.
 	index PageTable[*[PageSize]byte]
+	pages int
 	wear  map[Addr]uint64 // per-line NVMM write counts (optional)
 
 	// Last-page memo: accesses cluster heavily within a page (sequential
@@ -124,7 +122,7 @@ type Memory struct {
 
 // New returns an empty memory with the given layout.
 func New(l Layout) *Memory {
-	return &Memory{layout: l, pages: make(map[Addr]*[PageSize]byte), index: NewPageTable[*[PageSize]byte](l.NVMMBase)}
+	return &Memory{layout: l, index: NewPageTable[*[PageSize]byte](l.NVMMBase)}
 }
 
 // Layout returns the address map.
@@ -145,7 +143,7 @@ func (m *Memory) lookupPage(a Addr, create bool) *[PageSize]byte {
 		slot := m.index.Slot(base)
 		if *slot == nil {
 			*slot = new([PageSize]byte)
-			m.pages[base] = *slot
+			m.pages++
 		}
 		p = *slot
 	} else if slot := m.index.Lookup(base); slot != nil {
@@ -256,7 +254,7 @@ func (m *Memory) Poke64(a Addr, v uint64) {
 }
 
 // TouchedPages reports how many distinct pages have been materialized.
-func (m *Memory) TouchedPages() int { return len(m.pages) }
+func (m *Memory) TouchedPages() int { return m.pages }
 
 // Clone returns a deep copy of the memory contents with fresh accounting
 // (Writes/Reads/wear start at zero). The crash-image model checker clones
@@ -270,25 +268,30 @@ func (m *Memory) Clone() *Memory { return m.CloneInto(nil) }
 // image each time instead of allocating one per point.
 func (m *Memory) CloneInto(dst *Memory) *Memory {
 	if dst == nil {
-		dst = &Memory{layout: m.layout, pages: make(map[Addr]*[PageSize]byte, len(m.pages)), index: NewPageTable[*[PageSize]byte](m.layout.NVMMBase)}
+		dst = &Memory{layout: m.layout, index: NewPageTable[*[PageSize]byte](m.layout.NVMMBase)}
 	} else {
-		for _, base := range dst.PageBases() {
-			if m.pages[base] == nil {
-				delete(dst.pages, base)
-				*dst.index.Slot(base) = nil
+		for base, p := range dst.index.All() {
+			if *p == nil {
+				continue
+			}
+			if q := m.index.Lookup(base); q == nil || *q == nil {
+				*p = nil
+				dst.pages--
 			}
 		}
 		dst.layout, dst.wear, dst.lastPage = m.layout, nil, nil
 		dst.Writes, dst.Reads = [2]uint64{}, [2]uint64{}
 	}
-	//bbbvet:ignore detlint independent per-page copies into a fresh map; order cannot matter
-	for base, p := range m.pages {
-		if cp := dst.pages[base]; cp != nil {
-			*cp = *p
+	for base, p := range m.index.All() {
+		if *p == nil {
+			continue
+		}
+		if cp := dst.index.Slot(base); *cp != nil {
+			**cp = **p
 		} else {
-			cp := *p
-			dst.pages[base] = &cp
-			*dst.index.Slot(base) = &cp
+			pg := **p
+			*cp = &pg
+			dst.pages++
 		}
 	}
 	return dst
@@ -297,12 +300,12 @@ func (m *Memory) CloneInto(dst *Memory) *Memory {
 // PageBases returns the base addresses of every materialized page, sorted.
 // Deterministic inspection order for image hashing and diffing.
 func (m *Memory) PageBases() []Addr {
-	bases := make([]Addr, 0, len(m.pages))
-	//bbbvet:ignore detlint key collection for sorting; order-insensitive
-	for base := range m.pages {
-		bases = append(bases, base)
+	bases := make([]Addr, 0, m.pages)
+	for base, p := range m.index.All() {
+		if *p != nil {
+			bases = append(bases, base)
+		}
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 	return bases
 }
 

@@ -166,17 +166,20 @@ func TestCloneIntoReusesAndMatchesClone(t *testing.T) {
 	src.Poke64(3*PageSize+8, 3)
 	dst.Poke64(7*PageSize, 4)
 	dst.WriteLine(128, &line)
-	page0 := dst.pages[0]
+	page0 := *dst.index.Lookup(0)
 
 	if got := src.CloneInto(dst); got != dst {
 		t.Fatal("CloneInto did not reuse dst")
 	}
-	if dst.pages[0] != page0 {
+	if *dst.index.Lookup(0) != page0 {
 		t.Fatal("CloneInto reallocated a page dst already had")
 	}
 	want := src.Clone()
 	if !reflect.DeepEqual(dst.PageBases(), want.PageBases()) {
 		t.Fatalf("pages %v, want %v", dst.PageBases(), want.PageBases())
+	}
+	if dst.TouchedPages() != want.TouchedPages() {
+		t.Fatalf("TouchedPages = %d, want %d", dst.TouchedPages(), want.TouchedPages())
 	}
 	for _, base := range want.PageBases() {
 		if !bytes.Equal(dst.Peek(base, PageSize), want.Peek(base, PageSize)) {

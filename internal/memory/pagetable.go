@@ -1,5 +1,7 @@
 package memory
 
+import "iter"
+
 // PageTable is a dense per-page table: one T for every page of the physical
 // address space, found by indexing instead of hashing. It is two-level — a
 // root slice of leaves, each covering leafPages consecutive pages — and a
@@ -69,4 +71,26 @@ func (t *PageTable[T]) Lookup(a Addr) *T {
 		return &(*root)[i][pn&(leafPages-1)]
 	}
 	return nil
+}
+
+// All yields the entry of every page in a touched leaf, in address order:
+// the root below the split, then the root from the split up. Untouched
+// pages of a touched leaf yield T's zero value; pages in untouched leaves
+// are skipped.
+func (t *PageTable[T]) All() iter.Seq2[Addr, *T] {
+	return func(yield func(Addr, *T) bool) {
+		for r, start := range [2]Addr{0, t.split} {
+			for i, leaf := range t.roots[r] {
+				if leaf == nil {
+					continue
+				}
+				base := start + Addr(i)*LeafSpan
+				for j := range leaf {
+					if !yield(base+Addr(j)*PageSize, &leaf[j]) {
+						return
+					}
+				}
+			}
+		}
+	}
 }

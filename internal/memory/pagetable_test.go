@@ -1,6 +1,9 @@
 package memory
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestPageTableSlotsAndLeaves(t *testing.T) {
 	l := DefaultLayout()
@@ -41,6 +44,28 @@ func TestPageTableSlotsAndLeaves(t *testing.T) {
 	}
 	if pt.Lookup(far+LeafSpan) != nil {
 		t.Fatal("Lookup past the root found an entry")
+	}
+}
+
+func TestPageTableAllInAddressOrder(t *testing.T) {
+	l := DefaultLayout()
+	pt := NewPageTable[int](l.NVMMBase)
+	touched := []Addr{l.NVMMBase + 3*LeafSpan, 5 * PageSize, l.NVMMBase, 2*LeafSpan + PageSize}
+	for i, a := range touched {
+		*pt.Slot(a) = i + 1
+	}
+	var got []Addr
+	for base, e := range pt.All() {
+		if *e != 0 {
+			got = append(got, base)
+			if touched[*e-1] != base {
+				t.Fatalf("All yielded entry %d at %#x, want %#x", *e, base, touched[*e-1])
+			}
+		}
+	}
+	want := []Addr{5 * PageSize, 2*LeafSpan + PageSize, l.NVMMBase, l.NVMMBase + 3*LeafSpan}
+	if !slices.Equal(got, want) {
+		t.Fatalf("All yielded touched pages %#x, want %#x", got, want)
 	}
 }
 
