@@ -1,13 +1,12 @@
 // Command bbblitmus drives the Px86-TSO litmus conformance harness: the
-// generated litmus corpus (internal/litmus), the axiomatic allowed-set
-// checker (internal/axiomatic), and the operational-vs-declarative
-// conformance gate (internal/litmus/conform).
+// litmus corpus and its interpreter (internal/litmus), the axiomatic
+// allowed-set checker (internal/axiomatic), and the operational-vs-
+// declarative conformance gate (internal/litmus/conform).
 //
 // Usage:
 //
-//	bbblitmus generate              # list the corpus
-//	bbblitmus generate -go          # regenerate internal/litmus/corpus_gen.go
-//	bbblitmus check -test mp        # allowed outcomes per model
+//	bbblitmus check                 # every corpus test: threads, doc, allowed outcomes per model
+//	bbblitmus check -test mp        # one test
 //	bbblitmus conform -points 6     # the gate: operational ⊆ allowed (CI)
 //	bbblitmus explain -witness w.json  # triage a divergence witness
 //
@@ -39,8 +38,6 @@ func main() {
 		os.Exit(2)
 	}
 	switch os.Args[1] {
-	case "generate":
-		os.Exit(generate(os.Args[2:]))
 	case "check":
 		os.Exit(check(os.Args[2:]))
 	case "conform":
@@ -59,36 +56,9 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: bbblitmus <subcommand> [flags]
 
-  generate   list the litmus corpus; -go regenerates corpus_gen.go
-  check      print the axiomatic allowed outcomes of a test per model
+  check      describe each litmus test and its axiomatic allowed outcomes per model
   conform    gate operational (crashmc) ⊆ allowed (axiomatic) per test×scheme
   explain    replay a conformance divergence witness and triage it`)
-}
-
-func generate(args []string) int {
-	fs := flag.NewFlagSet("generate", flag.ExitOnError)
-	emitGo := fs.Bool("go", false, "write the executable corpus to -o instead of listing")
-	out := fs.String("o", "internal/litmus/corpus_gen.go", "output path for -go")
-	fs.Parse(args)
-
-	if *emitGo {
-		src, err := litmus.EmitGo()
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		if err := os.WriteFile(*out, src, 0o644); err != nil {
-			log.Print(err)
-			return 1
-		}
-		fmt.Printf("wrote %s (%d tests)\n", *out, len(litmus.Corpus()))
-		return 0
-	}
-	fmt.Printf("%-12s %7s %6s  %s\n", "test", "threads", "stores", "doc")
-	for _, t := range litmus.Corpus() {
-		fmt.Printf("%-12s %7d %6d  %s\n", t.Name, len(t.Threads), len(t.Stores()), t.Doc)
-	}
-	return 0
 }
 
 func check(args []string) int {
@@ -120,7 +90,7 @@ func check(args []string) int {
 		}
 	}
 	for _, t := range tests {
-		fmt.Printf("%s: vars %s\n", t.Name, strings.Join(t.Vars, " "))
+		fmt.Printf("%s: %d threads, vars %s\n  %s\n", t.Name, len(t.Threads), strings.Join(t.Vars, " "), t.Doc)
 		for _, m := range models {
 			r := axiomatic.Enumerate(t, m)
 			outs := make([]string, len(r.Outcomes))

@@ -109,7 +109,7 @@ func (c Config) Run() Report {
 		Barriers: !c.Params.NoBarriers,
 		Bounds:   b,
 	}
-	rep.Points = workload.WalkCrashPoints(c.Workload, c.Scheme, c.System, c.Params, c.FirstCrash, c.Step, c.Points, c.Parallel,
+	rep.Points = workload.WalkCrashPoints(c.Workload, c.Scheme, c.System, c.Params, workload.EvenCycles(c.FirstCrash, c.Step, c.Points), c.Parallel,
 		func(w workload.Workload, sys *system.System, at engine.Cycle, finished bool) PointResult {
 			return checkPoint(w, c, b, maxViol, Snapshot(sys, at, finished))
 		})

@@ -60,7 +60,7 @@ func TestSnapshotEqualsCapture(t *testing.T) {
 		for _, s := range persistency.Schemes() {
 			for _, noBarriers := range []bool{false, true} {
 				c := mcConfig(proto, s, noBarriers)
-				workload.WalkCrashPoints(proto, s, c.System, c.Params, first, step, points, 1,
+				workload.WalkCrashPoints(proto, s, c.System, c.Params, workload.EvenCycles(first, step, points), 1,
 					func(_ workload.Workload, sys *system.System, at engine.Cycle, finished bool) struct{} {
 						got := Snapshot(sys, at, finished)
 						w, err := workload.ByName(proto.Name())

@@ -80,9 +80,11 @@ type PairResult struct {
 	Test   string
 	Scheme persistency.Scheme
 	Model  axiomatic.Model
-	// Points is the number of crash points explored; MultiImagePoints
-	// counts those where a strict scheme exposed more than one reachable
-	// image (must be zero — the strict-persistency collapse).
+	// Points is the number of distinct crash points explored (fewer than
+	// Options.Points when the makespan is too short to spread them);
+	// MultiImagePoints counts those where a strict scheme exposed more
+	// than one reachable image (must be zero — the strict-persistency
+	// collapse).
 	Points           int
 	MultiImagePoints int
 	// Operational is the deduplicated sorted outcome set crashmc reached.
@@ -171,16 +173,6 @@ func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.
 	relaxed := axiomatic.Enumerate(t, axiomatic.Relaxed)
 	strict := model == axiomatic.Strict
 
-	res := PairResult{
-		Test:         t.Name,
-		Scheme:       s,
-		Model:        model,
-		Points:       points,
-		AllowedCount: len(allowed.Outcomes),
-		RelaxedCount: len(relaxed.Outcomes),
-		Collapsed:    len(allowed.Outcomes) < len(relaxed.Outcomes),
-	}
-
 	wl := litmus.NewWorkload(t)
 	cfg := system.DefaultConfig(s)
 	params := workload.Params{Threads: len(t.Threads), OpsPerThread: 1, Seed: 1}
@@ -198,19 +190,26 @@ func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.
 	}
 	cycles = append(cycles, end+1000)
 
+	res := PairResult{
+		Test:         t.Name,
+		Scheme:       s,
+		Model:        model,
+		Points:       len(cycles),
+		AllowedCount: len(allowed.Outcomes),
+		RelaxedCount: len(relaxed.Outcomes),
+		Collapsed:    len(allowed.Outcomes) < len(relaxed.Outcomes),
+	}
+
 	mcCfg := crashmc.Config{Workload: wl, Scheme: s, System: cfg, Params: params}
 	var outcomes []axiomatic.Outcome
-	for _, cy := range cycles {
-		sys, finished := workload.BuildToCrash(wl, s, cfg, params, cy)
-		rec := crashmc.Capture(sys, cy, finished)
+	workload.WalkCrashPoints(wl, s, cfg, params, cycles, 1, func(_ workload.Workload, sys *system.System, cy engine.Cycle, finished bool) struct{} {
+		rec := crashmc.Snapshot(sys, cy, finished)
 		enum := crashmc.Enumerate(rec, bounds)
 		if strict && len(enum.Images) != 1 {
 			res.MultiImagePoints++
 		}
 		for _, img := range enum.Images {
-			scratch := rec.Base.Clone()
-			crashmc.ApplyOverlay(scratch, img.Overlay)
-			out := axiomatic.Outcome(wl.ReadOutcome(scratch))
+			out := overlayOutcome(rec, wl, img.Overlay)
 			outcomes = append(outcomes, out)
 			if allowed.Contains(out) {
 				continue
@@ -222,14 +221,10 @@ func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.
 			// Minimize against the axiomatic envelope: shrink the
 			// surviving set while its image stays outside the allowed set.
 			check := func(set []int) string {
-				m := crashmc.Materialize(rec, set)
-				sc := rec.Base.Clone()
-				crashmc.ApplyOverlay(sc, m.Overlay)
-				o := axiomatic.Outcome(wl.ReadOutcome(sc))
-				if allowed.Contains(o) {
-					return ""
+				if o := outcomeOf(rec, wl, set); !allowed.Contains(o) {
+					return divergenceErr(t, s, model, o)
 				}
-				return divergenceErr(t, s, model, o)
+				return ""
 			}
 			minimized, errStr := crashmc.Minimize(rec, img.Survivors, check)
 			mo := outcomeOf(rec, wl, minimized)
@@ -240,7 +235,8 @@ func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.
 				Witness:    crashmc.NewWitness(mcCfg, cy, rec, minimized, errStr),
 			})
 		}
-	}
+		return struct{}{}
+	})
 
 	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].Less(outcomes[j]) })
 	for i, o := range outcomes {
@@ -253,9 +249,14 @@ func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.
 
 // outcomeOf decodes the durable outcome of one survival set.
 func outcomeOf(rec *crashmc.Record, wl *litmus.Workload, set []int) axiomatic.Outcome {
-	img := crashmc.Materialize(rec, set)
+	return overlayOutcome(rec, wl, crashmc.Materialize(rec, set).Overlay)
+}
+
+// overlayOutcome decodes the durable outcome of one image overlay on the
+// crash base.
+func overlayOutcome(rec *crashmc.Record, wl *litmus.Workload, overlay []crashmc.LineWrite) axiomatic.Outcome {
 	sc := rec.Base.Clone()
-	crashmc.ApplyOverlay(sc, img.Overlay)
+	crashmc.ApplyOverlay(sc, overlay)
 	return axiomatic.Outcome(wl.ReadOutcome(sc))
 }
 

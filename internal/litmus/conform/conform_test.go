@@ -124,6 +124,24 @@ func TestParallelWidthDeterminism(t *testing.T) {
 	}
 }
 
+// TestPointsCountsDistinctCrashCycles asks for more crash points than wb
+// has makespan cycles: the spread points collapse to one per cycle 1…end,
+// plus the point past completion, and PairResult.Points must count those
+// rather than echo the request.
+func TestPointsCountsDistinctCrashCycles(t *testing.T) {
+	wb, err := litmus.ByName("wb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := persistency.BBB
+	params := workload.Params{Threads: len(wb.Threads), OpsPerThread: 1, Seed: 1}
+	end := workload.Run(litmus.NewWorkload(wb), s, system.DefaultConfig(s), params).Cycles
+	rep := Run(Options{Tests: []*litmus.Test{wb}, Schemes: []persistency.Scheme{s}, Points: int(end) + 8})
+	if got, want := rep.Pairs[0].Points, int(end)+1; got != want {
+		t.Errorf("wb/bbb makespan %d at %d requested points: Points = %d, want %d distinct", end, rep.Points, got, want)
+	}
+}
+
 // TestExplainTriagesStaleWitness pins the explain path on a fabricated
 // witness whose outcome is inside the allowed set: it must replay cleanly
 // and triage as stale rather than claim a divergence.

@@ -17,9 +17,8 @@ const (
 // two-thread shapes can't: same-line double writes, multi-epoch chains,
 // and a line dirtied in two different epochs.
 //
-// The executable twin of each test lives in corpus_gen.go, emitted from
-// this corpus by `bbblitmus generate -go` (see emit.go); a freshness test
-// keeps the two in sync.
+// Workload runs any valid Test, so the corpus is data only: a new shape
+// needs no code beside its entry here.
 func Corpus() []*Test {
 	tests := []*Test{
 		{

@@ -1,15 +1,14 @@
 // Package litmus is the persistency litmus-test tier: a small DSL for
 // multi-threaded programs over named persistent variables, plus a
-// deterministic generator (corpus.go) that emits every test in two twin
-// forms —
+// deterministic corpus (corpus.go). Every Test is read two ways —
 //
-//   - an executable form: per-thread cpu.Env programs (corpus_gen.go,
-//     emitted by emit.go and wrapped into a workload.Workload by
-//     workload.go) that run on the simulated machine, so internal/crashmc
-//     can enumerate the operationally reachable post-crash states; and
-//   - a symbolic form: the Test value itself, whose store/flush/fence
-//     events internal/axiomatic enumerates under the Px86-TSO persistency
-//     axioms to compute the declaratively *allowed* post-crash states.
+//   - executed: workload.go interprets each thread op by op as cpu.Env
+//     calls on the simulated machine (a workload.Workload), so
+//     internal/crashmc can enumerate the operationally reachable
+//     post-crash states; and
+//   - symbolically: internal/axiomatic enumerates the Test's
+//     store/flush/fence events under the Px86-TSO persistency axioms to
+//     compute the declaratively *allowed* post-crash states.
 //
 // The conformance driver (internal/litmus/conform) gates operational ⊆
 // allowed for every test × scheme, which turns the crash-image model
@@ -159,9 +158,8 @@ func (t *Test) OrderedBefore(a, b Store) bool {
 // first-store order. A CAS contributes its new value whether or not any
 // execution lets it succeed — the set is a superset of the writable
 // values, which is the right direction for the recovery checker's
-// accept-list (the axiomatic layer answers the exact question). The
-// executable twin's recovery checker accepts only these (or the zero
-// init) as durable values.
+// accept-list (the axiomatic layer answers the exact question).
+// Workload.Check accepts only these (or the zero init) as durable values.
 func (t *Test) WrittenVals(v int) []uint64 {
 	var out []uint64
 	for _, s := range t.Stores() {

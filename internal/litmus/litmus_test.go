@@ -1,11 +1,12 @@
 package litmus
 
 import (
-	"bytes"
-	"os"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"bbb/internal/cpu"
+	"bbb/internal/memory"
 	"bbb/internal/persistency"
 	"bbb/internal/system"
 	"bbb/internal/workload"
@@ -32,57 +33,58 @@ func TestCorpusValidates(t *testing.T) {
 	}
 }
 
-// TestCorpusDeterministic pins that two generator invocations agree, both
-// symbolically and as emitted source.
+// TestCorpusDeterministic pins that two generator invocations agree.
 func TestCorpusDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(Corpus(), Corpus()) {
 		t.Fatal("Corpus() is not deterministic")
 	}
-	a, err := EmitGo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EmitGo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("EmitGo() is not deterministic")
-	}
 }
 
-// TestCorpusGenFresh fails when corpus.go and the checked-in
-// corpus_gen.go drift: rerun `bbblitmus generate -go` to refresh.
-func TestCorpusGenFresh(t *testing.T) {
-	want, err := EmitGo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile("corpus_gen.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("corpus_gen.go is stale; run `go run ./cmd/bbblitmus generate -go` to regenerate")
-	}
+// recEnv records the cpu.Env calls a program makes, in the shape the
+// interpreter promises: one call per op, on the op's variable address.
+type recEnv struct {
+	cpu.Env
+	calls []string
 }
 
-// TestGenProgramsMatchCorpus pins that the generated table covers exactly
-// the corpus, with one program per thread.
-func TestGenProgramsMatchCorpus(t *testing.T) {
-	tests := Corpus()
-	if len(genPrograms) != len(tests) {
-		t.Fatalf("genPrograms has %d entries, corpus has %d", len(genPrograms), len(tests))
+func (r *recEnv) Store(a memory.Addr, size int, v uint64) {
+	r.calls = append(r.calls, fmt.Sprintf("Store(%#x, %d, %d)", a, size, v))
+}
+
+func (r *recEnv) Load(a memory.Addr, size int) uint64 {
+	r.calls = append(r.calls, fmt.Sprintf("Load(%#x, %d)", a, size))
+	return 0
+}
+
+func (r *recEnv) Flush(a memory.Addr) { r.calls = append(r.calls, fmt.Sprintf("Flush(%#x)", a)) }
+func (r *recEnv) Fence()              { r.calls = append(r.calls, "Fence()") }
+
+func (r *recEnv) CompareAndSwap(a memory.Addr, size int, old, new uint64) (uint64, bool) {
+	r.calls = append(r.calls, fmt.Sprintf("CompareAndSwap(%#x, %d, %d, %d)", a, size, old, new))
+	return old, true
+}
+
+// TestInterpreterCallsEnvPerOp pins the interpreter's contract on a test
+// using every op kind: each op becomes exactly one cpu.Env call, with
+// 8-byte accesses on the op's variable line.
+func TestInterpreterCallsEnvPerOp(t *testing.T) {
+	tst := &Test{
+		Name:    "all-ops",
+		Vars:    []string{"x", "y"},
+		Threads: [][]Op{{St(vx, 3), Ld(vy), Fl(vx), Fn(), Cs(vy, 0, 4)}},
 	}
-	for _, tc := range tests {
-		fns, ok := genPrograms[tc.Name]
-		if !ok {
-			t.Errorf("%s: no generated programs", tc.Name)
-			continue
-		}
-		if len(fns) != len(tc.Threads) {
-			t.Errorf("%s: %d generated programs for %d threads", tc.Name, len(fns), len(tc.Threads))
-		}
+	if err := tst.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkload(tst)
+	w.addrs = []memory.Addr{0x1000, 0x1040}
+	var r recEnv
+	w.Programs(workload.Params{Threads: 1})[0](&r)
+	want := []string{
+		"Store(0x1000, 8, 3)", "Load(0x1040, 8)", "Flush(0x1000)", "Fence()", "CompareAndSwap(0x1040, 8, 0, 4)",
+	}
+	if !reflect.DeepEqual(r.calls, want) {
+		t.Errorf("calls = %q\nwant    %q", r.calls, want)
 	}
 }
 
@@ -132,7 +134,7 @@ func TestStoresEpochs(t *testing.T) {
 	}
 }
 
-// TestWorkloadRunsEverySchemeAndChecks smoke-runs every executable twin
+// TestWorkloadRunsEverySchemeAndChecks smoke-runs every corpus test
 // to completion under every scheme; the recovery checker must accept the
 // final image, and the final image must be the all-stores-latest outcome.
 func TestWorkloadRunsEverySchemeAndChecks(t *testing.T) {

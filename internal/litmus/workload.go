@@ -10,11 +10,6 @@ import (
 	"bbb/internal/workload"
 )
 
-// progFn is one litmus thread body. v holds each test variable's line
-// address, in Test.Vars order; corpus_gen.go defines one progFn per
-// thread of every corpus test.
-type progFn func(e cpu.Env, v []memory.Addr)
-
 // Workload adapts one litmus test to the workload.Workload interface so
 // the machine runner and the crash-image model checker can execute it
 // like any Table IV benchmark. Its name is "litmus/<test>".
@@ -25,14 +20,8 @@ type Workload struct {
 
 var _ workload.Workload = (*Workload)(nil)
 
-// NewWorkload wraps test t; t must be a corpus test (its executable twin
-// must exist in corpus_gen.go).
-func NewWorkload(t *Test) *Workload {
-	if _, ok := genPrograms[t.Name]; !ok {
-		panic(fmt.Sprintf("litmus: test %q has no generated programs (rerun bbblitmus generate -go)", t.Name))
-	}
-	return &Workload{test: t}
-}
+// NewWorkload wraps test t, which must validate.
+func NewWorkload(t *Test) *Workload { return &Workload{test: t} }
 
 func (w *Workload) Name() string        { return "litmus/" + w.test.Name }
 func (w *Workload) Description() string { return w.test.Doc }
@@ -50,19 +39,36 @@ func (w *Workload) Setup(mem *memory.Memory, arena *palloc.Arena, p workload.Par
 	}
 }
 
-// Programs returns the test's per-thread executable twins. The thread
+// Programs returns one interpreter per thread of the test. The thread
 // count is part of the test, so p.Threads must match it.
 func (w *Workload) Programs(p workload.Params) []system.Program {
-	fns := genPrograms[w.test.Name]
-	if p.Threads != len(fns) {
-		panic(fmt.Sprintf("litmus %s: test has %d threads, params ask for %d", w.test.Name, len(fns), p.Threads))
+	if p.Threads != len(w.test.Threads) {
+		panic(fmt.Sprintf("litmus %s: test has %d threads, params ask for %d", w.test.Name, len(w.test.Threads), p.Threads))
 	}
-	progs := make([]system.Program, len(fns))
-	for i, fn := range fns {
-		fn := fn
-		progs[i] = func(e cpu.Env) { fn(e, w.addrs) }
+	progs := make([]system.Program, len(w.test.Threads))
+	for i, ops := range w.test.Threads {
+		progs[i] = func(e cpu.Env) { w.exec(e, ops) }
 	}
 	return progs
+}
+
+// exec interprets one thread: each op is one cpu.Env call on its
+// variable's line, an 8-byte access for stores, loads and CASes.
+func (w *Workload) exec(e cpu.Env, ops []Op) {
+	for _, op := range ops {
+		switch op.Kind {
+		case OpStore:
+			e.Store(w.addrs[op.Var], 8, op.Val)
+		case OpLoad:
+			e.Load(w.addrs[op.Var], 8)
+		case OpFlush:
+			e.Flush(w.addrs[op.Var])
+		case OpFence:
+			e.Fence()
+		case OpCAS:
+			e.CompareAndSwap(w.addrs[op.Var], 8, op.Old, op.Val)
+		}
+	}
 }
 
 // Check accepts any durable image where each variable holds either its

@@ -71,7 +71,7 @@ func (c CampaignConfig) Run() Report {
 		Workload: c.Workload.Name(),
 		Barriers: !c.Params.NoBarriers,
 	}
-	rep.Outcomes = workload.WalkCrashPoints(c.Workload, c.Scheme, c.System, c.Params, c.FirstCrash, c.Step, c.Points, c.Parallel,
+	rep.Outcomes = workload.WalkCrashPoints(c.Workload, c.Scheme, c.System, c.Params, workload.EvenCycles(c.FirstCrash, c.Step, c.Points), c.Parallel,
 		func(w workload.Workload, sys *system.System, at engine.Cycle, finished bool) Outcome {
 			img, drain := sys.CrashImage()
 			return Outcome{CrashCycle: at, Finished: finished, Drain: drain, Err: w.Check(img)}

@@ -777,6 +777,10 @@ func (a *analysis) resolveCall(call *ast.CallExpr) (callOp, bool) {
 type locInfo struct {
 	st  state
 	pos token.Pos
+	// mayFlushed records a write-back pending on some path: Join keeps
+	// only the worst state, so a location flushed on one path and dirty on
+	// another joins to dirty, yet a fence there still has work to do.
+	mayFlushed bool
 }
 
 // fact maps abstract locations to their persistency state; absent means
@@ -832,12 +836,12 @@ func (u *unit) Join(a, b fact) fact {
 	out := u.Clone(a)
 	for c, bi := range b.locs {
 		ai, ok := out.locs[c]
-		switch {
-		case !ok || bi.st > ai.st:
-			out.locs[c] = bi
-		case bi.st == ai.st && bi.pos < ai.pos:
-			out.locs[c] = bi
+		may := ai.mayFlushed || bi.mayFlushed
+		if !ok || bi.st > ai.st || bi.st == ai.st && bi.pos < ai.pos {
+			ai = bi
 		}
+		ai.mayFlushed = may
+		out.locs[c] = ai
 	}
 	return out
 }
@@ -925,7 +929,7 @@ func (u *unit) flush(f *fact, c *class, call *ast.CallExpr) {
 		u.a.pass.Reportf(call.Pos(), "redundant flush of %s: already %s on every path here", c.name, li.st)
 	}
 	if present && li.st == dirty {
-		f.locs[c] = locInfo{st: flushed, pos: li.pos}
+		f.locs[c] = locInfo{st: flushed, pos: li.pos, mayFlushed: true}
 	}
 }
 
@@ -988,7 +992,7 @@ func (u *unit) fence(f *fact, call *ast.CallExpr) {
 
 func anyFlushed(f *fact) bool {
 	for _, li := range f.locs {
-		if li.st == flushed {
+		if li.mayFlushed {
 			return true
 		}
 	}
@@ -997,8 +1001,12 @@ func anyFlushed(f *fact) bool {
 
 func completeFlushed(f *fact) {
 	for c, li := range f.locs {
-		if li.st == flushed {
+		switch {
+		case li.st == flushed:
 			delete(f.locs, c)
+		case li.mayFlushed:
+			li.mayFlushed = false
+			f.locs[c] = li
 		}
 	}
 }

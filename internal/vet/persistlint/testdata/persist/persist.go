@@ -10,6 +10,7 @@ type Env interface {
 	Load(addr Addr, size int) uint64
 	Store(addr Addr, size int, val uint64)
 	WriteBack(addr Addr)
+	Flush(addr Addr)
 	Fence()
 	PersistBarrier(addrs ...Addr)
 	CompareAndSwap(addr Addr, size int, old, new uint64) (uint64, bool)
@@ -103,6 +104,36 @@ func loopDiscipline(e Env, base Addr, n int) {
 		slot := base + Addr(i)*8
 		Store64(e, slot, uint64(i))
 		e.PersistBarrier(slot)
+	}
+}
+
+// An interpreter loop over one address with its store, flush and fence in
+// different branches: the store branch's dirty state wins the join at the
+// loop head, but the flush branch leaves a write-back pending there, so the
+// fence is not redundant.
+func opLoop(e Env, a Addr, ops []int) {
+	for _, op := range ops {
+		switch op {
+		case 0:
+			Store64(e, a, 1)
+		case 1:
+			e.WriteBack(a)
+		case 2:
+			e.Fence()
+		}
+	}
+}
+
+// The same loop without a flush branch: no path has a write-back pending,
+// so the fence is redundant.
+func opLoopNoFlush(e Env, a Addr, ops []int) {
+	for _, op := range ops {
+		switch op {
+		case 0:
+			Store64(e, a, 1)
+		case 2:
+			e.Fence() // want "redundant fence: no flushed stores pending on any path here"
+		}
 	}
 }
 

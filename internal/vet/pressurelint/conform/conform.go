@@ -7,10 +7,10 @@
 //     observed peak persist-buffer occupancy (bbPB for BBB/BBBProc, VPB
 //     for BEP) never exceeds the certified per-core bound, and the WPQ
 //     never exceeds its configured depth;
-//   - runs the live invariant auditor (invariant.Check plus the new
-//     CheckOccupancyBound) on the stopped machine at every sampled crash
-//     instant;
-//   - captures crashmc's pending persistence-domain sets at those
+//   - walks one machine through the sampled crash instants
+//     (workload.WalkCrashPoints) and runs the live invariant auditor
+//     (invariant.Check plus CheckOccupancyBound) at each stop;
+//   - snapshots crashmc's pending persistence-domain sets at those
 //     instants and asserts every enumerated pending line fits the bound
 //     (per-core for BEP epochs, thread-scaled strict for PMEM's at-risk
 //     cache lines, empty for the battery-backed schemes).
@@ -191,40 +191,41 @@ func checkPair(name string, cert pressurelint.Certificate, s persistency.Scheme,
 		return nil, fail("observed WPQ depth %d exceeds capacity %d", pair.ObservedWPQPeak, caps.WPQEntries)
 	}
 
-	// Crash instants: stop the machine, audit the live invariants and the
-	// certified occupancy bound, then capture the pending sets.
-	for i := 1; i <= opts.CrashPoints; i++ {
-		cc := res.Cycles * engine.Cycle(i) / engine.Cycle(opts.CrashPoints+1)
-		fresh, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		sys, finished := workload.BuildToCrash(fresh, s, cfg, p, cc)
+	// Crash instants: walk one machine through them, audit the live
+	// invariants and the certified occupancy bound at each stop, then
+	// snapshot the pending sets.
+	cycles := make([]engine.Cycle, opts.CrashPoints)
+	for i := range cycles {
+		cycles[i] = res.Cycles * engine.Cycle(i+1) / engine.Cycle(opts.CrashPoints+1)
+	}
+	fresh, err = workload.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	errs := workload.WalkCrashPoints(fresh, s, cfg, p, cycles, 1, func(_ workload.Workload, sys *system.System, cc engine.Cycle, finished bool) error {
 		if err := invariant.Check(invariant.View{Hier: sys.Hier, Bufs: sys.Model.Buffers}); err != nil {
-			sys.Shutdown()
-			return nil, fail("invariant auditor at crash cycle %d: %v", cc, err)
+			return fail("invariant auditor at crash cycle %d: %v", cc, err)
 		}
 		if hasPerCoreBuffer(s) && len(sys.Model.Buffers) > 0 {
 			if err := invariant.CheckOccupancyBound(sys.Model.Buffers, sb.PerCoreLines); err != nil {
-				sys.Shutdown()
-				return nil, fail("at crash cycle %d: %v (cert strict=%s relaxed=%s witness=%s)",
+				return fail("at crash cycle %d: %v (cert strict=%s relaxed=%s witness=%s)",
 					cc, err, cert.StrictLines, cert.RelaxedLines, cert.Witness)
 			}
 		}
-		rec := crashmc.Capture(sys, cc, finished)
+		rec := crashmc.Snapshot(sys, cc, finished)
 		if rec.DomainLines > pair.ObservedDomainMax {
 			pair.ObservedDomainMax = rec.DomainLines
 		}
 		if rec.DomainLines > sb.MaxDirtyLines {
-			sys.Shutdown()
-			return nil, fail("crash cycle %d: %d persistence-domain lines exceed certified MaxDirtyLines %d",
+			return fail("crash cycle %d: %d persistence-domain lines exceed certified MaxDirtyLines %d",
 				cc, rec.DomainLines, sb.MaxDirtyLines)
 		}
-		if err := checkPending(rec, s, sb, p.Threads, pair, cc, fail); err != nil {
-			sys.Shutdown()
+		return checkPending(rec, s, sb, p.Threads, pair, cc, fail)
+	})
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		sys.Shutdown()
 	}
 	return pair, nil
 }

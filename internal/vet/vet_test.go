@@ -57,13 +57,13 @@ func TestCrashMCZeroSuppressions(t *testing.T) {
 	}
 }
 
-// TestLitmusZeroSuppressions holds the generated litmus corpus (and the
+// TestLitmusZeroSuppressions holds the litmus interpreter (and the
 // axiomatic checker beside it) to the same bar as crashmc: the full
 // analyzer set must report nothing, with zero //bbbvet:ignore directives.
-// The corpus is machine-emitted, so a single finding means the generator
-// regressed — its commit-store annotations come from the symbolic
-// durably-ordered-before relation and must keep persistlint clean across
-// regenerations.
+// The interpreter issues every store, flush and fence of every litmus
+// test from one loop, so persistlint must judge that loop's branches
+// without a false redundancy finding; the corpus's commit-store
+// discipline itself is audited by persistlint's testdata/persist/litmus.go.
 func TestLitmusZeroSuppressions(t *testing.T) {
 	for _, pkg := range []string{"bbb/internal/litmus", "bbb/internal/axiomatic"} {
 		pkgs, fset, err := vet.Load("", pkg)
@@ -80,7 +80,7 @@ func TestLitmusZeroSuppressions(t *testing.T) {
 		}
 		for _, d := range diags {
 			if d.Ignored {
-				t.Errorf("%s carries a suppression (the generated corpus must stay clean without them): %s", pkg, d)
+				t.Errorf("%s carries a suppression (the interpreter must stay clean without them): %s", pkg, d)
 			} else {
 				t.Errorf("%s finding: %s", pkg, d)
 			}

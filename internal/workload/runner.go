@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"bbb/internal/engine"
 	"bbb/internal/palloc"
 	"bbb/internal/persistency"
@@ -66,22 +68,37 @@ func BuildToCrash(w Workload, s persistency.Scheme, cfg system.Config, p Params,
 	return sys, finished
 }
 
-// WalkCrashPoints visits the n crash points first, first+step, … and
-// returns visit's results in point order. Instead of rebuilding and
-// re-simulating a machine per point (BuildToCrash), it builds one machine
-// per worker: worker k of workers owns points k, k+workers, … and advances
-// its machine through them in ascending order, calling visit with the
-// machine stopped at each. visit must leave the machine as it found it —
-// take a live snapshot (System.CrashImage) rather than crashing it —
-// because the walk continues from that state; the results are then the
-// same as BuildToCrash's at every point, at any worker count.
+// EvenCycles lists the n crash cycles first, first+step, …: the evenly
+// spaced campaign sweep WalkCrashPoints walks.
+func EvenCycles(first, step engine.Cycle, n int) []engine.Cycle {
+	out := make([]engine.Cycle, n)
+	for i := range out {
+		out[i] = first + engine.Cycle(i)*step
+	}
+	return out
+}
+
+// WalkCrashPoints visits the crash points cycles (non-decreasing; it
+// panics otherwise) and returns visit's results in point order. Instead of
+// rebuilding and re-simulating a machine per point (BuildToCrash), it
+// builds one machine per worker: worker k of workers owns points k,
+// k+workers, … and advances its machine through them in ascending order,
+// calling visit with the machine stopped at each. visit must leave the
+// machine as it found it — take a live snapshot (System.CrashImage) rather
+// than crashing it — because the walk continues from that state; the
+// results are then the same as BuildToCrash's at every point, at any
+// worker count.
 //
 // Setup and Programs mutate workload-instance state, so with more than one
 // worker each resolves a private instance by name, and visit receives the
 // instance whose machine it is looking at. A workload outside the registry
 // cannot be re-resolved and walks serially.
-func WalkCrashPoints[T any](w Workload, s persistency.Scheme, cfg system.Config, p Params, first, step engine.Cycle, n, workers int,
+func WalkCrashPoints[T any](w Workload, s persistency.Scheme, cfg system.Config, p Params, cycles []engine.Cycle, workers int,
 	visit func(w Workload, sys *system.System, at engine.Cycle, finished bool) T) []T {
+	if !slices.IsSorted(cycles) {
+		panic("workload: crash cycles must be non-decreasing")
+	}
+	n := len(cycles)
 	workers = min(max(workers, 1), n)
 	if workers > 1 {
 		if _, err := ByName(w.Name()); err != nil {
@@ -98,8 +115,7 @@ func WalkCrashPoints[T any](w Workload, s persistency.Scheme, cfg system.Config,
 		defer sys.Shutdown()
 		sys.Start(progs)
 		for i := k; i < n; i += workers {
-			at := first + engine.Cycle(i)*step
-			out[i] = visit(wk, sys, at, sys.Advance(at))
+			out[i] = visit(wk, sys, cycles[i], sys.Advance(cycles[i]))
 		}
 	})
 	return out

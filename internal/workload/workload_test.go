@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"bbb/internal/engine"
 	"bbb/internal/persistency"
 	"bbb/internal/system"
 )
@@ -244,5 +246,34 @@ func TestConflictingArrayMigratesEntries(t *testing.T) {
 	nc := Run(NewArray(OpMutate, false), persistency.BBB, testConfig(), p)
 	if nc.Counters.Get("bbpb.migrated_out") > res.Counters.Get("bbpb.migrated_out") {
 		t.Fatal("non-conflicting variant migrated more than conflicting one")
+	}
+}
+
+// TestWalkCrashPointsRejectsDecreasingCycles pins the walk's input
+// contract: a cycle list that steps backwards panics before any machine is
+// built (Advance cannot rewind), while repeated cycles are visited in
+// order, each at the cycle asked for.
+func TestWalkCrashPointsRejectsDecreasingCycles(t *testing.T) {
+	w, err := ByName("hashmap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	visit := func(_ Workload, _ *system.System, at engine.Cycle, _ bool) engine.Cycle { return at }
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("decreasing cycle list did not panic")
+			}
+		}()
+		WalkCrashPoints(w, persistency.BBB, testConfig(), testParams(2), []engine.Cycle{2_000, 1_000}, 1, visit)
+	}()
+
+	want := []engine.Cycle{1_000, 1_000, 3_000}
+	if got := WalkCrashPoints(w, persistency.BBB, testConfig(), testParams(2), want, 1, visit); !slices.Equal(got, want) {
+		t.Errorf("visited %v, want %v", got, want)
+	}
+	if got := EvenCycles(5, 10, 3); !slices.Equal(got, []engine.Cycle{5, 15, 25}) {
+		t.Errorf("EvenCycles(5, 10, 3) = %v", got)
 	}
 }
