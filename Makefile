@@ -92,6 +92,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzEnumerate -fuzztime=10s ./internal/crashmc
 	$(GO) test -run=^$$ -fuzz=FuzzParseJSONL -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzConform -fuzztime=10s ./internal/litmus/conform
+	$(GO) test -run=^$$ -fuzz=FuzzReadRun -fuzztime=10s ./internal/obs
 
 # Crash-image model checking at short bounds: the bbbmc acceptance matrix
 # (battery schemes single-image, PMEM Figures 2/3 over the whole reachable

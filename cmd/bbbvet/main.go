@@ -46,6 +46,7 @@ import (
 	"os"
 
 	"bbb/internal/energy"
+	"bbb/internal/persistency"
 	"bbb/internal/vet"
 	"bbb/internal/vet/cyclelint"
 	"bbb/internal/vet/detlint"
@@ -212,10 +213,11 @@ func writePressureReport(w io.Writer, pkgs []*vet.Package, fset *token.FileSet, 
 	model := energy.DefaultCostModel()
 	rep := pressureReport{Threads: threads, Certificates: pressurelint.Certificates(pkgs, fset)}
 	for _, c := range rep.Certificates {
-		for _, scheme := range []string{"pmem", "eadr", "bbb", "bbb-proc", "bep", "nvcache"} {
+		for _, s := range persistency.Schemes() {
+			scheme := s.String()
 			row := pressureBoundRow{Unit: c.Unit, Scheme: scheme, Bound: c.ForScheme(scheme, threads, caps, model.LineBytes)}
-			switch scheme {
-			case "bbb", "bbb-proc", "bep":
+			switch s {
+			case persistency.BBB, persistency.BBBProc, persistency.BEP:
 				row.Battery = energy.CertifiedBatterySizes(model, row.Bound.PerCoreLines, caps.BBPBEntries)
 			}
 			rep.Bounds = append(rep.Bounds, row)

@@ -41,11 +41,13 @@
 // suppressed there and barriers/flushes/fences are reported as no-ops
 // (class 2) instead.
 //
-// Helpers are handled by flow-insensitive call summaries computed per
-// package to a fixpoint: `barrier(e, p, addrs...)` is known to barrier its
-// variadic argument, `writeNode(e, ...) Addr` is known to return a dirty
-// location, and so on, so the workload code's factored persist discipline
-// analyzes the same as inlined code.
+// Helpers are handled by flow-insensitive call summaries computed
+// bottom-up over the package call graph (internal/vet/envprog: callees
+// first, recursive helpers iterated until stable): `barrier(e, p,
+// addrs...)` is known to barrier its variadic argument, `writeNode(e, ...)
+// Addr` is known to return a dirty location, and so on, so the workload
+// code's factored persist discipline analyzes the same as inlined code,
+// however deep the helper chain.
 package persistlint
 
 import (
@@ -53,12 +55,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
 	"bbb/internal/vet"
 	"bbb/internal/vet/cfg"
 	"bbb/internal/vet/dataflow"
+	"bbb/internal/vet/envprog"
 )
 
 // Analyzer is the persistlint pass.
@@ -92,33 +96,22 @@ func (s state) String() string {
 	}
 }
 
-// commitPrefix annotates publish stores; schemePrefix pins a file's target
-// scheme. Both follow the //bbbvet: directive family of internal/vet.
-const (
-	commitPrefix = "//bbbvet:commit-store"
-	schemePrefix = "//bbbvet:scheme"
-)
-
 func run(pass *vet.Pass) error {
-	// The vet tooling itself manipulates Env-shaped ASTs in fixtures and
-	// tests; analyzing it would be self-referential noise.
-	if strings.HasPrefix(pass.Pkg.ImportPath, "bbb/internal/vet") {
+	if envprog.Tooling(pass.Pkg) {
 		return nil
 	}
 	a := &analysis{
+		Prog:      envprog.New(pass.Pkg, pass.Fset),
 		pass:      pass,
-		info:      pass.TypesInfo(),
-		fset:      pass.Fset,
-		byObj:     make(map[types.Object]*class),
-		byKey:     make(map[string]*class),
 		summaries: make(map[*types.Func]*summary),
-		commits:   make(map[string]map[int][]string),
-		schemes:   make(map[*ast.File]string),
 	}
-	a.collectDirectives()
-	a.aliasPass()
-	a.computeSummaries()
-	for _, f := range pass.Files() {
+	for _, u := range a.UnknownSchemes {
+		pass.Reportf(u.Pos, "unknown scheme %q in %s directive (want pmem, bbb or eadr)", u.Value, envprog.SchemeDirective)
+	}
+	// Summaries are index sets that only grow across rescans, so recursive
+	// components settle without a round cap.
+	envprog.Summarizer[*summary]{Scan: a.scanSummary, Equal: (*summary).equal}.Run(a.Prog, a.summaries)
+	for _, f := range a.Files {
 		for _, decl := range f.Decls {
 			relaxed := a.relaxedContext(f, decl)
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -137,186 +130,16 @@ func run(pass *vet.Pass) error {
 
 // analysis is the per-package state shared by every analyzed function.
 type analysis struct {
+	*envprog.Prog
 	pass      *vet.Pass
-	info      *types.Info
-	fset      *token.FileSet
-	byObj     map[types.Object]*class
-	byKey     map[string]*class
 	summaries map[*types.Func]*summary
-	// commits maps file -> line -> the directive's dependee names (empty
-	// slice = infer from the stored value). A directive covers its own
-	// line and the next, like //bbbvet:ignore.
-	commits map[string]map[int][]string
-	schemes map[*ast.File]string
-}
-
-// --- abstract locations (union-find) ---
-
-// class is one abstract location: a union-find node whose root represents
-// every variable and address expression known to name the same memory.
-type class struct {
-	parent *class
-	name   string // display name (first name registered)
-}
-
-func (c *class) find() *class {
-	for c.parent != nil {
-		if c.parent.parent != nil {
-			c.parent = c.parent.parent // path halving
-		}
-		c = c.parent
-	}
-	return c
-}
-
-func union(a, b *class) {
-	ra, rb := a.find(), b.find()
-	if ra != rb {
-		rb.parent = ra
-	}
-}
-
-// classOf interns the class of a variable object.
-func (a *analysis) classOf(obj types.Object) *class {
-	if c, ok := a.byObj[obj]; ok {
-		return c.find()
-	}
-	c := &class{name: obj.Name()}
-	a.byObj[obj] = c
-	return c
-}
-
-// keyClass interns the class of a non-variable address expression by its
-// normalized source text, so two occurrences of `a.elem(idx)` agree.
-func (a *analysis) keyClass(e ast.Expr) *class {
-	key := types.ExprString(e)
-	if c, ok := a.byKey[key]; ok {
-		return c.find()
-	}
-	c := &class{name: key}
-	a.byKey[key] = c
-	return c
-}
-
-// varBase resolves an address expression to the variable it is rooted in:
-// `node+offNext` and `memory.LineAddr(ptrCell)` resolve to node/ptrCell.
-// Returns nil when no variable root exists.
-func (a *analysis) varBase(e ast.Expr) *class {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := a.info.Uses[e]
-		if obj == nil {
-			obj = a.info.Defs[e]
-		}
-		if v, ok := obj.(*types.Var); ok {
-			return a.classOf(v)
-		}
-	case *ast.BinaryExpr:
-		if e.Op == token.ADD || e.Op == token.SUB {
-			if c := a.varBase(e.X); c != nil {
-				return c
-			}
-			return a.varBase(e.Y)
-		}
-	case *ast.CallExpr:
-		if len(e.Args) != 1 {
-			return nil
-		}
-		if tv, ok := a.info.Types[e.Fun]; ok && tv.IsType() {
-			return a.varBase(e.Args[0]) // conversion: memory.Addr(x)
-		}
-		// Address-shaping helpers like memory.LineAddr(ptrCell): one
-		// argument, same type in and out.
-		argT, resT := a.typeOf(e.Args[0]), a.typeOf(e)
-		if argT != nil && resT != nil && types.Identical(argT, resT) {
-			return a.varBase(e.Args[0])
-		}
-	}
-	return nil
-}
-
-// locOf resolves an address expression to its abstract location, falling
-// back to the normalized-text class when no variable roots it.
-func (a *analysis) locOf(e ast.Expr) *class {
-	if c := a.varBase(e); c != nil {
-		return c.find()
-	}
-	return a.keyClass(e).find()
-}
-
-func (a *analysis) typeOf(e ast.Expr) types.Type {
-	if tv, ok := a.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-// isEnvType reports whether t is the simulator execution interface — any
-// named (or aliased) type called Env, so the analysis works identically
-// on cpu.Env, the public bbb.Env alias, and self-contained fixtures.
-func isEnvType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := types.Unalias(t).(*types.Named); ok {
-		return n.Obj().Name() == "Env"
-	}
-	return false
-}
-
-// --- directives ---
-
-func (a *analysis) collectDirectives() {
-	for _, f := range a.pass.Files() {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSuffix(c.Text, "*/")
-				if i := strings.Index(text, "/*"); i == 0 {
-					text = "//" + strings.TrimSpace(text[2:])
-				}
-				switch {
-				case strings.HasPrefix(text, commitPrefix):
-					deps := strings.Fields(strings.TrimPrefix(text, commitPrefix))
-					pos := a.fset.Position(c.Pos())
-					byLine := a.commits[pos.Filename]
-					if byLine == nil {
-						byLine = make(map[int][]string)
-						a.commits[pos.Filename] = byLine
-					}
-					if deps == nil {
-						deps = []string{}
-					}
-					byLine[pos.Line] = deps
-					byLine[pos.Line+1] = deps
-				case strings.HasPrefix(text, schemePrefix):
-					val := strings.TrimSpace(strings.TrimPrefix(text, schemePrefix))
-					switch val {
-					case "pmem", "bbb", "eadr":
-						a.schemes[f] = val
-					default:
-						a.pass.Reportf(c.Pos(), "unknown scheme %q in %s directive (want pmem, bbb or eadr)", val, schemePrefix)
-					}
-				}
-			}
-		}
-	}
-}
-
-// commitDeps returns the commit-store directive covering pos, if any.
-func (a *analysis) commitDeps(pos token.Pos) ([]string, bool) {
-	p := a.fset.Position(pos)
-	deps, ok := a.commits[p.Filename][p.Line]
-	return deps, ok
 }
 
 // relaxedContext decides whether decl's code targets a battery-backed
 // scheme (BBB/eADR), where the hardware persists stores in program order
 // and barrier discipline is unnecessary.
 func (a *analysis) relaxedContext(f *ast.File, decl ast.Decl) bool {
-	if s, ok := a.schemes[f]; ok {
+	if s, ok := a.Schemes[f]; ok {
 		return s != "pmem"
 	}
 	var bbb, pmem bool
@@ -334,168 +157,67 @@ func (a *analysis) relaxedContext(f *ast.File, decl ast.Decl) bool {
 	return bbb && !pmem
 }
 
-// --- alias pre-pass ---
-
-// aliasPass unions abstract locations flow-insensitively across the whole
-// package: plain copies (`cur = node`), tuple copies, slice building
-// (`append(addrs, s)`, `[]Addr{leaf}`) and range-over-slice values all
-// name the same underlying memory as their source. Running this to
-// completion before any dataflow keeps union-find roots stable.
-func (a *analysis) aliasPass() {
-	for _, f := range a.pass.Files() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i := range n.Lhs {
-						a.aliasAssign(n.Lhs[i], n.Rhs[i])
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i := range n.Names {
-						a.aliasAssign(n.Names[i], n.Values[i])
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if dst := a.varBase(n.Value); dst != nil {
-						if src := a.varBase(n.X); src != nil {
-							union(dst, src)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-func (a *analysis) aliasAssign(lhs, rhs ast.Expr) {
-	dst := a.varBase(lhs)
-	if dst == nil {
-		return
-	}
-	switch r := ast.Unparen(rhs).(type) {
-	case *ast.Ident:
-		if src := a.varBase(r); src != nil {
-			union(dst, src)
-		}
-	case *ast.CompositeLit:
-		for _, elt := range r.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			if src := a.varBase(elt); src != nil {
-				union(dst, src)
-			}
-		}
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(r.Fun).(*ast.Ident); ok && id.Name == "append" {
-			for _, arg := range r.Args {
-				if src := a.varBase(arg); src != nil {
-					union(dst, src)
-				}
-			}
-		}
-	}
-}
-
 // --- call summaries ---
 
 // summary is a helper function's flow-insensitive persistency effect,
 // expressed over parameter and result indices so call sites can map it
 // onto their arguments.
 type summary struct {
-	nparams      int
-	variadic     bool
-	nresults     int
+	envprog.Shape[bool]
 	dirtyParams  map[int]bool
 	flushParams  map[int]bool
 	barrierParam map[int]bool
-	dirtyResults map[int]bool
 	fences       bool
 }
 
 func (s *summary) equal(o *summary) bool {
 	return o != nil && s.fences == o.fences &&
-		setsEqual(s.dirtyParams, o.dirtyParams) &&
-		setsEqual(s.flushParams, o.flushParams) &&
-		setsEqual(s.barrierParam, o.barrierParam) &&
-		setsEqual(s.dirtyResults, o.dirtyResults)
+		maps.Equal(s.dirtyParams, o.dirtyParams) &&
+		maps.Equal(s.flushParams, o.flushParams) &&
+		maps.Equal(s.barrierParam, o.barrierParam) &&
+		maps.Equal(s.DirtyResults, o.DirtyResults)
 }
 
-func setsEqual(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
+func (a *analysis) shape(fn *types.Func) *envprog.Shape[bool] {
+	if s := a.summaries[fn]; s != nil {
+		return &s.Shape
 	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
-// computeSummaries iterates scanSummary over every package function until
-// the summaries stop changing, so recursive helpers (the btree's
-// shadowInsert) converge.
-func (a *analysis) computeSummaries() {
-	var decls []*ast.FuncDecl
-	for _, f := range a.pass.Files() {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				decls = append(decls, fd)
-			}
-		}
-	}
-	for iter := 0; iter < 10; iter++ {
-		changed := false
-		for _, fd := range decls {
-			fn, ok := a.info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			s := a.scanSummary(fd, fn)
-			if !s.equal(a.summaries[fn]) {
-				a.summaries[fn] = s
-				changed = true
-			}
-		}
-		if !changed {
-			return
-		}
-	}
+// bindDirtyResults calls f on each left-hand side that receives a dirty
+// result of a summarized helper (`n := writeNode(e, ...)`).
+func (a *analysis) bindDirtyResults(as *ast.AssignStmt, f func(lhs ast.Expr, pos token.Pos)) {
+	envprog.BindDirtyResults(a.Prog, as, a.shape, func(lhs ast.Expr, call *ast.CallExpr, _ bool) {
+		f(lhs, call.Pos())
+	})
 }
 
 // scanSummary computes one function's effect sets by a flow-insensitive
 // walk of its body (nested function literals excluded — they run later).
-func (a *analysis) scanSummary(fd *ast.FuncDecl, fn *types.Func) *summary {
-	eff := &effects{dirty: map[*class]bool{}, flush: map[*class]bool{}, barrier: map[*class]bool{}}
-	walkSkippingFuncLits(fd.Body, func(n ast.Node) {
+func (a *analysis) scanSummary(fn envprog.Func) *summary {
+	eff := &effects{dirty: map[*envprog.Class]bool{}, flush: map[*envprog.Class]bool{}, barrier: map[*envprog.Class]bool{}}
+	envprog.WalkSkippingFuncLits(fn.Decl.Body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			a.callEffects(n, eff)
 		case *ast.AssignStmt:
 			a.bindDirtyResults(n, func(lhs ast.Expr, pos token.Pos) {
-				eff.dirty[a.locOf(lhs)] = true
+				eff.dirty[a.LocOf(lhs)] = true
 			})
 		}
 	})
 
-	sig := fn.Type().(*types.Signature)
 	s := &summary{
-		nparams:      sig.Params().Len(),
-		variadic:     sig.Variadic(),
-		nresults:     sig.Results().Len(),
+		Shape:        envprog.ShapeOf[bool](fn.Obj),
 		dirtyParams:  map[int]bool{},
 		flushParams:  map[int]bool{},
 		barrierParam: map[int]bool{},
-		dirtyResults: map[int]bool{},
 		fences:       eff.fences,
 	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		c := a.classOf(sig.Params().At(i)).find()
+	params := fn.Obj.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		c := a.ClassOf(params.At(i)).Find()
 		if eff.dirty[c] {
 			s.dirtyParams[i] = true
 		}
@@ -506,127 +228,34 @@ func (a *analysis) scanSummary(fd *ast.FuncDecl, fn *types.Func) *summary {
 			s.barrierParam[i] = true
 		}
 	}
-	walkSkippingFuncLits(fd.Body, func(n ast.Node) {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return
-		}
-		for j, r := range ret.Results {
-			if j >= s.nresults {
-				break
-			}
-			for _, c := range a.returnClasses(r) {
-				if eff.dirty[c.find()] {
-					s.dirtyResults[j] = true
-				}
-			}
-		}
-	})
+	envprog.MarkDirtyResults(a.Prog, &s.Shape, fn.Decl.Body, eff.dirty, func(_, _ bool) bool { return true })
 	return s
 }
 
 // effects accumulates a summary scan's class-level facts.
 type effects struct {
-	dirty, flush, barrier map[*class]bool
+	dirty, flush, barrier map[*envprog.Class]bool
 	fences                bool
 }
 
-// callEffects folds one call's persistency effect into eff, resolving Env
-// methods, the cpu.Store64 convenience, and already-summarized helpers.
+// callEffects folds one call's persistency effect into eff.
 func (a *analysis) callEffects(call *ast.CallExpr, eff *effects) {
 	op, ok := a.resolveCall(call)
 	if !ok {
 		return
 	}
 	for _, e := range op.dirtyAddrs {
-		eff.dirty[a.locOf(e)] = true
+		eff.dirty[a.LocOf(e)] = true
 	}
 	for _, e := range op.flushAddrs {
-		eff.flush[a.locOf(e)] = true
+		eff.flush[a.LocOf(e)] = true
 	}
 	for _, e := range op.barrierAddrs {
-		eff.barrier[a.locOf(e)] = true
+		eff.barrier[a.LocOf(e)] = true
 	}
 	if op.fences {
 		eff.fences = true
 	}
-}
-
-// returnClasses lists the location classes a returned expression carries:
-// the variable root of an ident/arithmetic expression, every element of a
-// composite literal, every argument of an append.
-func (a *analysis) returnClasses(e ast.Expr) []*class {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		var out []*class
-		for _, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			out = append(out, a.returnClasses(elt)...)
-		}
-		return out
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" {
-			var out []*class
-			for _, arg := range e.Args {
-				out = append(out, a.returnClasses(arg)...)
-			}
-			return out
-		}
-		if tv, ok := a.info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
-			return a.returnClasses(e.Args[0])
-		}
-	default:
-		if c := a.varBase(ast.Unparen(e)); c != nil {
-			return []*class{c}
-		}
-	}
-	return nil
-}
-
-// bindDirtyResults calls f on each left-hand side that receives a dirty
-// result of a summarized helper (`n := writeNode(e, ...)`).
-func (a *analysis) bindDirtyResults(as *ast.AssignStmt, f func(lhs ast.Expr, pos token.Pos)) {
-	if len(as.Rhs) != 1 {
-		return
-	}
-	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	fn := a.calleeFunc(call)
-	if fn == nil {
-		return
-	}
-	s := a.summaries[fn]
-	if s == nil || len(s.dirtyResults) == 0 || len(as.Lhs) != s.nresults {
-		return
-	}
-	for i := range as.Lhs {
-		if s.dirtyResults[i] {
-			f(as.Lhs[i], call.Pos())
-		}
-	}
-}
-
-// calleeFunc resolves a call's target *types.Func (nil for conversions,
-// builtins, method values and indirect calls).
-func (a *analysis) calleeFunc(call *ast.CallExpr) *types.Func {
-	if tv, ok := a.info.Types[call.Fun]; ok && tv.IsType() {
-		return nil
-	}
-	var id *ast.Ident
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		return nil
-	}
-	fn, _ := a.info.Uses[id].(*types.Func)
-	return fn
 }
 
 // --- call resolution ---
@@ -637,134 +266,64 @@ type callOp struct {
 	flushAddrs   []ast.Expr // locations written back
 	barrierAddrs []ast.Expr // locations flushed+fenced together
 	fences       bool       // completes pending flushes
-	// publish is the address stored by a direct Store/CAS/Store64 — the
+	// publish is the address stored by a direct store or CAS — the
 	// expression a commit-store directive applies to (nil otherwise).
 	publish ast.Expr
 	// value is the stored value expression, for dependee inference.
 	value ast.Expr
 }
 
-// resolveCall classifies one call: a direct Env method, the Store64/Load64
-// conveniences (any package), or a same-package summarized helper.
+// resolveCall classifies one call: a decoded Env call or a same-package
+// summarized helper. The pds persistence-tagged primitives count as
+// intrinsics like Store64: that lets the commit-store contract attach to
+// CASP/StoreP publishes and keeps cross-package callers visible, which is
+// how persistlint verifies the library's emitted flush discipline with
+// zero suppressions.
 func (a *analysis) resolveCall(call *ast.CallExpr) (callOp, bool) {
 	var op callOp
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isEnvType(a.typeOf(sel.X)) {
-		switch sel.Sel.Name {
-		case "Store":
-			if len(call.Args) >= 1 {
-				op.dirtyAddrs = []ast.Expr{call.Args[0]}
-				op.publish = call.Args[0]
-				if len(call.Args) >= 3 {
-					op.value = call.Args[2]
-				}
+	if c, ok := a.DecodeEnvCall(call); ok {
+		switch c.Op {
+		case envprog.Store, envprog.CAS, envprog.StoreP, envprog.CASP:
+			op.dirtyAddrs = c.Addrs
+			if len(c.Addrs) > 0 {
+				op.publish = c.Addrs[0]
 			}
-		case "CompareAndSwap":
-			if len(call.Args) >= 1 {
-				op.dirtyAddrs = []ast.Expr{call.Args[0]}
-				op.publish = call.Args[0]
-				if len(call.Args) >= 4 {
-					op.value = call.Args[3]
-				}
+			op.value = c.Value
+			if c.Op == envprog.StoreP || c.Op == envprog.CASP {
+				op.flushAddrs = c.Addrs
+				op.fences = c.Op == envprog.CASP
 			}
-		case "WriteBack", "Clwb", "Flush", "Persist":
-			if len(call.Args) >= 1 {
-				op.flushAddrs = []ast.Expr{call.Args[0]}
-			}
-		case "PersistBarrier":
-			op.barrierAddrs = call.Args
+		case envprog.Flush, envprog.FlushP:
+			op.flushAddrs = c.Addrs
+		case envprog.Barrier:
+			op.barrierAddrs = c.Addrs
 			op.fences = true
-		case "Fence", "SFence", "Drain":
+		case envprog.Fence, envprog.DrainP:
 			op.fences = true
+		case envprog.Load, envprog.LoadP:
+			// a pure read
 		default:
 			return op, false
 		}
 		return op, true
 	}
 
-	fn := a.calleeFunc(call)
+	fn := a.Callee(call)
 	if fn == nil {
 		return op, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return op, false
-	}
-	firstIsEnv := sig.Params().Len() > 0 && isEnvType(sig.Params().At(0).Type())
-	if firstIsEnv && fn.Name() == "Store64" && len(call.Args) >= 2 {
-		op.dirtyAddrs = []ast.Expr{call.Args[1]}
-		op.publish = call.Args[1]
-		if len(call.Args) >= 3 {
-			op.value = call.Args[2]
-		}
-		return op, true
-	}
-	if firstIsEnv && fn.Name() == "Load64" {
-		return op, true // known pure read
-	}
-	// The pds persistence-tagged primitives (internal/pds) are intrinsics
-	// like Store64: hardcoding them lets the commit-store contract attach
-	// to CASP/StoreP publishes and keeps cross-package callers visible,
-	// which is how persistlint verifies the library's emitted flush
-	// discipline with zero suppressions.
-	if firstIsEnv && fn.Name() == "StoreP" && len(call.Args) >= 3 {
-		op.dirtyAddrs = []ast.Expr{call.Args[1]}
-		op.flushAddrs = []ast.Expr{call.Args[1]}
-		op.publish = call.Args[1]
-		op.value = call.Args[2]
-		return op, true
-	}
-	if firstIsEnv && fn.Name() == "LoadP" {
-		return op, true // tagged load lowers to a plain load
-	}
-	if firstIsEnv && fn.Name() == "CASP" && len(call.Args) >= 4 {
-		op.dirtyAddrs = []ast.Expr{call.Args[1]}
-		op.flushAddrs = []ast.Expr{call.Args[1]}
-		op.fences = true
-		op.publish = call.Args[1]
-		op.value = call.Args[3]
-		return op, true
-	}
-	if firstIsEnv && fn.Name() == "FlushP" && len(call.Args) >= 2 {
-		op.flushAddrs = []ast.Expr{call.Args[1]}
-		return op, true
-	}
-	if firstIsEnv && fn.Name() == "DrainP" {
-		op.fences = true
-		return op, true
-	}
-	// cpu.PersistBarrier is the non-allocating front door to
-	// Env.PersistBarrier; the address list starts at argument 1.
-	if firstIsEnv && fn.Name() == "PersistBarrier" {
-		op.barrierAddrs = call.Args[1:]
-		op.fences = true
-		return op, true
 	}
 	s := a.summaries[fn]
 	if s == nil {
 		return op, false
 	}
-	// Map the summary's parameter indices onto this call's arguments,
-	// expanding the variadic tail (and a spread `xs...` argument).
-	argsAt := func(i int) []ast.Expr {
-		if s.variadic && i == s.nparams-1 {
-			if i < len(call.Args) {
-				return call.Args[i:]
-			}
-			return nil
-		}
-		if i < len(call.Args) {
-			return []ast.Expr{call.Args[i]}
-		}
-		return nil
-	}
 	for i := range s.dirtyParams {
-		op.dirtyAddrs = append(op.dirtyAddrs, argsAt(i)...)
+		op.dirtyAddrs = append(op.dirtyAddrs, s.Args(call, i)...)
 	}
 	for i := range s.flushParams {
-		op.flushAddrs = append(op.flushAddrs, argsAt(i)...)
+		op.flushAddrs = append(op.flushAddrs, s.Args(call, i)...)
 	}
 	for i := range s.barrierParam {
-		op.barrierAddrs = append(op.barrierAddrs, argsAt(i)...)
+		op.barrierAddrs = append(op.barrierAddrs, s.Args(call, i)...)
 	}
 	op.fences = s.fences || len(s.barrierParam) > 0
 	return op, len(op.dirtyAddrs)+len(op.flushAddrs)+len(op.barrierAddrs) > 0 || op.fences
@@ -787,7 +346,7 @@ type locInfo struct {
 // durable. reached distinguishes dead blocks from the empty fact.
 type fact struct {
 	reached bool
-	locs    map[*class]locInfo
+	locs    map[*envprog.Class]locInfo
 }
 
 // unit analyzes one function body. It implements dataflow.Problem twice
@@ -796,18 +355,18 @@ type fact struct {
 type unit struct {
 	a             *analysis
 	relaxed       bool
-	everDirty     map[*class]bool
-	names         map[string]map[*class]bool
+	everDirty     map[*envprog.Class]bool
+	names         map[string]map[*envprog.Class]bool
 	hasBarrierOps bool
 	scanning      bool // pre-scan mode: collect everDirty, no facts
 	report        bool // replay mode: emit diagnostics
 }
 
-func (u *unit) Entry() fact  { return fact{reached: true, locs: map[*class]locInfo{}} }
+func (u *unit) Entry() fact  { return fact{reached: true, locs: map[*envprog.Class]locInfo{}} }
 func (u *unit) Bottom() fact { return fact{} }
 
 func (u *unit) Clone(f fact) fact {
-	locs := make(map[*class]locInfo, len(f.locs))
+	locs := make(map[*envprog.Class]locInfo, len(f.locs))
 	for c, li := range f.locs {
 		locs[c] = li
 	}
@@ -815,15 +374,7 @@ func (u *unit) Clone(f fact) fact {
 }
 
 func (u *unit) Equal(a, b fact) bool {
-	if a.reached != b.reached || len(a.locs) != len(b.locs) {
-		return false
-	}
-	for c, li := range a.locs {
-		if b.locs[c] != li {
-			return false
-		}
-	}
-	return true
+	return a.reached == b.reached && maps.Equal(a.locs, b.locs)
 }
 
 func (u *unit) Join(a, b fact) fact {
@@ -854,7 +405,7 @@ func (u *unit) Transfer(n ast.Node, f fact) fact {
 	case *ast.AssignStmt:
 		u.walk(n, &f)
 		u.a.bindDirtyResults(n, func(lhs ast.Expr, pos token.Pos) {
-			u.dirty(&f, u.a.locOf(lhs), pos)
+			u.dirty(&f, u.a.LocOf(lhs), pos)
 		})
 	case *ast.RangeStmt:
 		u.walk(n.X, &f)
@@ -886,10 +437,10 @@ func (u *unit) apply(call *ast.CallExpr, f *fact) {
 		u.commitCheck(call, op, f)
 	}
 	for _, e := range op.dirtyAddrs {
-		u.dirty(f, u.a.locOf(e), call.Pos())
+		u.dirty(f, u.a.LocOf(e), call.Pos())
 	}
 	for _, e := range op.flushAddrs {
-		u.flush(f, u.a.locOf(e), call)
+		u.flush(f, u.a.LocOf(e), call)
 	}
 	if len(op.barrierAddrs) > 0 || (op.fences && isBarrierCall(call)) {
 		u.barrier(f, op.barrierAddrs, call)
@@ -905,7 +456,7 @@ func isBarrierCall(call *ast.CallExpr) bool {
 	return ok && sel.Sel.Name == "PersistBarrier"
 }
 
-func (u *unit) dirty(f *fact, c *class, pos token.Pos) {
+func (u *unit) dirty(f *fact, c *envprog.Class, pos token.Pos) {
 	if u.scanning {
 		u.everDirty[c] = true
 		return
@@ -913,7 +464,7 @@ func (u *unit) dirty(f *fact, c *class, pos token.Pos) {
 	f.locs[c] = locInfo{st: dirty, pos: pos}
 }
 
-func (u *unit) flush(f *fact, c *class, call *ast.CallExpr) {
+func (u *unit) flush(f *fact, c *envprog.Class, call *ast.CallExpr) {
 	if u.scanning {
 		u.hasBarrierOps = true
 		return
@@ -926,7 +477,7 @@ func (u *unit) flush(f *fact, c *class, call *ast.CallExpr) {
 	}
 	li, present := f.locs[c]
 	if u.report && u.everDirty[c] && (!present || li.st != dirty) {
-		u.a.pass.Reportf(call.Pos(), "redundant flush of %s: already %s on every path here", c.name, li.st)
+		u.a.pass.Reportf(call.Pos(), "redundant flush of %s: already %s on every path here", c.Name, li.st)
 	}
 	if present && li.st == dirty {
 		f.locs[c] = locInfo{st: flushed, pos: li.pos, mayFlushed: true}
@@ -944,9 +495,9 @@ func (u *unit) barrier(f *fact, addrs []ast.Expr, call *ast.CallExpr) {
 		}
 		return
 	}
-	classes := make([]*class, 0, len(addrs))
+	classes := make([]*envprog.Class, 0, len(addrs))
 	for _, e := range addrs {
-		classes = append(classes, u.a.locOf(e))
+		classes = append(classes, u.a.LocOf(e))
 	}
 	if u.report && len(classes) > 0 && isBarrierCall(call) {
 		redundant := !anyFlushed(f)
@@ -960,7 +511,7 @@ func (u *unit) barrier(f *fact, addrs []ast.Expr, call *ast.CallExpr) {
 				redundant = false
 				break
 			}
-			names = append(names, c.name)
+			names = append(names, c.Name)
 		}
 		if redundant {
 			u.a.pass.Reportf(call.Pos(), "redundant persist barrier: %s already durable on every path here and no flushed stores pending", strings.Join(names, ", "))
@@ -1014,12 +565,12 @@ func completeFlushed(f *fact) {
 // commitCheck enforces the ordering contract at an annotated publish
 // store: every dependee must be durable on every path reaching it.
 func (u *unit) commitCheck(call *ast.CallExpr, op callOp, f *fact) {
-	deps, ok := u.a.commitDeps(call.Pos())
+	deps, ok := u.a.CommitDeps(call.Pos())
 	if !ok || u.scanning || !u.report || u.relaxed {
 		return
 	}
-	checked := map[*class]bool{}
-	check := func(c *class, name string) {
+	checked := map[*envprog.Class]bool{}
+	check := func(c *envprog.Class, name string) {
 		if checked[c] {
 			return
 		}
@@ -1058,8 +609,8 @@ func (u *unit) commitCheck(call *ast.CallExpr, op callOp, f *fact) {
 		if !ok {
 			return true
 		}
-		if v, isVar := u.a.info.Uses[id].(*types.Var); isVar {
-			if c := u.a.classOf(v).find(); u.everDirty[c] {
+		if v, isVar := u.a.Info.Uses[id].(*types.Var); isVar {
+			if c := u.a.ClassOf(v).Find(); u.everDirty[c] {
 				check(c, id.Name)
 			}
 		}
@@ -1075,30 +626,30 @@ func (a *analysis) analyzeUnit(body *ast.BlockStmt, ftype *ast.FuncType, hasRecv
 	u := &unit{
 		a:         a,
 		relaxed:   relaxed,
-		everDirty: map[*class]bool{},
-		names:     map[string]map[*class]bool{},
+		everDirty: map[*envprog.Class]bool{},
+		names:     map[string]map[*envprog.Class]bool{},
 	}
 	// Pre-scan: which locations ever get dirtied here, does the function
 	// barrier at all, and which names map to which classes.
 	u.scanning = true
 	var dummy fact
-	walkSkippingFuncLits(body, func(n ast.Node) {
+	envprog.WalkSkippingFuncLits(body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			u.apply(n, &dummy)
 		case *ast.AssignStmt:
 			a.bindDirtyResults(n, func(lhs ast.Expr, pos token.Pos) {
-				u.everDirty[a.locOf(lhs)] = true
+				u.everDirty[a.LocOf(lhs)] = true
 			})
 		case *ast.Ident:
-			obj := a.info.Uses[n]
+			obj := a.Info.Uses[n]
 			if obj == nil {
-				obj = a.info.Defs[n]
+				obj = a.Info.Defs[n]
 			}
 			if v, ok := obj.(*types.Var); ok {
-				c := a.classOf(v).find()
+				c := a.ClassOf(v).Find()
 				if u.names[n.Name] == nil {
-					u.names[n.Name] = map[*class]bool{}
+					u.names[n.Name] = map[*envprog.Class]bool{}
 				}
 				u.names[n.Name][c] = true
 			}
@@ -1128,7 +679,7 @@ func (a *analysis) analyzeUnit(body *ast.BlockStmt, ftype *ast.FuncType, hasRecv
 
 	// Exit-state check for program-shaped functions under the strict
 	// discipline: anything not durable at exit may never persist.
-	if relaxed || hasRecv || !programShaped(a, ftype) {
+	if relaxed || hasRecv || !a.ProgramShaped(ftype) {
 		return
 	}
 	exit := in[g.Exit]
@@ -1136,7 +687,7 @@ func (a *analysis) analyzeUnit(body *ast.BlockStmt, ftype *ast.FuncType, hasRecv
 		return
 	}
 	type leak struct {
-		c  *class
+		c  *envprog.Class
 		li locInfo
 	}
 	var leaks []leak
@@ -1145,41 +696,10 @@ func (a *analysis) analyzeUnit(body *ast.BlockStmt, ftype *ast.FuncType, hasRecv
 	}
 	sort.Slice(leaks, func(i, j int) bool { return leaks[i].li.pos < leaks[j].li.pos })
 	for _, l := range leaks {
-		msg := fmt.Sprintf("store to %s is never made durable on some path to program exit (still %s)", l.c.name, l.li.st)
+		msg := fmt.Sprintf("store to %s is never made durable on some path to program exit (still %s)", l.c.Name, l.li.st)
 		if !u.hasBarrierOps {
 			msg += " — this program issues no barriers at all, so Options.NoBarriers is vacuous for it"
 		}
 		a.pass.Reportf(l.li.pos, "%s", msg)
 	}
-}
-
-// programShaped reports whether ftype is a simulator program: exactly one
-// parameter, of Env type, and no results — the system.Program shape.
-func programShaped(a *analysis, ftype *ast.FuncType) bool {
-	if ftype.Results != nil && len(ftype.Results.List) > 0 {
-		return false
-	}
-	if ftype.Params == nil || len(ftype.Params.List) != 1 {
-		return false
-	}
-	p := ftype.Params.List[0]
-	if len(p.Names) > 1 {
-		return false
-	}
-	return isEnvType(a.typeOf(p.Type))
-}
-
-// walkSkippingFuncLits visits every node of body except nested function
-// literal bodies, which execute on their own schedule and are analyzed as
-// separate units.
-func walkSkippingFuncLits(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }

@@ -6,14 +6,14 @@
 // battery against and the conform harness gates against the runtime
 // checkers.
 //
-// The abstraction is a dirty-set lattice over the same union-find location
-// classes persistlint uses: each class carries a persistency state (dirty
-// or flushed; absent means durable), a line-count bound (the class's
-// footprint: max constant line offset seen at a store, widened to the
-// allocation size when offsets are dynamic), and the innermost loop whose
-// iteration changes the class's identity (a fresh allocation per trip).
-// The pressure at a point is the sum of line bounds of all non-durable
-// classes.
+// The abstraction is a dirty-set lattice over the union-find location
+// classes of internal/vet/envprog, the front end persistlint shares: each
+// class carries a persistency state (dirty or flushed; absent means
+// durable), a line-count bound (the class's footprint: max constant line
+// offset seen at a store, widened to the allocation size when offsets are
+// dynamic), and the innermost loop whose iteration changes the class's
+// identity (a fresh allocation per trip). The pressure at a point is the
+// sum of line bounds of all non-durable classes.
 //
 // Two disciplines are evaluated per unit:
 //
@@ -56,10 +56,11 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
-	"strings"
 
 	"bbb/internal/vet"
+	"bbb/internal/vet/envprog"
 )
 
 // Analyzer is the pressurelint pass.
@@ -79,14 +80,8 @@ const (
 	nModes
 )
 
-const (
-	schemePrefix   = "//bbbvet:scheme"
-	volatilePrefix = "//bbbvet:volatile"
-)
-
 func run(pass *vet.Pass) error {
-	// The vet tooling's own fixtures manipulate Env-shaped ASTs; skip.
-	if strings.HasPrefix(pass.Pkg.ImportPath, "bbb/internal/vet") {
+	if envprog.Tooling(pass.Pkg) {
 		return nil
 	}
 	a := newAnalysis(pass.Pkg, pass.Fset)
@@ -104,7 +99,7 @@ func run(pass *vet.Pass) error {
 func Certificates(pkgs []*vet.Package, fset *token.FileSet) []Certificate {
 	var out []Certificate
 	for _, pkg := range pkgs {
-		if strings.HasPrefix(pkg.ImportPath, "bbb/internal/vet") {
+		if envprog.Tooling(pkg) {
 			continue
 		}
 		a := newAnalysis(pkg, fset)
@@ -127,26 +122,15 @@ type diag struct {
 
 // analysis is the per-package state.
 type analysis struct {
-	pkg  *vet.Package
-	info *types.Info
-	fset *token.FileSet
-
-	byObj map[types.Object]*class
-	byKey map[string]*class
+	*envprog.Prog
 
 	// Per-class footprint knowledge, keyed by union-find root.
-	spans       map[*class]int  // 1 + max constant line index stored
-	dynOff      map[*class]bool // a store used a non-constant offset
-	allocLines  map[*class]int  // ceil(Alloc(const)/LineSize)
-	volatileCls map[*class]bool // DRAM-side scratch: excluded from pressure
-
-	volatileFns map[*types.Func]bool
-	schemes     map[*ast.File]string
+	spans       map[*envprog.Class]int  // 1 + max constant line index stored
+	dynOff      map[*envprog.Class]bool // a store used a non-constant offset
+	allocLines  map[*envprog.Class]int  // ceil(Alloc(const)/LineSize)
+	volatileCls map[*envprog.Class]bool // DRAM-side scratch: excluded from pressure
 
 	summaries map[*types.Func]*summary
-	declOf    map[*types.Func]*ast.FuncDecl
-	decls     []*ast.FuncDecl
-	fnOf      map[*ast.FuncDecl]*types.Func
 
 	certs []Certificate
 	diags []diag
@@ -154,251 +138,19 @@ type analysis struct {
 
 func newAnalysis(pkg *vet.Package, fset *token.FileSet) *analysis {
 	return &analysis{
-		pkg:         pkg,
-		info:        pkg.Info,
-		fset:        fset,
-		byObj:       make(map[types.Object]*class),
-		byKey:       make(map[string]*class),
-		spans:       make(map[*class]int),
-		dynOff:      make(map[*class]bool),
-		allocLines:  make(map[*class]int),
-		volatileCls: make(map[*class]bool),
-		volatileFns: make(map[*types.Func]bool),
-		schemes:     make(map[*ast.File]string),
+		Prog:        envprog.New(pkg, fset),
+		spans:       make(map[*envprog.Class]int),
+		dynOff:      make(map[*envprog.Class]bool),
+		allocLines:  make(map[*envprog.Class]int),
+		volatileCls: make(map[*envprog.Class]bool),
 		summaries:   make(map[*types.Func]*summary),
-		declOf:      make(map[*types.Func]*ast.FuncDecl),
-		fnOf:        make(map[*ast.FuncDecl]*types.Func),
 	}
 }
 
 func (a *analysis) run() {
-	a.collectDirectives()
-	a.aliasPass()
 	a.footprintPass()
 	a.computeSummaries()
 	a.collectCertificates()
-}
-
-// --- abstract locations (union-find), shared shape with persistlint ---
-
-type class struct {
-	parent *class
-	name   string
-}
-
-func (c *class) find() *class {
-	for c.parent != nil {
-		if c.parent.parent != nil {
-			c.parent = c.parent.parent
-		}
-		c = c.parent
-	}
-	return c
-}
-
-func union(a, b *class) {
-	ra, rb := a.find(), b.find()
-	if ra != rb {
-		rb.parent = ra
-	}
-}
-
-func (a *analysis) classOf(obj types.Object) *class {
-	if c, ok := a.byObj[obj]; ok {
-		return c.find()
-	}
-	c := &class{name: obj.Name()}
-	a.byObj[obj] = c
-	return c
-}
-
-func (a *analysis) keyClass(e ast.Expr) *class {
-	key := types.ExprString(e)
-	if c, ok := a.byKey[key]; ok {
-		return c.find()
-	}
-	c := &class{name: key}
-	a.byKey[key] = c
-	return c
-}
-
-// baseObj resolves an address expression to the variable object rooting
-// it, mirroring persistlint's varBase but returning the object (the unit
-// pass needs it to decide loop-variance at the store site).
-func (a *analysis) baseObj(e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := a.info.Uses[e]
-		if obj == nil {
-			obj = a.info.Defs[e]
-		}
-		if v, ok := obj.(*types.Var); ok {
-			return v
-		}
-	case *ast.BinaryExpr:
-		if e.Op == token.ADD || e.Op == token.SUB {
-			if o := a.baseObj(e.X); o != nil {
-				return o
-			}
-			return a.baseObj(e.Y)
-		}
-	case *ast.CallExpr:
-		if len(e.Args) != 1 {
-			return nil
-		}
-		if tv, ok := a.info.Types[e.Fun]; ok && tv.IsType() {
-			return a.baseObj(e.Args[0])
-		}
-		argT, resT := a.typeOf(e.Args[0]), a.typeOf(e)
-		if argT != nil && resT != nil && types.Identical(argT, resT) {
-			return a.baseObj(e.Args[0])
-		}
-	}
-	return nil
-}
-
-func (a *analysis) varBase(e ast.Expr) *class {
-	if o := a.baseObj(e); o != nil {
-		return a.classOf(o)
-	}
-	return nil
-}
-
-func (a *analysis) locOf(e ast.Expr) *class {
-	if c := a.varBase(e); c != nil {
-		return c.find()
-	}
-	return a.keyClass(e).find()
-}
-
-func (a *analysis) typeOf(e ast.Expr) types.Type {
-	if tv, ok := a.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-func isEnvType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := types.Unalias(t).(*types.Named); ok {
-		return n.Obj().Name() == "Env"
-	}
-	return false
-}
-
-// --- directives ---
-
-func (a *analysis) collectDirectives() {
-	volatileLines := make(map[string]map[int]bool)
-	for _, f := range a.pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSuffix(c.Text, "*/")
-				if strings.HasPrefix(text, "/*") {
-					text = "//" + strings.TrimSpace(text[2:])
-				}
-				switch {
-				case strings.HasPrefix(text, schemePrefix):
-					val := strings.TrimSpace(strings.TrimPrefix(text, schemePrefix))
-					switch val {
-					case "pmem", "bbb", "eadr":
-						a.schemes[f] = val
-						// Unknown values are persistlint's to report.
-					}
-				case strings.HasPrefix(text, volatilePrefix):
-					pos := a.fset.Position(c.Pos())
-					if volatileLines[pos.Filename] == nil {
-						volatileLines[pos.Filename] = make(map[int]bool)
-					}
-					// Covers its own line and the next, the directive
-					// family's convention.
-					volatileLines[pos.Filename][pos.Line] = true
-					volatileLines[pos.Filename][pos.Line+1] = true
-				}
-			}
-		}
-	}
-	for _, f := range a.pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			pos := a.fset.Position(fd.Pos())
-			if volatileLines[pos.Filename][pos.Line] {
-				if fn, ok := a.info.Defs[fd.Name].(*types.Func); ok {
-					a.volatileFns[fn] = true
-				}
-			}
-		}
-	}
-}
-
-// --- alias pre-pass (persistlint's, verbatim semantics) ---
-
-func (a *analysis) aliasPass() {
-	for _, f := range a.pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i := range n.Lhs {
-						a.aliasAssign(n.Lhs[i], n.Rhs[i])
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i := range n.Names {
-						a.aliasAssign(n.Names[i], n.Values[i])
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if dst := a.varBase(n.Value); dst != nil {
-						if src := a.varBase(n.X); src != nil {
-							union(dst, src)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-func (a *analysis) aliasAssign(lhs, rhs ast.Expr) {
-	dst := a.varBase(lhs)
-	if dst == nil {
-		return
-	}
-	switch r := ast.Unparen(rhs).(type) {
-	case *ast.Ident:
-		if src := a.varBase(r); src != nil {
-			union(dst, src)
-		}
-	case *ast.CompositeLit:
-		for _, elt := range r.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			if src := a.varBase(elt); src != nil {
-				union(dst, src)
-			}
-		}
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(r.Fun).(*ast.Ident); ok && id.Name == "append" {
-			for _, arg := range r.Args {
-				if src := a.varBase(arg); src != nil {
-					union(dst, src)
-				}
-			}
-		}
-	}
 }
 
 // --- class footprints: spans, allocation sizes, volatile roots ---
@@ -407,7 +159,7 @@ func (a *analysis) aliasAssign(lhs, rhs ast.Expr) {
 // Env stores contribute spans) recording per-class line footprints,
 // allocation sizes and DRAM-scratch roots.
 func (a *analysis) footprintPass() {
-	for _, f := range a.pkg.Files {
+	for _, f := range a.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -432,36 +184,18 @@ func (a *analysis) footprintPass() {
 	}
 }
 
-// directStoreAddrs returns the address expressions a call stores through,
-// resolving only direct Env methods and the Store64 convenience.
+// directStoreAddrs returns the address expressions a call stores through:
+// only direct Env stores and CASes (and Store64) contribute spans.
 func (a *analysis) directStoreAddrs(call *ast.CallExpr) []ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isEnvType(a.typeOf(sel.X)) {
-		switch sel.Sel.Name {
-		case "Store", "CompareAndSwap":
-			if len(call.Args) >= 1 {
-				return call.Args[:1]
-			}
-		}
-		return nil
-	}
-	fn := a.calleeFunc(call)
-	if fn == nil {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	firstIsEnv := sig.Params().Len() > 0 && isEnvType(sig.Params().At(0).Type())
-	if firstIsEnv && fn.Name() == "Store64" && len(call.Args) >= 2 {
-		return call.Args[1:2]
+	if c, ok := a.DecodeEnvCall(call); ok && (c.Op == envprog.Store || c.Op == envprog.CAS) {
+		return c.Addrs
 	}
 	return nil
 }
 
 // recordStore folds one store address into the class footprint maps.
 func (a *analysis) recordStore(addr ast.Expr) {
-	c := a.locOf(addr)
+	c := a.LocOf(addr)
 	off, dyn := a.addrOffset(addr)
 	span := 1
 	if !dyn && off >= 0 {
@@ -492,20 +226,20 @@ func (a *analysis) addrOffset(e ast.Expr) (off int64, dyn bool) {
 		}
 		return lo + ro, ld || rd
 	}
-	if tv, ok := a.info.Types[e]; ok && tv.Value != nil {
+	if tv, ok := a.Info.Types[e]; ok && tv.Value != nil {
 		if v, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact {
 			return v, false
 		}
 		return 0, true
 	}
 	if ce, ok := e.(*ast.CallExpr); ok && len(ce.Args) == 1 {
-		if tv, ok := a.info.Types[ce.Fun]; ok && tv.IsType() {
+		if tv, ok := a.Info.Types[ce.Fun]; ok && tv.IsType() {
 			return a.addrOffset(ce.Args[0])
 		}
 	}
 	// The base term itself (a variable, a shaping call, the key
 	// expression) contributes no offset.
-	if a.baseObj(e) != nil {
+	if a.BaseObj(e) != nil {
 		return 0, false
 	}
 	switch e.(type) {
@@ -519,7 +253,7 @@ func (a *analysis) addrOffset(e ast.Expr) (off int64, dyn bool) {
 // DRAM-scratch roots (`x := volatileScratchBase(t)` with the callee
 // marked //bbbvet:volatile).
 func (a *analysis) recordAssign(lhs, rhs ast.Expr) {
-	dst := a.varBase(lhs)
+	dst := a.VarBase(lhs)
 	if dst == nil {
 		return
 	}
@@ -527,20 +261,20 @@ func (a *analysis) recordAssign(lhs, rhs ast.Expr) {
 	if !ok {
 		return
 	}
-	fn := a.calleeFunc(call)
+	fn := a.Callee(call)
 	if fn == nil {
 		return
 	}
-	if a.volatileFns[fn] {
-		a.volatileCls[dst.find()] = true
+	if a.VolatileFuncs[fn] {
+		a.volatileCls[dst.Find()] = true
 		return
 	}
 	if fn.Name() == "Alloc" && len(call.Args) == 1 {
-		if tv, ok := a.info.Types[call.Args[0]]; ok && tv.Value != nil {
+		if tv, ok := a.Info.Types[call.Args[0]]; ok && tv.Value != nil {
 			if v, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact && v > 0 {
 				lines := int((v + lineSize - 1) / lineSize)
-				if lines > a.allocLines[dst.find()] {
-					a.allocLines[dst.find()] = lines
+				if lines > a.allocLines[dst.Find()] {
+					a.allocLines[dst.Find()] = lines
 				}
 			}
 		}
@@ -550,8 +284,8 @@ func (a *analysis) recordAssign(lhs, rhs ast.Expr) {
 // classLines is the per-class line footprint: the constant-offset span,
 // widened to the allocation size when dynamic offsets were seen (stores
 // stay within the allocated object by construction).
-func (a *analysis) classLines(c *class) int {
-	c = c.find()
+func (a *analysis) classLines(c *envprog.Class) int {
+	c = c.Find()
 	n := a.spans[c]
 	if n == 0 {
 		n = 1
@@ -562,7 +296,7 @@ func (a *analysis) classLines(c *class) int {
 	return n
 }
 
-func (a *analysis) isVolatile(c *class) bool { return a.volatileCls[c.find()] }
+func (a *analysis) isVolatile(c *envprog.Class) bool { return a.volatileCls[c.Find()] }
 
 // --- call resolution ---
 
@@ -586,99 +320,54 @@ type callOp struct {
 	calleeName     string
 }
 
-func (a *analysis) calleeFunc(call *ast.CallExpr) *types.Func {
-	if tv, ok := a.info.Types[call.Fun]; ok && tv.IsType() {
-		return nil
-	}
-	var id *ast.Ident
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		return nil
-	}
-	fn, _ := a.info.Uses[id].(*types.Func)
-	return fn
-}
-
-// resolveCall classifies one call: a direct Env method, the Store64/Load64
-// conveniences, or a summarized same-package helper.
+// resolveCall classifies one call: a decoded Env call or a summarized
+// same-package helper. The pds primitives are summarized like any other
+// helper.
 func (a *analysis) resolveCall(call *ast.CallExpr) (callOp, bool) {
 	var op callOp
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isEnvType(a.typeOf(sel.X)) {
-		switch sel.Sel.Name {
-		case "Store", "CompareAndSwap":
-			if len(call.Args) >= 1 {
-				op.dirty = []dirtyEff{{addr: call.Args[0], lines: Fin(1)}}
+	if c, ok := a.DecodeEnvCall(call); ok {
+		switch c.Op {
+		case envprog.Store, envprog.CAS:
+			if len(c.Addrs) > 0 {
+				op.dirty = []dirtyEff{{addr: c.Addrs[0], lines: Fin(1)}}
 			}
-		case "WriteBack", "Clwb", "Flush", "Persist":
-			if len(call.Args) >= 1 {
-				op.flush = call.Args[:1]
-			}
-		case "PersistBarrier":
-			op.clear = call.Args
+			return op, true
+		case envprog.Flush:
+			op.flush = c.Addrs
+			return op, true
+		case envprog.Barrier:
+			op.clear = c.Addrs
 			op.fences = true
 			op.barrierAll = true
-		case "Fence", "SFence", "Drain":
+			return op, true
+		case envprog.Fence:
 			op.fences = true
-		default:
+			return op, true
+		case envprog.Load:
+			return op, true
+		case envprog.Other:
 			return op, false
 		}
-		return op, true
 	}
 
-	fn := a.calleeFunc(call)
+	fn := a.Callee(call)
 	if fn == nil {
 		return op, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return op, false
-	}
-	firstIsEnv := sig.Params().Len() > 0 && isEnvType(sig.Params().At(0).Type())
-	if firstIsEnv && fn.Name() == "Store64" && len(call.Args) >= 2 {
-		op.dirty = []dirtyEff{{addr: call.Args[1], lines: Fin(1)}}
-		return op, true
-	}
-	if firstIsEnv && fn.Name() == "Load64" {
-		return op, true
-	}
-	// cpu.PersistBarrier is the non-allocating front door to
-	// Env.PersistBarrier; the address list starts at argument 1.
-	if firstIsEnv && fn.Name() == "PersistBarrier" {
-		op.clear = call.Args[1:]
-		op.fences = true
-		op.barrierAll = true
-		return op, true
 	}
 	s := a.summaries[fn]
 	if s == nil || s.pure {
 		return op, false
 	}
-	argsAt := func(i int) []ast.Expr {
-		if s.variadic && i == s.nparams-1 {
-			if i < len(call.Args) {
-				return call.Args[i:]
-			}
-			return nil
-		}
-		if i < len(call.Args) {
-			return []ast.Expr{call.Args[i]}
-		}
-		return nil
-	}
 	for i, lines := range s.dirtyParams {
-		for _, e := range argsAt(i) {
+		for _, e := range s.Args(call, i) {
 			op.dirty = append(op.dirty, dirtyEff{addr: e, lines: lines})
 		}
 	}
 	for i := range s.flushParams {
-		op.flush = append(op.flush, argsAt(i)...)
+		op.flush = append(op.flush, s.Args(call, i)...)
 	}
 	for i := range s.clearParams {
-		op.clear = append(op.clear, argsAt(i)...)
+		op.clear = append(op.clear, s.Args(call, i)...)
 	}
 	op.fences = s.fences || len(s.clearParams) > 0
 	op.barrierAll = s.barrierAll
@@ -694,33 +383,9 @@ func (a *analysis) resolveCall(call *ast.CallExpr) (callOp, bool) {
 	return op, interesting
 }
 
-// returnClasses lists the location classes a returned expression carries.
-func (a *analysis) returnClasses(e ast.Expr) []*class {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		var out []*class
-		for _, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			out = append(out, a.returnClasses(elt)...)
-		}
-		return out
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" {
-			var out []*class
-			for _, arg := range e.Args {
-				out = append(out, a.returnClasses(arg)...)
-			}
-			return out
-		}
-		if tv, ok := a.info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
-			return a.returnClasses(e.Args[0])
-		}
-	default:
-		if c := a.varBase(ast.Unparen(e)); c != nil {
-			return []*class{c}
-		}
+func (a *analysis) shape(fn *types.Func) *envprog.Shape[Bound] {
+	if s := a.summaries[fn]; s != nil {
+		return &s.Shape
 	}
 	return nil
 }
@@ -728,26 +393,7 @@ func (a *analysis) returnClasses(e ast.Expr) []*class {
 // bindDirtyResults calls f for each left-hand side receiving a dirty
 // result of a summarized helper, with the callee's claimed line bound.
 func (a *analysis) bindDirtyResults(as *ast.AssignStmt, f func(lhs ast.Expr, call *ast.CallExpr, lines Bound)) {
-	if len(as.Rhs) != 1 {
-		return
-	}
-	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	fn := a.calleeFunc(call)
-	if fn == nil {
-		return
-	}
-	s := a.summaries[fn]
-	if s == nil || len(s.dirtyResults) == 0 || len(as.Lhs) != s.nresults {
-		return
-	}
-	for i := range as.Lhs {
-		if lines, ok := s.dirtyResults[i]; ok {
-			f(as.Lhs[i], call, lines)
-		}
-	}
+	envprog.BindDirtyResults(a.Prog, as, a.shape, f)
 }
 
 // --- summaries over the call graph ---
@@ -756,17 +402,14 @@ func (a *analysis) bindDirtyResults(as *ast.AssignStmt, f func(lhs ast.Expr, cal
 // lattice: effects on parameters/results, plus its own transient peak and
 // leftover residual per discipline.
 type summary struct {
-	nparams  int
-	variadic bool
-	nresults int
+	envprog.Shape[Bound]
 
-	dirtyParams  map[int]Bound
-	flushParams  map[int]bool
-	clearParams  map[int]bool
-	dirtyResults map[int]Bound
-	fences       bool
-	barrierAll   bool
-	pure         bool
+	dirtyParams map[int]Bound
+	flushParams map[int]bool
+	clearParams map[int]bool
+	fences      bool
+	barrierAll  bool
+	pure        bool
 
 	peak     [nModes]Bound
 	residual [nModes]Bound
@@ -774,115 +417,37 @@ type summary struct {
 	notes    []string
 }
 
-func boundMapsEqual(a, b map[int]Bound) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func setsEqual(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *summary) equal(o *summary) bool {
 	return o != nil && s.fences == o.fences && s.barrierAll == o.barrierAll &&
 		s.pure == o.pure && s.peak == o.peak && s.residual == o.residual &&
-		boundMapsEqual(s.dirtyParams, o.dirtyParams) &&
-		boundMapsEqual(s.dirtyResults, o.dirtyResults) &&
-		setsEqual(s.flushParams, o.flushParams) &&
-		setsEqual(s.clearParams, o.clearParams) &&
+		maps.Equal(s.dirtyParams, o.dirtyParams) &&
+		maps.Equal(s.DirtyResults, o.DirtyResults) &&
+		maps.Equal(s.flushParams, o.flushParams) &&
+		maps.Equal(s.clearParams, o.clearParams) &&
 		len(s.notes) == len(o.notes)
 }
 
-// computeSummaries builds the package call graph, condenses it with
-// Tarjan's algorithm and computes summaries bottom-up: singleton
+// computeSummaries computes summaries bottom-up over the call graph's
+// strongly connected components (envprog.Summarizer): singleton
 // components in one scan, cyclic components iterated with widening —
 // numeric fields still growing after a few rounds go to ⊤ (the sound
 // answer for recursion whose pressure depends on input depth).
 func (a *analysis) computeSummaries() {
-	for _, f := range a.pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := a.info.Defs[fd.Name].(*types.Func); ok {
-					a.decls = append(a.decls, fd)
-					a.declOf[fn] = fd
-					a.fnOf[fd] = fn
-				}
-			}
-		}
-	}
-	callees := make(map[*ast.FuncDecl][]*ast.FuncDecl)
-	for _, fd := range a.decls {
-		seen := make(map[*ast.FuncDecl]bool)
-		walkSkippingFuncLits(fd.Body, func(n ast.Node) {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return
-			}
-			if fn := a.calleeFunc(call); fn != nil {
-				if cd, ok := a.declOf[fn]; ok && !seen[cd] {
-					seen[cd] = true
-					callees[fd] = append(callees[fd], cd)
-				}
-			}
-		})
-	}
-	for _, scc := range tarjan(a.decls, callees) {
-		cyclic := len(scc) > 1
-		if !cyclic {
-			for _, c := range callees[scc[0]] {
-				if c == scc[0] {
-					cyclic = true
-				}
-			}
-		}
-		if !cyclic {
-			fd := scc[0]
-			a.summaries[a.fnOf[fd]] = a.scanFunction(fd)
-			continue
-		}
-		for _, fd := range scc {
-			a.summaries[a.fnOf[fd]] = &summary{} // bottom
-		}
-		const widenAfter, maxRounds = 3, 8
-		for round := 0; round < maxRounds; round++ {
-			changed := false
-			for _, fd := range scc {
-				fn := a.fnOf[fd]
-				s := a.scanFunction(fd)
-				prev := a.summaries[fn]
-				if round >= widenAfter {
-					widenGrowing(s, prev, fn.Name())
-				}
-				if !s.equal(prev) {
-					a.summaries[fn] = s
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+	envprog.Summarizer[*summary]{
+		Scan:      a.scanFunction,
+		Equal:     (*summary).equal,
+		Widen:     widenGrowing,
+		MaxRounds: 8,
+	}.Run(a.Prog, a.summaries)
 }
 
-// widenGrowing sends still-growing numeric fields of a cyclic component's
-// summary to ⊤, recording the recursion finding.
-func widenGrowing(s, prev *summary, name string) {
+// widenGrowing sends numeric fields of a cyclic component's summary still
+// growing after a few rounds to ⊤, recording the recursion finding.
+func widenGrowing(round int, s, prev *summary, fn *types.Func) {
+	const widenAfter = 3
+	if round < widenAfter {
+		return
+	}
 	widened := false
 	widen := func(b *Bound, p Bound) {
 		if p.Less(*b) {
@@ -894,14 +459,14 @@ func widenGrowing(s, prev *summary, name string) {
 		widen(&s.peak[m], prev.peak[m])
 		widen(&s.residual[m], prev.residual[m])
 	}
-	for i, b := range s.dirtyResults {
-		if p, ok := prev.dirtyResults[i]; !ok || p.Less(b) {
-			s.dirtyResults[i] = Inf()
+	for i, b := range s.DirtyResults {
+		if p, ok := prev.DirtyResults[i]; !ok || p.Less(b) {
+			s.DirtyResults[i] = Inf()
 			widened = true
 		}
 	}
 	if widened {
-		s.notes = appendNote(s.notes, fmt.Sprintf("recursive helper %s: pressure depends on recursion depth, widened to unbounded", name))
+		s.notes = appendNote(s.notes, fmt.Sprintf("recursive helper %s: pressure depends on recursion depth, widened to unbounded", fn.Name()))
 	}
 }
 
@@ -914,79 +479,26 @@ func appendNote(notes []string, n string) []string {
 	return append(notes, n)
 }
 
-// tarjan returns the strongly connected components of the call graph in
-// callee-before-caller (reverse topological) order.
-func tarjan(nodes []*ast.FuncDecl, succs map[*ast.FuncDecl][]*ast.FuncDecl) [][]*ast.FuncDecl {
-	index := make(map[*ast.FuncDecl]int)
-	low := make(map[*ast.FuncDecl]int)
-	onStack := make(map[*ast.FuncDecl]bool)
-	var stack []*ast.FuncDecl
-	var out [][]*ast.FuncDecl
-	next := 0
-
-	var strongconnect func(v *ast.FuncDecl)
-	strongconnect = func(v *ast.FuncDecl) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range succs[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []*ast.FuncDecl
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			out = append(out, comp)
-		}
-	}
-	for _, v := range nodes {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-	return out
-}
-
 // scanFunction computes one function's summary: a flow-insensitive effect
 // walk for the parameter/result sets, plus the flow-sensitive unit
 // analysis for peaks and residuals.
-func (a *analysis) scanFunction(fd *ast.FuncDecl) *summary {
-	fn := a.fnOf[fd]
-	sig := fn.Type().(*types.Signature)
+func (a *analysis) scanFunction(fn envprog.Func) *summary {
 	s := &summary{
-		nparams:      sig.Params().Len(),
-		variadic:     sig.Variadic(),
-		nresults:     sig.Results().Len(),
-		dirtyParams:  map[int]Bound{},
-		flushParams:  map[int]bool{},
-		clearParams:  map[int]bool{},
-		dirtyResults: map[int]Bound{},
+		Shape:       envprog.ShapeOf[Bound](fn.Obj),
+		dirtyParams: map[int]Bound{},
+		flushParams: map[int]bool{},
+		clearParams: map[int]bool{},
 	}
-	if a.volatileFns[fn] {
+	if a.VolatileFuncs[fn.Obj] {
 		s.pure = true
 		return s
 	}
 
-	dirty := map[*class]Bound{}
-	flush := map[*class]bool{}
-	clear := map[*class]bool{}
-	walkSkippingFuncLits(fd.Body, func(n ast.Node) {
+	body := fn.Decl.Body
+	dirty := map[*envprog.Class]Bound{}
+	flush := map[*envprog.Class]bool{}
+	clear := map[*envprog.Class]bool{}
+	envprog.WalkSkippingFuncLits(body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			op, ok := a.resolveCall(n)
@@ -994,7 +506,7 @@ func (a *analysis) scanFunction(fd *ast.FuncDecl) *summary {
 				return
 			}
 			for _, de := range op.dirty {
-				c := a.locOf(de.addr)
+				c := a.LocOf(de.addr)
 				if a.isVolatile(c) {
 					continue
 				}
@@ -1002,10 +514,10 @@ func (a *analysis) scanFunction(fd *ast.FuncDecl) *summary {
 				dirty[c] = dirty[c].Max(lines)
 			}
 			for _, e := range op.flush {
-				flush[a.locOf(e)] = true
+				flush[a.LocOf(e)] = true
 			}
 			for _, e := range op.clear {
-				clear[a.locOf(e)] = true
+				clear[a.LocOf(e)] = true
 			}
 			if op.fences {
 				s.fences = true
@@ -1015,13 +527,14 @@ func (a *analysis) scanFunction(fd *ast.FuncDecl) *summary {
 			}
 		case *ast.AssignStmt:
 			a.bindDirtyResults(n, func(lhs ast.Expr, call *ast.CallExpr, lines Bound) {
-				c := a.locOf(lhs)
+				c := a.LocOf(lhs)
 				dirty[c] = dirty[c].Max(lines)
 			})
 		}
 	})
-	for i := 0; i < sig.Params().Len(); i++ {
-		c := a.classOf(sig.Params().At(i)).find()
+	params := fn.Obj.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		c := a.ClassOf(params.At(i)).Find()
 		if lines, ok := dirty[c]; ok {
 			s.dirtyParams[i] = lines
 		}
@@ -1032,55 +545,12 @@ func (a *analysis) scanFunction(fd *ast.FuncDecl) *summary {
 			s.clearParams[i] = true
 		}
 	}
-	walkSkippingFuncLits(fd.Body, func(n ast.Node) {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return
-		}
-		for j, r := range ret.Results {
-			if j >= s.nresults {
-				break
-			}
-			for _, c := range a.returnClasses(r) {
-				if lines, ok := dirty[c.find()]; ok {
-					s.dirtyResults[j] = s.dirtyResults[j].Max(lines)
-				}
-			}
-		}
-	})
+	envprog.MarkDirtyResults(a.Prog, &s.Shape, body, dirty, Bound.Max)
 
-	ur := a.analyzeBody(fd.Body, fd.Type, fd.Recv)
+	ur := a.analyzeBody(body, fn.Decl.Type, fn.Decl.Recv)
 	s.peak = ur.peak
 	s.residual = ur.residual
 	s.witness = ur.witness
 	s.notes = ur.notes
 	return s
-}
-
-// programShaped reports the system.Program shape: one Env param, no
-// results.
-func (a *analysis) programShaped(ftype *ast.FuncType) bool {
-	if ftype.Results != nil && len(ftype.Results.List) > 0 {
-		return false
-	}
-	if ftype.Params == nil || len(ftype.Params.List) != 1 {
-		return false
-	}
-	p := ftype.Params.List[0]
-	if len(p.Names) > 1 {
-		return false
-	}
-	return isEnvType(a.typeOf(p.Type))
-}
-
-func walkSkippingFuncLits(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }

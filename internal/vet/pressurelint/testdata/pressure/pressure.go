@@ -135,14 +135,21 @@ func viaHelper(e Env) {
 	e.PersistBarrier(node)
 }
 
-// drainedUnbounded drains every iteration: the strict bound stays finite
-// even though the trip count is unknown; only the relaxed bound widens
-// (with a finding), to be capped by the buffer organization.
+// drainedUnbounded drains every iteration, by a barrier in the first loop
+// and by a write-back plus fence in the second: the strict bound stays
+// finite even though the trip counts are unknown; only the relaxed bound
+// widens (with a finding), to be capped by the buffer organization.
 func drainedUnbounded(e Env) {
 	for i := 0; i < n; i++ {
 		at := heap(i)
 		Store64(e, at, 1)
 		e.PersistBarrier(at)
+	}
+	for i := 0; i < n; i++ {
+		at := heap(i)
+		Store64(e, at, 1)
+		e.WriteBack(at)
+		e.Fence()
 	}
 }
 

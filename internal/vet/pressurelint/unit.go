@@ -13,10 +13,12 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 
 	"bbb/internal/vet/cfg"
 	"bbb/internal/vet/dataflow"
+	"bbb/internal/vet/envprog"
 )
 
 // pstate is a non-durable line's drain progress under the strict
@@ -39,7 +41,7 @@ type ploc struct {
 // pfact maps location classes to their states at a program point.
 type pfact struct {
 	reached bool
-	locs    map[*class]ploc
+	locs    map[*envprog.Class]ploc
 }
 
 // unitCtx is the mode-independent syntactic context of one body: which
@@ -87,9 +89,9 @@ func (a *analysis) scanUnit(body *ast.BlockStmt) *unitCtx {
 		resolved:   map[*ast.CallExpr]bool{},
 	}
 	assigned := func(id *ast.Ident, stack []ast.Stmt) {
-		obj := a.info.Defs[id]
+		obj := a.Info.Defs[id]
 		if obj == nil {
-			obj = a.info.Uses[id]
+			obj = a.Info.Uses[id]
 		}
 		if obj == nil {
 			return
@@ -183,7 +185,7 @@ func (a *analysis) analyzeBody(body *ast.BlockStmt, ftype *ast.FuncType, recv *a
 	ctx := a.scanUnit(body)
 	ur := &unitResult{}
 	hasDirtyResults := false
-	walkSkippingFuncLits(body, func(n ast.Node) {
+	envprog.WalkSkippingFuncLits(body, func(n ast.Node) {
 		if as, ok := n.(*ast.AssignStmt); ok {
 			a.bindDirtyResults(as, func(ast.Expr, *ast.CallExpr, Bound) { hasDirtyResults = true })
 		}
@@ -195,26 +197,26 @@ func (a *analysis) analyzeBody(body *ast.BlockStmt, ftype *ast.FuncType, recv *a
 	// Classes excluded from the residual: caller-owned parameters and the
 	// receiver (their dirt is conveyed by dirtyParams) and returned
 	// locations (conveyed by dirtyResults).
-	exclude := map[*class]bool{}
+	exclude := map[*envprog.Class]bool{}
 	collectField := func(fl *ast.FieldList) {
 		if fl == nil {
 			return
 		}
 		for _, f := range fl.List {
 			for _, name := range f.Names {
-				if obj := a.info.Defs[name]; obj != nil {
-					exclude[a.classOf(obj).find()] = true
+				if obj := a.Info.Defs[name]; obj != nil {
+					exclude[a.ClassOf(obj).Find()] = true
 				}
 			}
 		}
 	}
 	collectField(ftype.Params)
 	collectField(recv)
-	walkSkippingFuncLits(body, func(n ast.Node) {
+	envprog.WalkSkippingFuncLits(body, func(n ast.Node) {
 		if ret, ok := n.(*ast.ReturnStmt); ok {
 			for _, r := range ret.Results {
-				for _, c := range a.returnClasses(r) {
-					exclude[c.find()] = true
+				for _, c := range a.ReturnClasses(r) {
+					exclude[c.Find()] = true
 				}
 			}
 		}
@@ -255,7 +257,7 @@ func (a *analysis) analyzeBody(body *ast.BlockStmt, ftype *ast.FuncType, recv *a
 		exitLines := Fin(0)
 		if exit := in[g.Exit]; exit.reached {
 			for c, pl := range exit.locs {
-				if !exclude[c.find()] {
+				if !exclude[c.Find()] {
 					exitLines = exitLines.Add(pl.lines)
 				}
 			}
@@ -283,11 +285,11 @@ type punit struct {
 	notes     []string
 }
 
-func (u *punit) Entry() pfact  { return pfact{reached: true, locs: map[*class]ploc{}} }
+func (u *punit) Entry() pfact  { return pfact{reached: true, locs: map[*envprog.Class]ploc{}} }
 func (u *punit) Bottom() pfact { return pfact{} }
 
 func (u *punit) Clone(f pfact) pfact {
-	locs := make(map[*class]ploc, len(f.locs))
+	locs := make(map[*envprog.Class]ploc, len(f.locs))
 	for c, pl := range f.locs {
 		locs[c] = pl
 	}
@@ -295,15 +297,7 @@ func (u *punit) Clone(f pfact) pfact {
 }
 
 func (u *punit) Equal(a, b pfact) bool {
-	if a.reached != b.reached || len(a.locs) != len(b.locs) {
-		return false
-	}
-	for c, pl := range a.locs {
-		if b.locs[c] != pl {
-			return false
-		}
-	}
-	return true
+	return a.reached == b.reached && maps.Equal(a.locs, b.locs)
 }
 
 // Join is pointwise: the less-drained state wins, footprints max, earliest
@@ -351,14 +345,14 @@ func (u *punit) Transfer(n ast.Node, f pfact) pfact {
 	case *ast.AssignStmt:
 		u.walk(n, &f)
 		u.a.bindDirtyResults(n, func(lhs ast.Expr, call *ast.CallExpr, lines Bound) {
-			c := u.a.locOf(lhs)
+			c := u.a.LocOf(lhs)
 			if u.a.isVolatile(c) {
 				return
 			}
 			vary := innermost(u.ctx.encLoops[call])
 			u.dirty(&f, c, lines, call.Pos(), vary)
 			if u.measuring && lines.Unbounded {
-				u.note(fmt.Sprintf("dirty result bound at %s is statically unbounded (recursive helper)", u.a.fset.Position(call.Pos())))
+				u.note(fmt.Sprintf("dirty result bound at %s is statically unbounded (recursive helper)", u.a.Fset.Position(call.Pos())))
 			}
 		})
 	case *ast.RangeStmt:
@@ -393,7 +387,7 @@ func (u *punit) apply(call *ast.CallExpr, f *pfact) {
 		return
 	}
 	for _, de := range op.dirty {
-		c := u.a.locOf(de.addr)
+		c := u.a.LocOf(de.addr)
 		if u.a.isVolatile(c) {
 			continue
 		}
@@ -402,7 +396,7 @@ func (u *punit) apply(call *ast.CallExpr, f *pfact) {
 	}
 	if u.mode == modeStrict {
 		for _, e := range op.flush {
-			c := u.a.locOf(e)
+			c := u.a.LocOf(e)
 			if pl, ok := f.locs[c]; ok && pl.st == pDirty {
 				pl.st = pFlushed
 				f.locs[c] = pl
@@ -410,7 +404,7 @@ func (u *punit) apply(call *ast.CallExpr, f *pfact) {
 		}
 		if op.barrierAll || len(op.clear) > 0 {
 			for _, e := range op.clear {
-				delete(f.locs, u.a.locOf(e))
+				delete(f.locs, u.a.LocOf(e))
 			}
 			u.drain(f)
 		} else if op.fences {
@@ -420,7 +414,7 @@ func (u *punit) apply(call *ast.CallExpr, f *pfact) {
 	if u.measuring {
 		u.bump(u.linesOf(f).Add(op.calleePeak[u.mode]), call.Pos())
 		if op.calleePeak[u.mode].Unbounded || op.calleeResidual[u.mode].Unbounded {
-			u.note(fmt.Sprintf("call to %s at %s: callee persist pressure statically unbounded (recursive helper)", op.calleeName, u.a.fset.Position(call.Pos())))
+			u.note(fmt.Sprintf("call to %s at %s: callee persist pressure statically unbounded (recursive helper)", op.calleeName, u.a.Fset.Position(call.Pos())))
 		}
 	}
 }
@@ -435,7 +429,7 @@ func (u *punit) drain(f *pfact) {
 	}
 }
 
-func (u *punit) dirty(f *pfact, c *class, lines Bound, pos token.Pos, vary ast.Stmt) {
+func (u *punit) dirty(f *pfact, c *envprog.Class, lines Bound, pos token.Pos, vary ast.Stmt) {
 	if old, ok := f.locs[c]; ok {
 		lines = lines.Max(old.lines)
 		if old.pos < pos {
@@ -479,7 +473,7 @@ func (u *punit) varyFor(call *ast.CallExpr, addr ast.Expr) ast.Stmt {
 	if len(loops) == 0 {
 		return nil
 	}
-	base := u.a.baseObj(addr)
+	base := u.a.BaseObj(addr)
 	for i := len(loops) - 1; i >= 0; i-- {
 		asg := u.ctx.assignedIn[loops[i]]
 		if len(asg) == 0 {
@@ -502,9 +496,9 @@ func readsAssigned(a *analysis, e ast.Expr, asg map[types.Object]bool) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && !found {
-			obj := a.info.Uses[id]
+			obj := a.Info.Uses[id]
 			if obj == nil {
-				obj = a.info.Defs[id]
+				obj = a.Info.Defs[id]
 			}
 			if obj != nil && asg[obj] {
 				found = true
@@ -560,7 +554,7 @@ func (u *punit) loopCarry(g *cfg.Graph, out map[*cfg.Block]pfact) Bound {
 		extra := Fin(0)
 		bf := u.backFact(l, out)
 		if bf.reached {
-			classes := make([]*class, 0, len(bf.locs))
+			classes := make([]*envprog.Class, 0, len(bf.locs))
 			for c := range bf.locs {
 				classes = append(classes, c)
 			}
@@ -584,7 +578,7 @@ func (u *punit) loopCarry(g *cfg.Graph, out map[*cfg.Block]pfact) Bound {
 		trip, known := u.a.tripOf(l.Stmt)
 		t := MulTrip(trip, known, extra)
 		if t.Unbounded && !extra.Unbounded {
-			u.note(fmt.Sprintf("loop at %s carries %s dirty line(s) per iteration with no constant trip count: pressure widened to unbounded", u.a.fset.Position(l.Stmt.Pos()), extra))
+			u.note(fmt.Sprintf("loop at %s carries %s dirty line(s) per iteration with no constant trip count: pressure widened to unbounded", u.a.Fset.Position(l.Stmt.Pos()), extra))
 		}
 		return t
 	}
@@ -613,7 +607,7 @@ func (u *punit) backFact(l *cfg.Loop, out map[*cfg.Block]pfact) pfact {
 // --- trip counts ---
 
 func (a *analysis) constInt(e ast.Expr) (int64, bool) {
-	if tv, ok := a.info.Types[e]; ok && tv.Value != nil {
+	if tv, ok := a.Info.Types[e]; ok && tv.Value != nil {
 		if v, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact {
 			return v, true
 		}
@@ -628,7 +622,7 @@ func (a *analysis) constInt(e ast.Expr) (int64, bool) {
 func (a *analysis) tripOf(s ast.Stmt) (int, bool) {
 	switch s := s.(type) {
 	case *ast.RangeStmt:
-		if t := a.typeOf(s.X); t != nil {
+		if t := a.TypeOf(s.X); t != nil {
 			u := t.Underlying()
 			if p, ok := u.(*types.Pointer); ok {
 				u = p.Elem().Underlying()
@@ -649,7 +643,7 @@ func (a *analysis) tripOf(s ast.Stmt) (int, bool) {
 		if !ok {
 			return 0, false
 		}
-		ivObj := a.info.Defs[iv]
+		ivObj := a.Info.Defs[iv]
 		if ivObj == nil {
 			return 0, false
 		}
@@ -662,7 +656,7 @@ func (a *analysis) tripOf(s ast.Stmt) (int, bool) {
 			return 0, false
 		}
 		cid, ok := ast.Unparen(cond.X).(*ast.Ident)
-		if !ok || a.info.Uses[cid] != ivObj {
+		if !ok || a.Info.Uses[cid] != ivObj {
 			return 0, false
 		}
 		c1, ok := a.constInt(cond.Y)
@@ -672,12 +666,12 @@ func (a *analysis) tripOf(s ast.Stmt) (int, bool) {
 		step := int64(0)
 		switch post := s.Post.(type) {
 		case *ast.IncDecStmt:
-			if id, ok := ast.Unparen(post.X).(*ast.Ident); ok && a.info.Uses[id] == ivObj && post.Tok == token.INC {
+			if id, ok := ast.Unparen(post.X).(*ast.Ident); ok && a.Info.Uses[id] == ivObj && post.Tok == token.INC {
 				step = 1
 			}
 		case *ast.AssignStmt:
 			if post.Tok == token.ADD_ASSIGN && len(post.Lhs) == 1 && len(post.Rhs) == 1 {
-				if id, ok := ast.Unparen(post.Lhs[0]).(*ast.Ident); ok && a.info.Uses[id] == ivObj {
+				if id, ok := ast.Unparen(post.Lhs[0]).(*ast.Ident); ok && a.Info.Uses[id] == ivObj {
 					if v, ok := a.constInt(post.Rhs[0]); ok && v > 0 {
 						step = v
 					}
@@ -693,12 +687,12 @@ func (a *analysis) tripOf(s ast.Stmt) (int, bool) {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && a.info.Uses[id] == ivObj {
+					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && a.Info.Uses[id] == ivObj {
 						touched = true
 					}
 				}
 			case *ast.IncDecStmt:
-				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && a.info.Uses[id] == ivObj {
+				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && a.Info.Uses[id] == ivObj {
 					touched = true
 				}
 			}
@@ -732,13 +726,13 @@ func (a *analysis) collectCertificates() {
 	add := func(name string, pos token.Pos, ur *unitResult) {
 		c, ok := merged[name]
 		if !ok {
-			c = &Certificate{Unit: name, Pos: a.fset.Position(pos)}
+			c = &Certificate{Unit: name, Pos: a.Fset.Position(pos)}
 			merged[name] = c
 			order = append(order, name)
 		}
 		if c.StrictLines.Less(ur.peak[modeStrict]) || c.Witness == "" {
 			if ur.witness != token.NoPos {
-				c.Witness = a.fset.Position(ur.witness).String()
+				c.Witness = a.Fset.Position(ur.witness).String()
 			}
 		}
 		c.StrictLines = c.StrictLines.Max(ur.peak[modeStrict])
@@ -748,9 +742,10 @@ func (a *analysis) collectCertificates() {
 		}
 	}
 
-	for _, fd := range a.decls {
-		if fd.Recv == nil && a.programShaped(fd.Type) {
-			s := a.summaries[a.fnOf[fd]]
+	for _, fn := range a.Funcs {
+		fd := fn.Decl
+		if fd.Recv == nil && a.ProgramShaped(fd.Type) {
+			s := a.summaries[fn.Obj]
 			ur := &unitResult{peak: s.peak, residual: s.residual, witness: s.witness, notes: s.notes}
 			add(fd.Name.Name, fd.Pos(), ur)
 		}
@@ -760,7 +755,7 @@ func (a *analysis) collectCertificates() {
 			if !ok {
 				return true
 			}
-			if a.programShaped(lit.Type) {
+			if a.ProgramShaped(lit.Type) {
 				ur := a.analyzeBody(lit.Body, lit.Type, nil)
 				add(a.litUnitName(enclosing, lit), lit.Pos(), ur)
 			}
@@ -784,7 +779,7 @@ func (a *analysis) collectCertificates() {
 		}
 		pos := a.posOf(c.Pos)
 		f := a.fileAt(pos)
-		if f == nil || a.schemes[f] != "pmem" {
+		if f == nil || a.Schemes[f] != "pmem" {
 			continue
 		}
 		why := "unbounded loop or recursive helper"
@@ -815,13 +810,13 @@ func (a *analysis) litUnitName(fd *ast.FuncDecl, lit *ast.FuncLit) string {
 			return id.Name
 		}
 	}
-	return fmt.Sprintf("%s.func@%d", fd.Name.Name, a.fset.Position(lit.Pos()).Line)
+	return fmt.Sprintf("%s.func@%d", fd.Name.Name, a.Fset.Position(lit.Pos()).Line)
 }
 
 // posOf maps a token.Position back to a token.Pos in the fileset.
 func (a *analysis) posOf(p token.Position) token.Pos {
-	for _, f := range a.pkg.Files {
-		tf := a.fset.File(f.FileStart)
+	for _, f := range a.Files {
+		tf := a.Fset.File(f.FileStart)
 		if tf != nil && tf.Name() == p.Filename {
 			return tf.Pos(p.Offset)
 		}
@@ -830,7 +825,7 @@ func (a *analysis) posOf(p token.Position) token.Pos {
 }
 
 func (a *analysis) fileAt(pos token.Pos) *ast.File {
-	for _, f := range a.pkg.Files {
+	for _, f := range a.Files {
 		if f.FileStart <= pos && pos <= f.FileEnd {
 			return f
 		}
