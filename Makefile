@@ -60,16 +60,17 @@ bench-profile:
 		-cpuprofile cpu.out -memprofile mem.out .
 	@echo "profiles: cpu.out mem.out (binary: bbb.test)"
 
-# Observability smoke: drive the full cmd/bbbtrace pipeline end to end —
-# record the same run twice (streams must be byte-identical), filter by
-# kind (exercising the JSONL re-parse), replay durability provenance
-# offline, and export to Perfetto JSON; then record the same crash twice
-# (byte-identical again) and require the battery's crash-drain events in
-# its summary. See docs/ARCHITECTURE.md §11.
+# Observability smoke: drive the trace pipeline end to end — record the
+# same run twice with bbbsim -trace-out (streams must be byte-identical),
+# filter by kind with cmd/bbbtrace (exercising the JSONL re-parse), replay
+# durability provenance offline, and export to Perfetto JSON; then record
+# the same crash twice with -crash (byte-identical again) and require the
+# battery's crash-drain events in its summary. See docs/ARCHITECTURE.md §11.
 trace-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -o $$tmp/a.jsonl; \
-	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -o $$tmp/b.jsonl >/dev/null; \
+	rec="$(GO) run ./cmd/bbbsim -workload hashmap -scheme bbb -ops 100 -threads 4"; \
+	$$rec -trace-out $$tmp/a.jsonl >/dev/null; \
+	$$rec -trace-out $$tmp/b.jsonl >/dev/null; \
 	cmp -s $$tmp/a.jsonl $$tmp/b.jsonl || { echo "trace-smoke: FAIL: same seed, different streams"; exit 1; }; \
 	$(GO) run ./cmd/bbbtrace filter -i $$tmp/a.jsonl -kind pb-alloc -o $$tmp/alloc.jsonl 2>/dev/null; \
 	test -s $$tmp/alloc.jsonl || { echo "trace-smoke: FAIL: no pb-alloc events under bbb"; exit 1; }; \
@@ -77,8 +78,8 @@ trace-smoke:
 		|| { echo "trace-smoke: FAIL: bbb left stores unresolved"; exit 1; }; \
 	$(GO) run ./cmd/bbbtrace export -i $$tmp/a.jsonl -o $$tmp/a.json >/dev/null; \
 	grep -q '"traceEvents"' $$tmp/a.json || { echo "trace-smoke: FAIL: export missing traceEvents"; exit 1; }; \
-	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -crash 20000 -o $$tmp/c.jsonl >/dev/null; \
-	$(GO) run ./cmd/bbbtrace record -workload hashmap -scheme bbb -ops 100 -crash 20000 -o $$tmp/d.jsonl >/dev/null; \
+	$$rec -crash 20000 -trace-out $$tmp/c.jsonl >/dev/null; \
+	$$rec -crash 20000 -trace-out $$tmp/d.jsonl >/dev/null; \
 	cmp -s $$tmp/c.jsonl $$tmp/d.jsonl || { echo "trace-smoke: FAIL: same crash, different streams"; exit 1; }; \
 	$(GO) run ./cmd/bbbtrace summarize -i $$tmp/c.jsonl -scheme bbb | grep -q '^  crash-drain ' \
 		|| { echo "trace-smoke: FAIL: crash stream has no crash-drain events"; exit 1; }; \
@@ -93,6 +94,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzParseJSONL -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzConform -fuzztime=10s ./internal/litmus/conform
 	$(GO) test -run=^$$ -fuzz=FuzzReadRun -fuzztime=10s ./internal/obs
+	$(GO) test -run=^$$ -fuzz=FuzzParseBench -fuzztime=10s ./cmd/internal/cli
 
 # Crash-image model checking at short bounds: the bbbmc acceptance matrix
 # (battery schemes single-image, PMEM Figures 2/3 over the whole reachable
@@ -120,7 +122,7 @@ kv-short:
 	$(GO) run ./cmd/bbbvet -only detlint ./internal/pds ./internal/kvservice
 	@if grep -rn 'bbbvet:ignore persistlint' internal/pds internal/kvservice; then \
 		echo "kv-short: FAIL: persistlint suppression in the pds/kvservice tier"; exit 1; fi
-	$(GO) run ./cmd/bbbkv -scheme pmem,bbb -clients 2 -ops 120 | grep -q '^kv ' \
+	$(GO) run ./cmd/bbbkv -scheme pmem,bbb -threads 2 -ops 120 | grep -q '^kv ' \
 		|| { echo "kv-short: FAIL: bbbkv produced no kv row"; exit 1; }
 	@echo "kv-short: ok"
 

@@ -70,7 +70,9 @@ type Result = system.Result
 // Options tune a run; the zero value reproduces the paper's Table III
 // machine at a simulation-friendly workload scale.
 type Options struct {
-	// Threads is the number of cores/threads (default 8, as the paper).
+	// Threads is the number of cores/threads (default 8, as the paper);
+	// the service-tier workloads ("kv", "kv/uniform") run one client per
+	// core.
 	Threads int
 	// OpsPerThread scales the workload (default 1000).
 	OpsPerThread int
@@ -126,9 +128,6 @@ type Options struct {
 	// memory-consistency case, where program-order persistency rests on
 	// the battery-backed store buffer alone.
 	RelaxedConsistency bool
-	// Clients overrides Threads for the service-tier workloads ("kv",
-	// "kv/uniform"): one client per core. Zero defers to Threads.
-	Clients int
 	// BatchWindow is the service tier's request-batching window in cycles
 	// (how long a client holds a batch open before the durable commit).
 	// Zero uses the workload default.
@@ -170,9 +169,6 @@ func (o Options) params() workload.Params {
 		p.Seed = o.Seed
 	}
 	p.NoBarriers = o.NoBarriers
-	if o.Clients > 0 {
-		p.Threads = o.Clients
-	}
 	p.BatchWindow = o.BatchWindow
 	p.SLOTarget = o.SLOTarget
 	return p

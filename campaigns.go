@@ -145,7 +145,6 @@ type frontierSpec struct {
 	L2Size     int       `json:"l2_size,omitempty"`
 	Prefetch   bool      `json:"store_prefetch,omitempty"`
 	Relaxed    bool      `json:"relaxed,omitempty"`
-	Clients    int       `json:"clients,omitempty"`
 	BatchWin   uint64    `json:"batch_window,omitempty"`
 	Platform   string    `json:"platform"`
 	Tech       string    `json:"tech"`
@@ -188,9 +187,9 @@ func RunFrontierCampaign(o Options, fc FrontierConfig) (FrontierResult, error) {
 			Workload: fc.Workload, Threads: o.Threads, Ops: o.OpsPerThread,
 			Seed: o.Seed, NoBarriers: o.NoBarriers, L1Size: o.L1Size,
 			L2Size: o.L2Size, Prefetch: o.StorePrefetch,
-			Relaxed: o.RelaxedConsistency, Clients: o.Clients,
-			BatchWin: uint64(o.BatchWindow), Platform: fc.Platform,
-			Tech: fc.Tech, Entries: fc.Entries, Thresholds: fc.Thresholds,
+			Relaxed: o.RelaxedConsistency, BatchWin: uint64(o.BatchWindow),
+			Platform: fc.Platform, Tech: fc.Tech, Entries: fc.Entries,
+			Thresholds: fc.Thresholds,
 		},
 		Points: cells,
 		Key: func(i int, c frontierCell) string {

@@ -15,27 +15,28 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"os"
-	"runtime"
 
 	"bbb"
+	"bbb/cmd/internal/cli"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("bbbench: ")
+	rf := cli.Bench.Register(flag.CommandLine)
 	var (
 		table    = flag.String("table", "", "regenerate one table: 1,3,4,5,6,7,8,9,10,11")
 		fig      = flag.String("fig", "", "regenerate one figure: 7a, 7b, 8")
-		ops      = flag.Int("ops", 300, "operations per thread for simulation-backed results")
-		threads  = flag.Int("threads", 8, "threads/cores")
 		entries  = flag.Int("entries", 32, "bbPB entries for the cost tables")
 		scale    = flag.Bool("scale", false, "use the full Table III cache sizes (default: proportionally scaled caches)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (1 = serial; output is identical either way)")
 		jsonPath = flag.String("json", "", "also write the simulation-backed figure data as JSON to this file")
 		markdown = flag.Bool("markdown", false, "instead of the tables, write a self-contained paper-vs-measured markdown report to stdout")
 	)
 	flag.Parse()
 
-	o := bbb.Options{Threads: *threads, OpsPerThread: *ops, Parallelism: *parallel}
+	o := rf.Options()
 	if !*scale {
 		o.L1Size = 8 * 1024
 		o.L2Size = 64 * 1024
@@ -43,8 +44,7 @@ func main() {
 
 	if *markdown {
 		if err := writeMarkdown(os.Stdout, o, !*scale); err != nil {
-			fmt.Fprintln(os.Stderr, "bbbench:", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		return
 	}
@@ -123,8 +123,7 @@ func main() {
 		fmt.Fprintln(out, "(running extended all-schemes comparison with wear tracking...)")
 		rows, err := bbb.RunSchemeComparison("hashmap", o)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bbbench:", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		bbb.PrintSchemeComparison(out, rows)
 		export.Schemes = rows
@@ -134,18 +133,15 @@ func main() {
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bbbench:", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(export); err != nil {
-			fmt.Fprintln(os.Stderr, "bbbench:", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "bbbench:", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		fmt.Fprintf(out, "wrote JSON to %s\n", *jsonPath)
 	}

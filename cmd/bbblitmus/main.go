@@ -20,14 +20,13 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 
+	"bbb/cmd/internal/cli"
 	"bbb/internal/axiomatic"
 	"bbb/internal/crashmc"
 	"bbb/internal/litmus"
 	"bbb/internal/litmus/conform"
-	"bbb/internal/persistency"
 )
 
 func main() {
@@ -105,14 +104,13 @@ func check(args []string) int {
 
 func conformCmd(args []string) int {
 	fs := flag.NewFlagSet("conform", flag.ExitOnError)
+	run := cli.Litmus.Register(fs)
 	points := fs.Int("points", 8, "crash points per test×scheme pair")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent pairs (1 = serial; reports are identical either way)")
 	testName := fs.String("test", "", "single litmus test (default: full corpus)")
-	schemes := fs.String("schemes", "", "comma-separated schemes (default: all)")
 	witnessOut := fs.String("witness-out", "", "write the first divergence witness to this file")
 	fs.Parse(args)
 
-	opts := conform.Options{Points: *points, Parallel: *parallel}
+	opts := conform.Options{Points: *points, Parallel: run.Parallel}
 	if *testName != "" {
 		t, err := litmus.ByName(*testName)
 		if err != nil {
@@ -121,15 +119,13 @@ func conformCmd(args []string) int {
 		}
 		opts.Tests = []*litmus.Test{t}
 	}
-	if *schemes != "" {
-		for _, name := range strings.Split(*schemes, ",") {
-			s, err := persistency.ParseScheme(strings.TrimSpace(name))
-			if err != nil {
-				log.Print(err)
-				return 1
-			}
-			opts.Schemes = append(opts.Schemes, s)
+	if run.Scheme != "" {
+		schemes, err := cli.Schemes(run.Scheme)
+		if err != nil {
+			log.Print(err)
+			return 1
 		}
+		opts.Schemes = schemes
 	}
 
 	rep := conform.Run(opts)
@@ -138,16 +134,18 @@ func conformCmd(args []string) int {
 	if rep.Ok() {
 		return 0
 	}
-	if w := rep.FirstWitness(); w != nil {
-		data, err := w.MarshalIndent()
-		if err != nil {
+	w := rep.FirstWitness()
+	switch {
+	case w == nil:
+	case *witnessOut != "":
+		if err := cli.WriteWitness(*witnessOut, w); err != nil {
 			log.Print(err)
-		} else if *witnessOut != "" {
-			if werr := os.WriteFile(*witnessOut, data, 0o644); werr != nil {
-				log.Print(werr)
-			} else {
-				log.Printf("divergence witness written to %s", *witnessOut)
-			}
+		} else {
+			log.Printf("divergence witness written to %s", *witnessOut)
+		}
+	default:
+		if data, err := w.MarshalIndent(); err != nil {
+			log.Print(err)
 		} else {
 			log.Printf("first divergence witness:\n%s", data)
 		}

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	bbbmc                                   # the acceptance matrix (gated)
-//	bbbmc -workload hashmap -scheme pmem -nobarriers -witness-out w.json
+//	bbbmc -workload hashmap -scheme pmem -no-barriers -witness-out w.json
 //	bbbmc -repro w.json                     # replay a saved witness
 //
 // The default matrix exits non-zero unless the paper's claims hold over
@@ -25,24 +25,19 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 
 	"bbb"
+	"bbb/cmd/internal/cli"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bbbmc: ")
+	rf := cli.MC.Register(flag.CommandLine)
 	var (
-		wl         = flag.String("workload", "", "workload to model-check (default: the acceptance matrix)")
-		scheme     = flag.String("scheme", "", "scheme to model-check (required with -workload)")
-		noBarriers = flag.Bool("nobarriers", false, "omit persist barriers (the Figure 2 variant)")
 		points     = flag.Int("points", 6, "number of crash points")
 		first      = flag.Uint64("first", 4_000, "first crash cycle")
 		step       = flag.Uint64("step", 8_000, "cycles between crash points")
-		ops        = flag.Int("ops", 150, "operations per thread")
-		threads    = flag.Int("threads", 2, "threads/cores")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent crash points per campaign (1 = serial; reports are identical either way)")
 		exhaustive = flag.Int("exhaustive", 0, "groups up to this many pending writes enumerate all 2^n subsets (0 = default 10)")
 		maxFlips   = flag.Int("maxflips", 0, "larger groups enumerate subsets within this many writes of either extreme (0 = default 2)")
 		maxImages  = flag.Int("maximages", 0, "cap on survival sets per crash point, excess counted not silent (0 = default 4096)")
@@ -55,16 +50,11 @@ func main() {
 		os.Exit(replay(*repro))
 	}
 
-	opts := bbb.Options{
-		Threads:      *threads,
-		OpsPerThread: *ops,
-		NoBarriers:   *noBarriers,
-		Parallelism:  *parallel,
-		// Small caches reorder persists aggressively, growing the pending
-		// set the enumerator gets to flip.
-		L1Size: 1024,
-		L2Size: 4096,
-	}
+	opts := rf.Options()
+	// Small caches reorder persists aggressively, growing the pending set
+	// the enumerator gets to flip.
+	opts.L1Size = 1024
+	opts.L2Size = 4096
 	bounds := bbb.MCBounds{ExhaustiveLimit: *exhaustive, MaxFlips: *maxFlips, MaxImages: *maxImages}
 	run := func(w string, s bbb.Scheme, noBar bool) bbb.MCReport {
 		o := opts
@@ -76,27 +66,23 @@ func main() {
 		return rep
 	}
 
-	if *wl != "" {
-		if *scheme == "" {
+	if rf.Workload != "" {
+		if rf.Scheme == "" {
 			log.Fatal("-workload needs -scheme (or drop both for the acceptance matrix)")
 		}
-		s, err := bbb.ParseScheme(*scheme)
+		combos, err := rf.Combos()
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := run(*wl, s, *noBarriers)
+		if len(combos) != 1 {
+			log.Fatal("-workload and -scheme name one combination to model-check")
+		}
+		rep := run(combos[0].Workload, combos[0].Scheme, rf.NoBarriers)
 		fmt.Println(rep.String())
 		if wit := rep.FirstWitness(); wit != nil {
 			fmt.Printf("    first witness @%d: %d survivor(s): %s\n", wit.CrashCycle, len(wit.Survivors), wit.Err)
 			if *witnessOut != "" {
-				data, err := wit.MarshalIndent()
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := os.WriteFile(*witnessOut, data, 0o644); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("    witness written to %s (replay: bbbmc -repro %s)\n", *witnessOut, *witnessOut)
+				writeWitness(*witnessOut, wit)
 			}
 		}
 		if rep.TotalViolating > 0 {
@@ -157,14 +143,7 @@ func matrix(run func(string, bbb.Scheme, bool) bbb.MCReport, witnessOut string) 
 			fmt.Printf("    witness replayed: reproduced (%d pending writes at the crash)\n", out.Pending)
 		}
 		if witnessOut != "" {
-			data, err := wit.MarshalIndent()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(witnessOut, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("    witness written to %s (replay: bbbmc -repro %s)\n", witnessOut, witnessOut)
+			writeWitness(witnessOut, wit)
 		}
 	}
 
@@ -181,6 +160,14 @@ func matrix(run func(string, bbb.Scheme, bool) bbb.MCReport, witnessOut string) 
 		fmt.Println("FAIL: a reachable crash image contradicts the paper's claims (see above).")
 	}
 	return fail
+}
+
+// writeWitness saves a minimized witness for bbbmc -repro.
+func writeWitness(path string, wit *bbb.MCWitness) {
+	if err := cli.WriteWitness(path, wit); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("    witness written to %s (replay: bbbmc -repro %s)\n", path, path)
 }
 
 // replay loads a witness and re-runs it in a fresh machine.

@@ -8,8 +8,9 @@
 // gate red.
 //
 // The comparison logic lives in internal/obs (Compare/Render); this
-// command only loads and flattens the JSON files — map iteration and file
-// discovery stay in cmd where detlint permits them.
+// command only finds the files and loads them through cmd/internal/cli's
+// BENCH parser — map iteration and file discovery stay in cmd where
+// detlint permits them.
 //
 // Usage:
 //
@@ -28,26 +29,13 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
+	"bbb/cmd/internal/cli"
 	"bbb/internal/obs"
 )
-
-// benchFile mirrors cmd/benchjson's output document.
-type benchFile struct {
-	GOOS    string `json:"goos"`
-	GOARCH  string `json:"goarch"`
-	CPU     string `json:"cpu"`
-	Results []struct {
-		Name       string             `json:"name"`
-		Iterations int64              `json:"iterations"`
-		Metrics    map[string]float64 `json:"metrics"`
-	} `json:"results"`
-}
 
 func main() {
 	log.SetFlags(0)
@@ -163,31 +151,16 @@ func benchTrail(dir string) ([]string, error) {
 	return out, nil
 }
 
-// loadBenchRun reads one benchjson document and flattens its metric maps
-// into the sorted-slice form internal/obs consumes.
+// loadBenchRun reads and flattens one BENCH document (cli.ParseBench).
 func loadBenchRun(path string) (obs.BenchRun, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return obs.BenchRun{}, err
 	}
-	var doc benchFile
-	if err := json.Unmarshal(blob, &doc); err != nil {
+	run, err := cli.ParseBench(blob, filepath.Base(path))
+	if err != nil {
 		return obs.BenchRun{}, fmt.Errorf("%s: %w", path, err)
 	}
-	run := obs.BenchRun{Label: filepath.Base(path)}
-	for _, r := range doc.Results {
-		pt := obs.BenchPoint{Name: r.Name}
-		names := make([]string, 0, len(r.Metrics))
-		for name := range r.Metrics {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			pt.Metrics = append(pt.Metrics, obs.BenchMetric{Name: name, Value: r.Metrics[name]})
-		}
-		run.Benches = append(run.Benches, pt)
-	}
-	sort.Slice(run.Benches, func(i, j int) bool { return run.Benches[i].Name < run.Benches[j].Name })
 	return run, nil
 }
 
@@ -195,10 +168,6 @@ func loadBenchRun(path string) (obs.BenchRun, error) {
 // ledger, under a run identity derived from the file labels compared. The
 // verdict table is the det payload; where it ran is the host stamp.
 func appendToLedger(dir string, report *obs.RegressReport) error {
-	ledger, err := obs.Open(dir)
-	if err != nil {
-		return err
-	}
 	runID, err := obs.RunID("bbbregress", struct {
 		Candidate string   `json:"candidate"`
 		History   []string `json:"history"`
@@ -206,29 +175,5 @@ func appendToLedger(dir string, report *obs.RegressReport) error {
 	if err != nil {
 		return err
 	}
-	seqBase := 0
-	if prior, err := ledger.ReadIfExists(runID); err != nil {
-		return err
-	} else if prior != nil {
-		if err := ledger.Repair(prior); err != nil {
-			return err
-		}
-		seqBase = len(prior.Lines)
-	}
-	w, err := ledger.Append(runID, seqBase)
-	if err != nil {
-		return err
-	}
-	host, _ := os.Hostname()
-	if err := w.Write(obs.KindRegress, report, &obs.HostInfo{
-		Hostname: host,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		CPUs:     runtime.NumCPU(),
-		UnixNS:   time.Now().UnixNano(),
-	}); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+	return cli.AppendToLedger(dir, runID, obs.KindRegress, report)
 }

@@ -11,6 +11,13 @@
 //	bbbsim -workload rtree -scheme pmem -no-barriers
 //	bbbsim -workload mutateC -scheme bbb -entries 8 -verbose
 //	bbbsim -workload rtree,hashmap -scheme pmem,eadr,bbb -parallel 8
+//	bbbsim -workload kv -scheme bbb -threads 2 -trace-out kv.jsonl
+//	bbbsim -workload hashmap -scheme bbb -crash 20000 -trace-out crash.jsonl
+//
+// The run flags are cmd/internal/cli's. -trace and -trace-out need a
+// single combination; -crash crashes every run at that cycle with the
+// scheme's flush-on-fail, and with -trace-out the stream shows the
+// battery's crash-drain events.
 //
 // Campaign mode runs a checkpointed resumable sweep against a run ledger
 // (see internal/obs): every completed point is recorded as it finishes, a
@@ -34,34 +41,23 @@ import (
 	"time"
 
 	"bbb"
+	"bbb/cmd/internal/cli"
 	"bbb/internal/obs"
 	"bbb/internal/stats"
-	"bbb/internal/sweep"
 )
-
-type combo struct {
-	workload string
-	scheme   bbb.Scheme
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bbbsim: ")
+	run := cli.Sim.Register(flag.CommandLine)
 	var (
-		wl         = flag.String("workload", "hashmap", "workload (comma-separated list fans out): "+strings.Join(bbb.Workloads(), ", ")+", linkedlist")
-		scheme     = flag.String("scheme", "bbb", "persistency scheme (comma-separated list fans out): pmem, eadr, bbb, bbb-proc")
-		ops        = flag.Int("ops", 1000, "operations per thread")
-		threads    = flag.Int("threads", 8, "threads/cores")
 		entries    = flag.Int("entries", 32, "bbPB entries per core")
 		threshold  = flag.Float64("threshold", 0.75, "bbPB drain occupancy threshold")
-		noBarriers = flag.Bool("no-barriers", false, "omit persist barriers (the Figure 2 variant)")
-		clients    = flag.Int("clients", 0, "override -threads for the service-tier workloads (kv, kv/uniform)")
 		window     = flag.Int64("batch-window", 0, "service-tier request-batching window in cycles (0 = workload default)")
-		seed       = flag.Int64("seed", 1, "workload RNG seed")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations for workload/scheme lists (1 = serial; output is identical either way)")
 		verbose    = flag.Bool("verbose", false, "dump all component counters")
 		traceN     = flag.Int("trace", 0, "dump the last N microarchitectural events after the run")
 		traceOut   = flag.String("trace-out", "", "stream the full event trace as JSON lines to this file (see cmd/bbbtrace)")
+		crash      = flag.Uint64("crash", 0, "crash at this cycle with the scheme's flush-on-fail (0 = run to completion)")
 		check      = flag.Bool("check", false, "audit coherence and bbPB invariants every 1000 cycles in every run (see internal/invariant)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulations to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile taken after the simulations to this file")
@@ -77,20 +73,17 @@ func main() {
 	)
 	flag.Parse()
 
+	o := run.Options()
+	o.BatchWindow = bbb.Cycle(*window)
 	if *campaign != "" {
-		runCampaign(*campaign, campaignConfig{
-			ledgerDir: *ledgerDir, maxPoints: *maxPoints,
-			gridEntries: *gridEnt, gridThresholds: *gridThresh,
-			budgets: *budgets, tech: *tech, platform: *platform,
-			workload: *wl,
-		}, bbb.Options{
-			Threads:      *threads,
-			OpsPerThread: *ops,
-			NoBarriers:   *noBarriers,
-			Seed:         *seed,
-			Clients:      *clients,
-			BatchWindow:  bbb.Cycle(*window),
-			Parallelism:  *parallel,
+		runCampaign(*campaign, *ledgerDir, o, bbb.FrontierConfig{
+			Workload:   run.Workload,
+			Entries:    parseList(*gridEnt, strconv.Atoi),
+			Thresholds: parseList(*gridThresh, parseFloat),
+			BudgetsMM3: parseList(*budgets, parseFloat),
+			Tech:       *tech,
+			Platform:   *platform,
+			MaxPoints:  *maxPoints,
 		})
 		return
 	}
@@ -119,29 +112,13 @@ func main() {
 		}()
 	}
 
-	workloads := strings.Split(*wl, ",")
-	var combos []combo
-	for _, w := range workloads {
-		for _, name := range strings.Split(*scheme, ",") {
-			s, err := bbb.ParseScheme(strings.TrimSpace(name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			combos = append(combos, combo{strings.TrimSpace(w), s})
-		}
+	combos, err := run.Combos()
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	o := bbb.Options{
-		Threads:        *threads,
-		OpsPerThread:   *ops,
-		BBPBEntries:    *entries,
-		DrainThreshold: *threshold,
-		NoBarriers:     *noBarriers,
-		Seed:           *seed,
-		Clients:        *clients,
-		BatchWindow:    bbb.Cycle(*window),
-	}
-
+	o.BBPBEntries = *entries
+	o.DrainThreshold = *threshold
+	o.CrashAt = bbb.Cycle(*crash)
 	o.Check = *check
 	if *traceN > 0 || *traceOut != "" {
 		if len(combos) > 1 {
@@ -153,7 +130,6 @@ func main() {
 		c := combos[0]
 		var f *os.File
 		if *traceOut != "" {
-			var err error
 			if f, err = os.Create(*traceOut); err != nil {
 				log.Fatal(err)
 			}
@@ -163,7 +139,7 @@ func main() {
 			o.Trace = os.Stdout
 			fmt.Printf("--- last %d microarchitectural events ---\n", *traceN)
 		}
-		res, err := bbb.Run(c.workload, c.scheme, o)
+		res, err := bbb.Run(c.Workload, c.Scheme, o)
 		if f != nil {
 			if cerr := f.Close(); err == nil {
 				err = cerr
@@ -178,125 +154,67 @@ func main() {
 		return
 	}
 
-	type outcome struct {
-		res bbb.Result
-		err error
+	results, err := cli.Matrix(combos, run.Parallel, o)
+	if err != nil {
+		log.Fatal(err)
 	}
-	results := sweep.Map(*parallel, len(combos), func(i int) outcome {
-		r, err := bbb.Run(combos[i].workload, combos[i].scheme, o)
-		return outcome{r, err}
-	})
-	for i, out := range results {
-		if out.err != nil {
-			log.Fatal(out.err)
-		}
+	for i, res := range results {
 		if i > 0 {
 			fmt.Println()
 		}
-		printResult(combos[i], o, out.res, *verbose)
+		printResult(combos[i], o, res, *verbose)
 	}
-}
-
-type campaignConfig struct {
-	ledgerDir      string
-	maxPoints      int
-	gridEntries    string
-	gridThresholds string
-	budgets        string
-	tech           string
-	platform       string
-	workload       string
 }
 
 // runCampaign drives a resumable sweep. The deterministic report goes to
 // stdout (two completed runs compare with cmp); progress and resume notes
 // go to stderr via log.
-func runCampaign(name string, cc campaignConfig, o bbb.Options) {
-	if cc.ledgerDir == "" {
+func runCampaign(name, ledgerDir string, o bbb.Options, fc bbb.FrontierConfig) {
+	if ledgerDir == "" {
 		log.Fatal("-campaign needs -ledger (the checkpoint directory)")
 	}
-	if strings.Contains(cc.workload, ",") {
+	if strings.Contains(fc.Workload, ",") {
 		log.Fatal("-campaign sweeps its own grid; give a single -workload")
 	}
-	ledger, err := obs.Open(cc.ledgerDir)
+	if name != "frontier" {
+		log.Fatalf("unknown campaign %q (want frontier)", name)
+	}
+	ledger, err := obs.Open(ledgerDir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch name {
-	case "frontier":
-		res, err := bbb.RunFrontierCampaign(o, bbb.FrontierConfig{
-			Workload:   cc.workload,
-			Entries:    parseInts(cc.gridEntries),
-			Thresholds: parseFloats(cc.gridThresholds),
-			BudgetsMM3: parseFloats(cc.budgets),
-			Tech:       cc.tech,
-			Platform:   cc.platform,
-			MaxPoints:  cc.maxPoints,
-			Ledger:     ledger,
-			Host:       hostInfo(),
-			Clock:      func() int64 { return time.Now().UnixNano() },
-			Progress:   os.Stderr,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(res.Report())
-	default:
-		log.Fatalf("unknown campaign %q (want frontier)", name)
+	fc.Ledger = ledger
+	fc.Host = cli.HostInfo()
+	fc.Clock = func() int64 { return time.Now().UnixNano() }
+	fc.Progress = os.Stderr
+	res, err := bbb.RunFrontierCampaign(o, fc)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Print(res.Report())
 }
 
-// hostInfo captures machine provenance for ledger host stamps. This lives
-// in cmd (not internal/obs) on purpose: detlint keeps wall-clock and
-// host-environment probes out of the internal packages.
-func hostInfo() *obs.HostInfo {
-	host, _ := os.Hostname()
-	return &obs.HostInfo{
-		Hostname: host,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		CPUs:     runtime.NumCPU(),
-		UnixNS:   time.Now().UnixNano(),
-	}
-}
-
-func parseInts(s string) []int {
+// parseList parses a comma-separated flag value (nil when empty).
+func parseList[T any](s string, parse func(string) (T, error)) []T {
 	if s == "" {
 		return nil
 	}
-	var out []int
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
-			log.Fatalf("bad integer list %q: %v", s, err)
+			log.Fatalf("bad list %q: %v", s, err)
 		}
 		out = append(out, v)
 	}
 	return out
 }
 
-func parseFloats(s string) []float64 {
-	if s == "" {
-		return nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			log.Fatalf("bad number list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
-func printResult(c combo, o bbb.Options, res bbb.Result, verbose bool) {
-	threads := o.Threads
-	if o.Clients > 0 {
-		threads = o.Clients
-	}
-	fmt.Printf("workload            %s (%d threads x %d ops)\n", c.workload, threads, o.OpsPerThread)
-	fmt.Printf("scheme              %s\n", c.scheme)
+func printResult(c cli.Combo, o bbb.Options, res bbb.Result, verbose bool) {
+	fmt.Printf("workload            %s (%d threads x %d ops)\n", c.Workload, o.Threads, o.OpsPerThread)
+	fmt.Printf("scheme              %s\n", c.Scheme)
 	fmt.Printf("execution cycles    %d (%.3f ms at 2 GHz)\n", res.Cycles, float64(res.Cycles)/2e6)
 	fmt.Printf("stores              %d (%d persisting, %.1f%%)\n",
 		res.Stores, res.PersistingStores, 100*float64(res.PersistingStores)/float64(res.Stores))

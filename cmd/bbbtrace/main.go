@@ -1,5 +1,6 @@
-// Command bbbtrace records, filters, summarizes and exports the
-// simulator's microarchitectural event traces.
+// Command bbbtrace filters, summarizes and exports the simulator's
+// microarchitectural event traces; bbbsim records them (-trace-out, with
+// -crash for a crash with flush-on-fail).
 //
 // The on-disk format is JSON lines (one event per line, cycle-stamped —
 // byte-identical across runs of the same seed); `export` converts a trace
@@ -9,8 +10,8 @@
 //
 // Usage:
 //
-//	bbbtrace record -workload hashmap -scheme bbb -o trace.jsonl
-//	bbbtrace record -workload hashmap -scheme bbb -crash 20000 -o t.jsonl
+//	bbbsim -workload hashmap -scheme bbb -ops 200 -threads 4 -trace-out trace.jsonl
+//	bbbsim -workload hashmap -scheme bbb -ops 200 -threads 4 -crash 20000 -trace-out t.jsonl
 //	bbbtrace filter -i trace.jsonl -o drains.jsonl -kind pb-drain
 //	bbbtrace filter -i trace.jsonl -core 3 -from 1000 -to 2000
 //	bbbtrace summarize -i trace.jsonl -scheme bbb
@@ -37,8 +38,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "record":
-		record(os.Args[2:])
 	case "filter":
 		filter(os.Args[2:])
 	case "summarize":
@@ -51,48 +50,13 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: bbbtrace <record|filter|summarize|export> [flags]
-  record     run a workload with full tracing, writing JSON lines
+	fmt.Fprintln(os.Stderr, `usage: bbbtrace <filter|summarize|export> [flags]
   filter     select events by kind, core and cycle range
   summarize  per-kind counts and the durability-provenance summary
   export     convert to Perfetto / chrome://tracing JSON
-run "bbbtrace <subcommand> -h" for flags`)
+run "bbbtrace <subcommand> -h" for flags; record a trace with
+bbbsim -trace-out (add -crash N for a crash with flush-on-fail)`)
 	os.Exit(2)
-}
-
-// record runs one workload/scheme with the full event stream going to -o.
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	var (
-		wl      = fs.String("workload", "hashmap", "workload to trace")
-		scheme  = fs.String("scheme", "bbb", "persistency scheme")
-		ops     = fs.Int("ops", 200, "operations per thread")
-		threads = fs.Int("threads", 4, "threads/cores")
-		seed    = fs.Int64("seed", 1, "workload RNG seed")
-		crash   = fs.Uint64("crash", 0, "crash at this cycle (0 = run to completion)")
-		out     = fs.String("o", "trace.jsonl", "output JSONL path")
-	)
-	fs.Parse(args)
-	s, err := bbb.ParseScheme(*scheme)
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	o := bbb.Options{Threads: *threads, OpsPerThread: *ops, Seed: *seed, Trace: f, CrashAt: bbb.Cycle(*crash)}
-	res, err := bbb.Run(*wl, s, o)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("recorded %s: %s/%s, %d cycles\n", *out, *wl, s, res.Cycles)
-	fmt.Println(res.DurabilitySummary())
-	fmt.Printf("resolved stores     %d\n", res.Counters.Get("persist.resolved_stores"))
-	fmt.Printf("unresolved stores   %d\n", res.Counters.Get("persist.unresolved_stores"))
 }
 
 func readTrace(path string) []trace.Event {

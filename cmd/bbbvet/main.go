@@ -45,6 +45,7 @@ import (
 	"io"
 	"os"
 
+	"bbb/cmd/internal/cli"
 	"bbb/internal/energy"
 	"bbb/internal/persistency"
 	"bbb/internal/vet"
@@ -65,13 +66,13 @@ func main() {
 func run(stdout, stderr io.Writer, argv []string) int {
 	fs := flag.NewFlagSet("bbbvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	run := cli.Vet.Register(fs) // -threads: the -pressure-report scheme projections' thread count
 	var (
 		only     = fs.String("only", "", "run a single analyzer (locklint, detlint, statlint, cyclelint, persistlint, pressurelint)")
 		asJSON   = fs.Bool("json", false, "emit one JSON object per finding (including ignored ones)")
 		sarif    = fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
 		pressure = fs.String("pressure-report", "", "write pressurelint battery-bound certificates as JSON to this file (\"-\" for stdout)")
 		dir      = fs.String("dir", "", "directory to load packages from (default current)")
-		threads  = fs.Int("threads", 2, "thread count used for the -pressure-report scheme projections")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: bbbvet [-only analyzer] [-json] [-sarif file] [-pressure-report file] [packages]\n\n")
@@ -124,7 +125,7 @@ func run(stdout, stderr io.Writer, argv []string) int {
 	}
 	if *pressure != "" {
 		if err := writeTo(stdout, *pressure, func(w io.Writer) error {
-			return writePressureReport(w, pkgs, fset, *threads)
+			return writePressureReport(w, pkgs, fset, run.Threads)
 		}); err != nil {
 			fmt.Fprintf(stderr, "bbbvet: pressure-report: %v\n", err)
 			return 2

@@ -19,37 +19,25 @@ import (
 	"bufio"
 	"encoding/json"
 	"flag"
-	"fmt"
+	"log"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
+	"bbb/cmd/internal/cli"
 	"bbb/internal/obs"
 )
 
-type result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-type report struct {
-	GOOS    string   `json:"goos,omitempty"`
-	GOARCH  string   `json:"goarch,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []result `json:"results"`
-}
-
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("benchjson: ")
 	var (
 		ledgerDir = flag.String("ledger", "", "run-ledger directory to append the recording to (see internal/obs)")
 		name      = flag.String("name", "bench", "run name for the ledger recording; same name = same run file")
 	)
 	flag.Parse()
 
-	var rep report
+	var rep cli.BenchDoc
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -68,19 +56,16 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 	if *ledgerDir != "" {
 		if err := appendToLedger(*ledgerDir, *name, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 	}
 }
@@ -89,57 +74,29 @@ func main() {
 // ledger. The results slice is the deterministic payload; goos/cpu and the
 // wall clock — machine facts — ride in the host stamp, mirroring how the
 // campaign driver splits its lines.
-func appendToLedger(dir, name string, rep report) error {
-	ledger, err := obs.Open(dir)
-	if err != nil {
-		return err
-	}
+func appendToLedger(dir, name string, rep cli.BenchDoc) error {
 	runID, err := obs.RunID("benchjson", name)
 	if err != nil {
 		return err
 	}
-	seqBase := 0
-	if prior, err := ledger.ReadIfExists(runID); err != nil {
-		return err
-	} else if prior != nil {
-		if err := ledger.Repair(prior); err != nil {
-			return err
-		}
-		seqBase = len(prior.Lines)
-	}
-	w, err := ledger.Append(runID, seqBase)
-	if err != nil {
-		return err
-	}
-	host, _ := os.Hostname()
 	det := struct {
-		Name    string   `json:"name"`
-		Results []result `json:"results"`
+		Name    string            `json:"name"`
+		Results []cli.BenchResult `json:"results"`
 	}{name, rep.Results}
-	if err := w.Write(obs.KindBench, det, &obs.HostInfo{
-		Hostname: host,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		CPUs:     runtime.NumCPU(),
-		UnixNS:   time.Now().UnixNano(),
-	}); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+	return cli.AppendToLedger(dir, runID, obs.KindBench, det)
 }
 
 // parseBench decodes one result line: a name, an iteration count, then
 // value/unit pairs. The trailing -GOMAXPROCS suffix is stripped from the
 // name so files diff cleanly across machines.
-func parseBench(line string) (result, bool) {
+func parseBench(line string) (cli.BenchResult, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || len(f)%2 != 0 {
-		return result{}, false
+		return cli.BenchResult{}, false
 	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
-		return result{}, false
+		return cli.BenchResult{}, false
 	}
 	name := f[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
@@ -147,7 +104,7 @@ func parseBench(line string) (result, bool) {
 			name = name[:i]
 		}
 	}
-	r := result{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+	r := cli.BenchResult{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {

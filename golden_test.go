@@ -186,7 +186,7 @@ func harnessCases() []harnessCase {
 	ll.NoBarriers = true
 	llCrash := ll
 	llCrash.CrashAt = 20_000
-	kv := Options{Clients: 2, OpsPerThread: 60, Seed: 1}
+	kv := Options{Threads: 2, OpsPerThread: 60, Seed: 1}
 	return []harnessCase{
 		{"hashmap/bbb check", "hashmap", SchemeBBB, check},
 		{"hashmap/bbb tail 32", "hashmap", SchemeBBB, tail},

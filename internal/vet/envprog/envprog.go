@@ -315,6 +315,16 @@ func (p *Prog) ProgramShaped(ftype *ast.FuncType) bool {
 	return isEnvType(p.TypeOf(param.Type))
 }
 
+// PassesEnv reports whether any of call's arguments is an Env.
+func (p *Prog) PassesEnv(call *ast.CallExpr) bool {
+	for _, arg := range call.Args {
+		if isEnvType(p.TypeOf(arg)) {
+			return true
+		}
+	}
+	return false
+}
+
 // Callee resolves a call's target *types.Func (nil for conversions,
 // builtins, method values and indirect calls).
 func (p *Prog) Callee(call *ast.CallExpr) *types.Func {

@@ -40,7 +40,9 @@
 // callee's own transient peak and leftover residual. Recursive SCCs that
 // fail to converge within a few rounds widen their peaks to ⊤ — the
 // shadow-paging btree's recursive path copy is correctly reported as
-// unbounded. A `//bbbvet:volatile` directive on a function marks its
+// unbounded. Summaries stop at the package boundary, so a call that passes
+// the Env to another package's function widens to ⊤ with a finding naming
+// the callee. A `//bbbvet:volatile` directive on a function marks its
 // returned addresses as DRAM-side scratch, excluded from persist pressure.
 //
 // The analyzer itself only reports diagnostics for program-shaped units in
@@ -123,6 +125,7 @@ type diag struct {
 // analysis is the per-package state.
 type analysis struct {
 	*envprog.Prog
+	pkg *types.Package
 
 	// Per-class footprint knowledge, keyed by union-find root.
 	spans       map[*envprog.Class]int  // 1 + max constant line index stored
@@ -139,6 +142,7 @@ type analysis struct {
 func newAnalysis(pkg *vet.Package, fset *token.FileSet) *analysis {
 	return &analysis{
 		Prog:        envprog.New(pkg, fset),
+		pkg:         pkg.Types,
 		spans:       make(map[*envprog.Class]int),
 		dynOff:      make(map[*envprog.Class]bool),
 		allocLines:  make(map[*envprog.Class]int),
@@ -318,11 +322,16 @@ type callOp struct {
 	calleePeak     [nModes]Bound
 	calleeResidual [nModes]Bound
 	calleeName     string
+	// boundary holds the findings of calls, here or in the callee, that
+	// pass the Env to another package (see resolveCall).
+	boundary []string
 }
 
 // resolveCall classifies one call: a decoded Env call or a summarized
 // same-package helper. The pds primitives are summarized like any other
-// helper.
+// helper. Summaries stop at the package boundary, so a call that passes
+// the Env to a function of another package may store without bound: its
+// peak and residual are ⊤, with a finding naming the callee.
 func (a *analysis) resolveCall(call *ast.CallExpr) (callOp, bool) {
 	var op callOp
 	if c, ok := a.DecodeEnvCall(call); ok {
@@ -354,6 +363,13 @@ func (a *analysis) resolveCall(call *ast.CallExpr) (callOp, bool) {
 	if fn == nil {
 		return op, false
 	}
+	if fn.Pkg() != nil && fn.Pkg() != a.pkg && a.PassesEnv(call) {
+		for m := 0; m < nModes; m++ {
+			op.calleePeak[m], op.calleeResidual[m] = Inf(), Inf()
+		}
+		op.boundary = []string{fmt.Sprintf("call to %s at %s passes the Env to another package, which no summary covers: pressure unbounded", fn.FullName(), a.Fset.Position(call.Pos()))}
+		return op, true
+	}
 	s := a.summaries[fn]
 	if s == nil || s.pure {
 		return op, false
@@ -374,6 +390,7 @@ func (a *analysis) resolveCall(call *ast.CallExpr) (callOp, bool) {
 	op.calleePeak = s.peak
 	op.calleeResidual = s.residual
 	op.calleeName = fn.Name()
+	op.boundary = s.boundary
 	interesting := len(op.dirty)+len(op.flush)+len(op.clear) > 0 || op.fences
 	for m := 0; m < nModes; m++ {
 		if !op.calleePeak[m].IsZero() || !op.calleeResidual[m].IsZero() {
@@ -415,6 +432,7 @@ type summary struct {
 	residual [nModes]Bound
 	witness  token.Pos // strict-mode peak point (not part of equality)
 	notes    []string
+	boundary []string // the notes that cross the package boundary
 }
 
 func (s *summary) equal(o *summary) bool {
@@ -552,5 +570,6 @@ func (a *analysis) scanFunction(fn envprog.Func) *summary {
 	s.residual = ur.residual
 	s.witness = ur.witness
 	s.notes = ur.notes
+	s.boundary = ur.boundary
 	return s
 }

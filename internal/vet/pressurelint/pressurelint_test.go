@@ -2,6 +2,7 @@ package pressurelint
 
 import (
 	"go/ast"
+	"strings"
 	"testing"
 
 	"bbb/internal/vet"
@@ -11,9 +12,34 @@ func TestPressureFixture(t *testing.T) {
 	vet.RunFixture(t, Analyzer, "testdata/pressure")
 }
 
-func loadFixtureCerts(t testing.TB) map[string]Certificate {
+// TestCrossPackageFixture pins the package boundary: a program passing its
+// Env to another package's storing helper, directly or through a local
+// helper, is unbounded under both disciplines, and the finding names the
+// callee no summary covers.
+func TestCrossPackageFixture(t *testing.T) {
+	vet.RunFixture(t, Analyzer, "testdata/crosspkg")
+	certs := loadFixtureCerts(t, "testdata/crosspkg")
+	for _, unit := range []string{"putElsewhere", "viaLocalHelper"} {
+		c, ok := certs[unit]
+		if !ok {
+			t.Errorf("no certificate for %s", unit)
+			continue
+		}
+		if !c.StrictLines.Unbounded || !c.RelaxedLines.Unbounded {
+			t.Errorf("%s: got strict=%s relaxed=%s, want both unbounded", unit, c.StrictLines, c.RelaxedLines)
+		}
+		if len(c.Findings) == 0 || !strings.Contains(c.Findings[0], "(*bbb/internal/pds.Map).Put") {
+			t.Errorf("%s: findings %q do not name the pds.Map.Put callee", unit, c.Findings)
+		}
+	}
+	if len(certs) != 2 {
+		t.Errorf("got %d certificates, want 2 (put is a helper)", len(certs))
+	}
+}
+
+func loadFixtureCerts(t testing.TB, dir string) map[string]Certificate {
 	t.Helper()
-	pkg, fset, err := vet.LoadDir("testdata/pressure")
+	pkg, fset, err := vet.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +53,7 @@ func loadFixtureCerts(t testing.TB) map[string]Certificate {
 // TestFixtureCertificates pins the exact bounds of every fixture unit: the
 // lattice arithmetic, trip multiplication, widening and footprint rules.
 func TestFixtureCertificates(t *testing.T) {
-	certs := loadFixtureCerts(t)
+	certs := loadFixtureCerts(t, "testdata/pressure")
 	want := map[string][2]Bound{ // unit -> {strict, relaxed}
 		"straightLine":      {Fin(2), Fin(2)},
 		"boundedDrained":    {Fin(1), Fin(9)},

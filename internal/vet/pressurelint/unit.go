@@ -67,6 +67,7 @@ type unitResult struct {
 	residual [nModes]Bound
 	witness  token.Pos // strict-mode peak point
 	notes    []string
+	boundary []string // the notes of calls that pass the Env out of the package
 }
 
 func isLoopStmt(n ast.Node) (ast.Stmt, bool) {
@@ -269,6 +270,9 @@ func (a *analysis) analyzeBody(body *ast.BlockStmt, ftype *ast.FuncType, recv *a
 		for _, n := range u.notes {
 			ur.notes = appendNote(ur.notes, n)
 		}
+		for _, n := range u.boundary {
+			ur.boundary = appendNote(ur.boundary, n)
+		}
 	}
 	return ur
 }
@@ -283,6 +287,7 @@ type punit struct {
 	peak      Bound
 	peakPos   token.Pos
 	notes     []string
+	boundary  []string
 }
 
 func (u *punit) Entry() pfact  { return pfact{reached: true, locs: map[*envprog.Class]ploc{}} }
@@ -413,7 +418,13 @@ func (u *punit) apply(call *ast.CallExpr, f *pfact) {
 	}
 	if u.measuring {
 		u.bump(u.linesOf(f).Add(op.calleePeak[u.mode]), call.Pos())
-		if op.calleePeak[u.mode].Unbounded || op.calleeResidual[u.mode].Unbounded {
+		switch {
+		case len(op.boundary) > 0:
+			for _, n := range op.boundary {
+				u.note(n)
+				u.boundary = appendNote(u.boundary, n)
+			}
+		case op.calleePeak[u.mode].Unbounded || op.calleeResidual[u.mode].Unbounded:
 			u.note(fmt.Sprintf("call to %s at %s: callee persist pressure statically unbounded (recursive helper)", op.calleeName, u.a.Fset.Position(call.Pos())))
 		}
 	}
@@ -718,7 +729,9 @@ func (a *analysis) tripOf(s ast.Stmt) (int, bool) {
 // collectCertificates extracts one Certificate per program unit: each
 // program-shaped FuncLit inside a workload's Programs method (merged
 // under the receiver type name — a workload's threads are instances of
-// one bound) and each program-shaped top-level function.
+// one bound) and each program-shaped top-level function that no other
+// function of the package calls (a called one is a helper, bounded inside
+// its callers).
 func (a *analysis) collectCertificates() {
 	merged := map[string]*Certificate{}
 	var order []string
@@ -742,9 +755,21 @@ func (a *analysis) collectCertificates() {
 		}
 	}
 
+	called := map[*types.Func]bool{}
+	for _, fn := range a.Funcs {
+		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if callee := a.Callee(call); callee != fn.Obj {
+					called[callee] = true
+				}
+			}
+			return true
+		})
+	}
+
 	for _, fn := range a.Funcs {
 		fd := fn.Decl
-		if fd.Recv == nil && a.ProgramShaped(fd.Type) {
+		if fd.Recv == nil && !called[fn.Obj] && a.ProgramShaped(fd.Type) {
 			s := a.summaries[fn.Obj]
 			ur := &unitResult{peak: s.peak, residual: s.residual, witness: s.witness, notes: s.notes}
 			add(fd.Name.Name, fd.Pos(), ur)

@@ -14,7 +14,7 @@ import (
 // explicit-flush stalls surface as queueing delay rather than vanishing
 // into idle time.
 func kvOptions() Options {
-	return Options{Clients: 4, OpsPerThread: 300, Seed: 1}
+	return Options{Threads: 4, OpsPerThread: 300, Seed: 1}
 }
 
 // TestKVServiceLatencyGolden pins the paper's argument at the service
@@ -32,7 +32,7 @@ func TestKVServiceLatencyGolden(t *testing.T) {
 		if r.Metrics == nil || r.Metrics.Hist("kv.lat") == nil {
 			t.Fatal("service run missing kv.lat histogram")
 		}
-		if got, want := r.Metrics.Hist("kv.lat").Count(), uint64(o.Clients*o.OpsPerThread); got != want {
+		if got, want := r.Metrics.Hist("kv.lat").Count(), uint64(o.Threads*o.OpsPerThread); got != want {
 			t.Fatalf("kv.lat holds %d samples, want %d", got, want)
 		}
 	}
@@ -52,12 +52,12 @@ func TestKVServiceLatencyGolden(t *testing.T) {
 
 // TestKVServiceStreamingCarriesServiceMetrics pins that every harness mode
 // folds service metrics the same way a plain Run does: a streamed kv run
-// (the bbbkv -trace-out path) must surface the kv.* histograms and the
-// kv.lat.win timeline, identical to the plain run's, and a crashed one
-// (bbbtrace record -crash) must still carry kv.lat for the requests that
-// completed before the crash.
+// (bbbsim -workload kv -trace-out) must surface the kv.* histograms and
+// the kv.lat.win timeline, identical to the plain run's, and a crashed one
+// (bbbsim -crash) must still carry kv.lat for the requests that completed
+// before the crash.
 func TestKVServiceStreamingCarriesServiceMetrics(t *testing.T) {
-	o := Options{Clients: 2, OpsPerThread: 60, Seed: 1}
+	o := Options{Threads: 2, OpsPerThread: 60, Seed: 1}
 	plain := MustRun("kv", SchemeBBB, o)
 	so := o
 	so.Trace = io.Discard
@@ -99,7 +99,7 @@ func TestKVServiceStreamingCarriesServiceMetrics(t *testing.T) {
 // (workload, scheme) matrix run serially and at width 4 must produce
 // deep-equal Results, histograms included.
 func TestKVServiceSweepWidthDeterministic(t *testing.T) {
-	o := Options{Clients: 3, OpsPerThread: 80, Seed: 7}
+	o := Options{Threads: 3, OpsPerThread: 80, Seed: 7}
 	combos := []struct {
 		w string
 		s Scheme
