@@ -98,9 +98,26 @@ fuzz-short:
 
 # Crash-image model checking at short bounds: the bbbmc acceptance matrix
 # (battery schemes single-image, PMEM Figures 2/3 over the whole reachable
-# space) exits non-zero on any expectation failure.
+# space) exits non-zero on any expectation failure. Then the Figures 2/3
+# claims on the flush-on-fail image alone (one image per crash point): the
+# linked-list example strands Figure 2 under PMEM at all 15 points and
+# recovers in the other three rows, and the EXPERIMENTS table's
+# barrier-free PMEM campaign violates at all 20 of its points.
 mc-short:
 	$(GO) run ./cmd/bbbmc -points 4
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./examples/linkedlist > $$tmp/example.txt; \
+	cat $$tmp/example.txt; \
+	grep -q 'UNRECOVERABLE at 15/15' $$tmp/example.txt \
+		|| { echo "mc-short: FAIL: Figure 2 not unrecoverable at every crash point"; exit 1; }; \
+	test "$$(grep -c 'recovered at every crash point' $$tmp/example.txt)" = 3 \
+		|| { echo "mc-short: FAIL: a barriered or battery-backed row did not recover"; exit 1; }; \
+	rc=0; $(GO) run ./cmd/bbbmc -workload linkedlist -scheme pmem -no-barriers -threads 4 -ops 400 \
+		-points 20 -first 5000 -step 10000 -maximages 1 > $$tmp/row.txt 2>/dev/null || rc=$$?; \
+	cat $$tmp/row.txt; \
+	test $$rc = 1 && grep -q 'violating:    20' $$tmp/row.txt \
+		|| { echo "mc-short: FAIL: Figure 2 flush-on-fail campaign not violating at all 20 points"; exit 1; }; \
+	echo "mc-short: ok"
 
 # Pressure-bound soundness gate: replay every Table IV workload × scheme
 # pair and check the observed buffer occupancy, runtime invariants and

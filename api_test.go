@@ -2,6 +2,7 @@ package bbb
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -170,20 +171,34 @@ func TestSchemeComparisonCoversAllSchemes(t *testing.T) {
 	}
 }
 
-func TestCrashCampaignAPI(t *testing.T) {
+// TestModelCheckAPI drives the model checker through the public API. The
+// base-only case (MaxImages 1) is the flush-on-fail crash campaign: one
+// image per crash point, and the battery leaves barrier-free code
+// consistent.
+func TestModelCheckAPI(t *testing.T) {
 	o := scaled(150)
 	o.Threads = 4
 	o.NoBarriers = true
-	rep, err := CrashCampaign("linkedlist", SchemeBBB, o, 5, 5_000, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Inconsistent != 0 {
-		t.Fatalf("BBB campaign inconsistent: %s", rep.String())
-	}
-	if len(rep.Outcomes) != 5 {
-		t.Fatalf("outcomes = %d", len(rep.Outcomes))
-	}
+	t.Run("base-only", func(t *testing.T) {
+		rep, err := ModelCheck("linkedlist", SchemeBBB, o, 5, 5_000, 10_000, MCBounds{MaxImages: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TotalViolating != 0 {
+			t.Fatalf("BBB campaign inconsistent: %s", rep.String())
+		}
+		if len(rep.Points) != 5 || rep.TotalSets != 5 || !rep.SingleImage() {
+			t.Fatalf("want 5 points with one image each: %s", rep.String())
+		}
+		if s := rep.String(); !strings.Contains(s, "points:   5") || !strings.Contains(s, "violating:     0") {
+			t.Fatalf("summary line %q misses the point or violation count", s)
+		}
+	})
+	t.Run("unknown-workload", func(t *testing.T) {
+		if _, err := ModelCheck("nosuch", SchemeBBB, o, 5, 5_000, 10_000, MCBounds{MaxImages: 1}); err == nil {
+			t.Fatal("unknown workload model-checked without error")
+		}
+	})
 }
 
 func TestProcSideWriteRatioAboveOne(t *testing.T) {

@@ -13,10 +13,11 @@
 //   - BBBProc: the processor-side bbPB organization used as a comparison.
 //
 // The package exposes the Table IV workloads (rtree, ctree, hashmap, array
-// mutate/swap), crash-injection campaigns with per-structure recovery
-// checkers, the §IV-C energy/battery cost model, and experiment drivers
-// that regenerate every table and figure of the paper's evaluation
-// (see EXPERIMENTS.md).
+// mutate/swap), crash-image model checking with per-structure recovery
+// checkers (ModelCheck; bounded to one image per crash point it is the
+// flush-on-fail crash-injection campaign), the §IV-C energy/battery cost
+// model, and experiment drivers that regenerate every table and figure of
+// the paper's evaluation (see EXPERIMENTS.md).
 //
 // Quick start:
 //
@@ -32,7 +33,6 @@ import (
 	"bbb/internal/engine"
 	"bbb/internal/invariant"
 	"bbb/internal/persistency"
-	"bbb/internal/recovery"
 	"bbb/internal/system"
 	"bbb/internal/trace"
 	"bbb/internal/workload"
@@ -276,26 +276,6 @@ func sweepRun(workloadName string, s Scheme, o Options) Result {
 	return MustRun(workloadName, s, o)
 }
 
-// CrashCampaign sweeps crash points over a workload run and checks the
-// durable image at each; see the recovery package for details.
-func CrashCampaign(workloadName string, s Scheme, o Options, points int, first, step engine.Cycle) (recovery.Report, error) {
-	w, err := workload.ByName(workloadName)
-	if err != nil {
-		return recovery.Report{}, err
-	}
-	cc := recovery.CampaignConfig{
-		Workload:   w,
-		Scheme:     s,
-		System:     o.sysConfig(s),
-		Params:     o.params(),
-		FirstCrash: first,
-		Step:       step,
-		Points:     points,
-		Parallel:   o.workers(),
-	}
-	return cc.Run(), nil
-}
-
 // MCBounds prune a model-checking campaign's per-point enumeration; the
 // zero value uses the crashmc defaults.
 type MCBounds = crashmc.Bounds
@@ -306,11 +286,11 @@ type MCReport = crashmc.Report
 // MCWitness is a minimized, replayable crash-consistency violation.
 type MCWitness = crashmc.Witness
 
-// ModelCheck explores every reachable durable image at a sweep of crash
-// points: where CrashCampaign validates the one deterministic flush-on-
-// fail image per crash, ModelCheck enumerates the scheme's full legal
-// survival-set space (within b) and checks recovery against each image.
-// See internal/crashmc and docs/ARCHITECTURE.md §10.
+// ModelCheck sweeps crash points over a workload run and checks recovery
+// against every durable image the scheme's legal survival sets reach at
+// each (within b). MCBounds{MaxImages: 1} checks only the deterministic
+// flush-on-fail image per point — the crash-injection campaign of the
+// Figures 2/3 argument. See internal/crashmc and docs/ARCHITECTURE.md §10.
 func ModelCheck(workloadName string, s Scheme, o Options, points int, first, step engine.Cycle, b MCBounds) (MCReport, error) {
 	w, err := workload.ByName(workloadName)
 	if err != nil {
@@ -339,13 +319,6 @@ func ReplayWitness(w *MCWitness) (crashmc.ReplayOutcome, error) { return crashmc
 
 // SchemeTraits returns the Table I qualitative row for a scheme.
 func SchemeTraits(s Scheme) persistency.Traits { return persistency.TraitsOf(s) }
-
-// GuaranteesConsistency reports whether a scheme promises crash-consistent
-// recovery for the given program variant (see recovery.GuaranteesConsistency):
-// inconsistency under a guaranteeing combination is a simulator bug.
-func GuaranteesConsistency(s Scheme, barriers bool) bool {
-	return recovery.GuaranteesConsistency(s, barriers)
-}
 
 // Version identifies the reproduction, not the paper.
 const Version = "1.0.0"

@@ -1,16 +1,18 @@
-// Command bbbmc model-checks crash images: where a crash campaign
-// (bbb.CrashCampaign) validates the single deterministic flush-on-fail
-// image per crash point, bbbmc
-// enumerates EVERY durable state a power failure could legally leave
-// behind under the scheme's persist-ordering rules (any fence-respecting
-// cache subset for PMEM, epoch-prefix-plus-frontier-reorder for BEP, the
-// one battery-drained image for eADR/BBB) and runs the recovery checker
-// against each. Violations come with a minimized, replayable witness.
+// Command bbbmc model-checks crash images: beyond the single deterministic
+// flush-on-fail image per crash point, it enumerates EVERY durable state a
+// power failure could legally leave behind under the scheme's
+// persist-ordering rules (any fence-respecting cache subset for PMEM,
+// epoch-prefix-plus-frontier-reorder for BEP, the one battery-drained
+// image for eADR/BBB) and runs the recovery checker against each.
+// Violations come with a minimized, replayable witness. -maximages 1
+// checks only the flush-on-fail image: the crash-injection campaign of
+// the Figures 2/3 table.
 //
 // Usage:
 //
 //	bbbmc                                   # the acceptance matrix (gated)
 //	bbbmc -workload hashmap -scheme pmem -no-barriers -witness-out w.json
+//	bbbmc -workload linkedlist -scheme pmem -no-barriers -maximages 1
 //	bbbmc -repro w.json                     # replay a saved witness
 //
 // The default matrix exits non-zero unless the paper's claims hold over

@@ -27,6 +27,9 @@
 //	bbbsim -campaign frontier -ledger runs/
 //	bbbsim -campaign frontier -ledger runs/ -max-points 6   # stop early...
 //	bbbsim -campaign frontier -ledger runs/                 # ...and resume
+//
+// Each mode rejects the flags only the other one reads (-crash with
+// -campaign, -ledger without it, …) with an error naming the flag.
 package main
 
 import (
@@ -72,6 +75,14 @@ func main() {
 		platform   = flag.String("platform", "mobile", "frontier drain pricing platform: mobile or server")
 	)
 	flag.Parse()
+
+	mode, unread := "without -campaign", []string{"ledger", "max-points", "grid-entries", "grid-thresholds", "budgets-mm3", "tech", "platform"}
+	if *campaign != "" {
+		mode, unread = "with -campaign", []string{"scheme", "crash", "check", "trace", "trace-out", "entries", "threshold", "cpuprofile", "memprofile", "verbose"}
+	}
+	if err := cli.Reject(flag.CommandLine, mode, unread...); err != nil {
+		log.Fatal(err)
+	}
 
 	o := run.Options()
 	o.BatchWindow = bbb.Cycle(*window)

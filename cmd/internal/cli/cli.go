@@ -10,6 +10,7 @@ package cli
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -111,6 +112,21 @@ func schemeNames() string {
 		names = append(names, s.String())
 	}
 	return strings.Join(names, ",")
+}
+
+// Reject returns an error naming the first of names, in list order, that
+// was set on fs's command line, or nil if none was. A command passes the
+// flags its current mode does not read, so setting one fails loudly
+// instead of being ignored; mode ends the message ("… with -campaign").
+func Reject(fs *flag.FlagSet, mode string, names ...string) error {
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range names {
+		if set[name] {
+			return fmt.Errorf("-%s has no effect %s", name, mode)
+		}
+	}
+	return nil
 }
 
 // Options returns the bbb.Options the run flags set.

@@ -95,6 +95,27 @@ func TestSpecDefaults(t *testing.T) {
 	}
 }
 
+// TestReject pins the mode check bbbsim runs in both directions: the
+// first set flag of the list, in list order, is named in the error, and a
+// list of flags left unset gives nil.
+func TestReject(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Sim.Register(fs)
+	fs.Bool("check", false, "")
+	fs.String("trace-out", "", "")
+	fs.String("ledger", "", "")
+	if err := fs.Parse([]string{"-ops", "10", "-trace-out", "t.jsonl", "-check"}); err != nil {
+		t.Fatal(err)
+	}
+	err := Reject(fs, "with -campaign", "ledger", "check", "trace-out")
+	if err == nil || err.Error() != "-check has no effect with -campaign" {
+		t.Errorf("set -check and -trace-out: err = %v, want one naming -check", err)
+	}
+	if err := Reject(fs, "without -campaign", "ledger", "seed"); err != nil {
+		t.Errorf("no listed flag set: err = %v, want nil", err)
+	}
+}
+
 // FuzzParseBench drives the BENCH loader bbbregress reads through: it
 // returns an error, or the flattened run survives a write-and-reparse
 // unchanged and compares against itself without panicking.

@@ -45,15 +45,15 @@ func main() {
 	for _, r := range rows {
 		opt := o
 		opt.NoBarriers = r.noBarriers
-		rep, err := bbb.CrashCampaign("linkedlist", r.scheme, opt, points, 4_000, 9_000)
+		// One image per crash point: the deterministic flush-on-fail one.
+		rep, err := bbb.ModelCheck("linkedlist", r.scheme, opt, points, 4_000, 9_000, bbb.MCBounds{MaxImages: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
 		verdict := "recovered at every crash point"
-		if rep.Inconsistent > 0 {
-			f, _ := rep.FirstFailure()
-			verdict = fmt.Sprintf("UNRECOVERABLE at %d/%d crash points (first: %v)",
-				rep.Inconsistent, points, f.Err)
+		if rep.TotalViolating > 0 {
+			verdict = fmt.Sprintf("UNRECOVERABLE at %d/%d crash points (first: %s)",
+				rep.TotalViolating, points, rep.FirstWitness().Err)
 		}
 		fmt.Printf("%-32s %s\n", r.label, verdict)
 	}

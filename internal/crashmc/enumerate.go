@@ -26,7 +26,8 @@ type Bounds struct {
 	MaxFlips int
 	// MaxImages caps the survival sets materialized per crash point;
 	// enumeration past the cap is counted in SetsSkipped, never silent.
-	// Default 4096.
+	// Default 4096. The empty survival set always streams first, so 1
+	// checks exactly the deterministic flush-on-fail image.
 	MaxImages int
 }
 

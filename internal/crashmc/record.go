@@ -1,8 +1,9 @@
-// Package crashmc is the crash-image model checker: where crash injection
-// (internal/recovery) validates the one durable image the deterministic
-// flush-on-fail produces, crashmc enumerates *every* durable image a power
-// failure at that cycle may leave behind under the scheme's persistency
-// model, and runs the workload's recovery checker against each.
+// Package crashmc is the crash-image model checker: beyond the one durable
+// image the deterministic flush-on-fail produces, it enumerates *every*
+// durable image a power failure at that cycle may leave behind under the
+// scheme's persistency model, and runs the workload's recovery checker
+// against each. Bounded to one image per crash point (Bounds.MaxImages 1)
+// it is plain crash injection: only the flush-on-fail image is checked.
 //
 // The paper's programmability argument (§II-A, §III-D) is about exactly
 // this set: under the PMEM baseline the caches may have written back any

@@ -11,9 +11,10 @@ import (
 	"bbb/internal/workload"
 )
 
-// Config describes one model-checking campaign: like a crash-injection
-// campaign (internal/recovery), but validating every reachable image at
-// each crash point instead of the single deterministic one.
+// Config describes one model-checking campaign: a sweep of crash points
+// at each of which every reachable image is validated. Bounds{MaxImages:
+// 1} makes it the crash-injection campaign that validates only the
+// deterministic flush-on-fail image.
 type Config struct {
 	Workload workload.Workload
 	Scheme   persistency.Scheme

@@ -109,25 +109,18 @@ func TestDriversParallelMatchesSerial(t *testing.T) {
 		}
 	})
 	t.Run("CrashCampaign", func(t *testing.T) {
-		got, err := CrashCampaign("hashmap", SchemeBBB, parOpts, 6, 2_000, 4_000)
+		// The flush-on-fail campaign: one image per crash point.
+		b := MCBounds{MaxImages: 1}
+		got, err := ModelCheck("hashmap", SchemeBBB, parOpts, 6, 2_000, 4_000, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := CrashCampaign("hashmap", SchemeBBB, serialOpts, 6, 2_000, 4_000)
+		want, err := ModelCheck("hashmap", SchemeBBB, serialOpts, 6, 2_000, 4_000, b)
 		if err != nil {
 			t.Fatal(err)
-		}
-		// Outcome.Err values are distinct error instances; campaigns on a
-		// consistent workload must have none, so compare them as nil-ness
-		// and the rest structurally.
-		for i := range got.Outcomes {
-			if (got.Outcomes[i].Err == nil) != (want.Outcomes[i].Err == nil) {
-				t.Fatalf("outcome %d: Err mismatch: %v vs %v", i, got.Outcomes[i].Err, want.Outcomes[i].Err)
-			}
-			got.Outcomes[i].Err, want.Outcomes[i].Err = nil, nil
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("CrashCampaign parallel != serial\ngot:  %+v\nwant: %+v", got, want)
+			t.Errorf("flush-on-fail campaign parallel != serial\ngot:  %+v\nwant: %+v", got, want)
 		}
 	})
 }
