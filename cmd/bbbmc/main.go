@@ -35,39 +35,33 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bbbmc: ")
-	rf := cli.MC.Register(flag.CommandLine)
-	var (
-		points     = flag.Int("points", 6, "number of crash points")
-		first      = flag.Uint64("first", 4_000, "first crash cycle")
-		step       = flag.Uint64("step", 8_000, "cycles between crash points")
-		exhaustive = flag.Int("exhaustive", 0, "groups up to this many pending writes enumerate all 2^n subsets (0 = default 10)")
-		maxFlips   = flag.Int("maxflips", 0, "larger groups enumerate subsets within this many writes of either extreme (0 = default 2)")
-		maxImages  = flag.Int("maximages", 0, "cap on survival sets per crash point, excess counted not silent (0 = default 4096)")
-		repro      = flag.String("repro", "", "replay a witness file and exit (0 = reproduced)")
-		witnessOut = flag.String("witness-out", "", "write the campaign's first minimized witness to this file")
-	)
+	f := declare(flag.CommandLine)
 	flag.Parse()
 
-	if *repro != "" {
-		os.Exit(replay(*repro))
+	if f.repro != "" {
+		if err := rejectWithRepro(flag.CommandLine); err != nil {
+			log.Fatal(err)
+		}
+		os.Exit(replay(f.repro))
 	}
 
-	opts := rf.Options()
+	opts := f.run.Options()
 	// Small caches reorder persists aggressively, growing the pending set
 	// the enumerator gets to flip.
 	opts.L1Size = 1024
 	opts.L2Size = 4096
-	bounds := bbb.MCBounds{ExhaustiveLimit: *exhaustive, MaxFlips: *maxFlips, MaxImages: *maxImages}
+	bounds := bbb.MCBounds{ExhaustiveLimit: f.exhaustive, MaxFlips: f.maxFlips, MaxImages: f.maxImages}
 	run := func(w string, s bbb.Scheme, noBar bool) bbb.MCReport {
 		o := opts
 		o.NoBarriers = noBar
-		rep, err := bbb.ModelCheck(w, s, o, *points, bbb.Cycle(*first), bbb.Cycle(*step), bounds)
+		rep, err := bbb.ModelCheck(w, s, o, f.points, bbb.Cycle(f.first), bbb.Cycle(f.step), bounds)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return rep
 	}
 
+	rf := f.run
 	if rf.Workload != "" {
 		if rf.Scheme == "" {
 			log.Fatal("-workload needs -scheme (or drop both for the acceptance matrix)")
@@ -83,8 +77,8 @@ func main() {
 		fmt.Println(rep.String())
 		if wit := rep.FirstWitness(); wit != nil {
 			fmt.Printf("    first witness @%d: %d survivor(s): %s\n", wit.CrashCycle, len(wit.Survivors), wit.Err)
-			if *witnessOut != "" {
-				writeWitness(*witnessOut, wit)
+			if f.witnessOut != "" {
+				writeWitness(f.witnessOut, wit)
 			}
 		}
 		if rep.TotalViolating > 0 {
@@ -93,7 +87,42 @@ func main() {
 		return
 	}
 
-	os.Exit(matrix(run, *witnessOut))
+	os.Exit(matrix(run, f.witnessOut))
+}
+
+// flags are bbbmc's flag values: the run flags of cli.MC plus its own.
+type flags struct {
+	run                             *cli.Run
+	points                          int
+	first, step                     uint64
+	exhaustive, maxFlips, maxImages int
+	repro, witnessOut               string
+}
+
+// declare registers bbbmc's flags on fs.
+func declare(fs *flag.FlagSet) *flags {
+	f := &flags{run: cli.MC.Register(fs)}
+	fs.IntVar(&f.points, "points", 6, "number of crash points")
+	fs.Uint64Var(&f.first, "first", 4_000, "first crash cycle")
+	fs.Uint64Var(&f.step, "step", 8_000, "cycles between crash points")
+	fs.IntVar(&f.exhaustive, "exhaustive", 0, "groups up to this many pending writes enumerate all 2^n subsets (0 = default 10)")
+	fs.IntVar(&f.maxFlips, "maxflips", 0, "larger groups enumerate subsets within this many writes of either extreme (0 = default 2)")
+	fs.IntVar(&f.maxImages, "maximages", 0, "cap on survival sets per crash point, excess counted not silent (0 = default 4096)")
+	fs.StringVar(&f.repro, "repro", "", "replay a witness file and exit (0 = reproduced); takes no other flag")
+	fs.StringVar(&f.witnessOut, "witness-out", "", "write the campaign's first minimized witness to this file")
+	return f
+}
+
+// rejectWithRepro names the first flag set besides -repro: a replay reads
+// the campaign, crash cycle and survivors from the witness file alone.
+func rejectWithRepro(fs *flag.FlagSet) error {
+	var others []string
+	fs.VisitAll(func(f *flag.Flag) {
+		if f.Name != "repro" {
+			others = append(others, f.Name)
+		}
+	})
+	return cli.Reject(fs, "with -repro", others...)
 }
 
 // matrix runs the gated acceptance campaigns; it returns 1 when any of

@@ -1,10 +1,12 @@
 package crashmc
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"bbb/internal/memory"
 )
@@ -87,65 +89,102 @@ type Enumeration struct {
 // Enumerate materializes the reachable crash-state space of rec within b:
 // the collecting form of stream, with every image's Hash computed.
 func Enumerate(rec *Record, b Bounds) Enumeration {
-	var (
-		enum Enumeration
-		h    hasher
-	)
-	enum.Sets, enum.SetsSkipped = stream(newLineTable(rec), b, func(img Image, _ []LineWrite) {
+	s := getScratch()
+	defer scratchPool.Put(s)
+	return s.enumerate(rec, b)
+}
+
+func (s *scratch) enumerate(rec *Record, b Bounds) Enumeration {
+	s.load(rec)
+	var enum Enumeration
+	enum.Sets, enum.SetsSkipped = s.stream(b, func(img Image, _ []LineWrite) {
 		img = img.clone()
-		img.Hash = h.sum(img.Overlay)
+		img.Hash = s.h.sum(img.Overlay)
 		enum.Images = append(enum.Images, img)
 	})
 	return enum
 }
 
-// stream walks the reachable crash-state space of t's record within b and
-// calls fn once per distinct image, in first-seen order, with the image and
-// the base image's lines under its overlay (base[i] is the base line
-// Overlay[i] replaces, so a caller that applies the overlay to the record's
-// Base in place can restore it). Images are deduplicated exactly by their
-// line table keys and carry no Hash. The survival set, key and overlay
-// buffers are reused from one set to the next: img and base are valid only
-// during the call. It returns the Sets and SetsSkipped counts of the
-// Enumeration.
-func stream(t *lineTable, b Bounds, fn func(img Image, base []LineWrite)) (sets int, skipped uint64) {
-	b = b.withDefaults()
-	groups, total := survivalGroups(t.rec, b)
+// scratch holds every buffer the enumeration of one crash point needs: the
+// line table, both resolvers, the survival groups' subsets, the odometer
+// and the dedupe key set. A walker reuses one from point to point, so a
+// warmed-up stream allocates nothing per set. It serves one record at a
+// time, from load to the end of the stream that follows; checkPoint and
+// Enumerate take one from scratchPool and put it back when their point is
+// done, so concurrent walkers never share one.
+type scratch struct {
+	table lineTable
+	// r resolves the streamed sets; mr is minimization's, which runs
+	// inside the stream's callback while r still holds the current image.
+	r, mr resolver
+	seen  keySet
+	h     hasher
 
-	var (
-		seen = make(map[string]struct{}, min(total, uint64(b.MaxImages)))
-		pick = make([]int, len(groups))
-		set  = make([]int, 0, len(t.rec.Pending))
-		r    = t.resolver()
-	)
+	free, epoch, cores []int // survivalGroups' pending indices and core list
+	subsets            subsetArena
+	groupEnds          []int // group g is subsets groupEnds[g-1] (or 0) up to groupEnds[g]
+	pick, set          []int // the odometer: one subset per group, and their union
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// load points s at rec: it rebuilds the line table — before any overlay
+// touches rec.Base — and resets both resolvers.
+func (s *scratch) load(rec *Record) {
+	s.table.reset(rec)
+	s.r.reset(&s.table)
+	s.mr.reset(&s.table)
+}
+
+// stream walks the reachable crash-state space of the loaded record within
+// b and calls fn once per distinct image, in first-seen order, with the
+// image and the base image's lines under its overlay (base[i] is the base
+// line Overlay[i] replaces, so a caller that applies the overlay to the
+// record's Base in place can restore it). Images are deduplicated exactly
+// by their line table keys and carry no Hash. The survival set, key and
+// overlay buffers are s's, reused from one set to the next: img and base
+// are valid only during the call. It returns the Sets and SetsSkipped
+// counts of the Enumeration.
+func (s *scratch) stream(b Bounds, fn func(img Image, base []LineWrite)) (sets int, skipped uint64) {
+	b = b.withDefaults()
+	total := s.survivalGroups(b)
+	s.seen.reset(int(min(total, uint64(b.MaxImages))))
+	if s.set == nil {
+		s.set = []int{} // Survivors of the empty set is empty, not nil
+	}
+	s.pick = s.pick[:0]
+	for g := range s.groupEnds {
+		s.pick = append(s.pick, s.groupStart(g))
+	}
 	// Odometer cross product over the groups' candidate sets, in
 	// deterministic lexicographic order; the empty survival set (every
 	// group's first candidate) always comes first.
 	for {
-		set = set[:0]
-		for gi, g := range groups {
-			set = append(set, g[pick[gi]]...)
+		set := s.set[:0] // a local, as in resolver.resolve
+		for _, j := range s.pick {
+			set = append(set, s.subsets.subset(j)...)
 		}
 		slices.Sort(set)
+		s.set = set
 		sets++
-		key := r.resolve(set)
-		if _, dup := seen[string(key)]; !dup {
-			seen[string(key)] = struct{}{}
-			fn(r.image(set), r.base)
+		if s.seen.add(s.r.resolve(set)) {
+			fn(s.r.image(set), s.r.base)
 		}
 		if sets >= b.MaxImages {
 			break
 		}
-		i := len(groups) - 1
-		for i >= 0 {
-			pick[i]++
-			if pick[i] < len(groups[i]) {
+		g := len(s.pick) - 1
+		for g >= 0 {
+			s.pick[g]++
+			if s.pick[g] < s.groupEnds[g] {
 				break
 			}
-			pick[i] = 0
-			i--
+			s.pick[g] = s.groupStart(g)
+			g--
 		}
-		if i < 0 {
+		if g < 0 {
 			break
 		}
 	}
@@ -155,43 +194,60 @@ func stream(t *lineTable, b Bounds, fn func(img Image, base []LineWrite)) (sets 
 	return sets, skipped
 }
 
-// survivalGroups splits the pending set into independent groups and
-// returns each group's legal candidate subsets (indices into Pending),
-// plus the size of the FULL legal space (saturating) so callers can
-// report how much the bounds pruned. ClassFree writes form one group
-// with unconstrained subsets; each BEP core's ClassEpoch writes form a
-// group whose subsets are epoch-downward closed (full earlier epochs,
-// any bounded subset of the frontier epoch).
-func survivalGroups(rec *Record, b Bounds) ([][][]int, uint64) {
-	var free []int
-	perCore := make(map[int][]int)
-	var coreOrder []int
+func (s *scratch) groupStart(g int) int {
+	if g == 0 {
+		return 0
+	}
+	return s.groupEnds[g-1]
+}
+
+// survivalGroups splits the loaded record's pending set into independent
+// groups and lays each group's legal candidate subsets (indices into
+// Pending) into s.subsets, ending group g at s.groupEnds[g]. It returns
+// the size of the FULL legal space (saturating) so callers can report how
+// much the bounds pruned. ClassFree writes form one group with
+// unconstrained subsets; each BEP core's ClassEpoch writes, cores in
+// first-seen order, form a group whose subsets are epoch-downward closed
+// (full earlier epochs, any bounded subset of the frontier epoch).
+func (s *scratch) survivalGroups(b Bounds) uint64 {
+	rec := s.table.rec
+	s.free, s.cores = s.free[:0], s.cores[:0]
 	for i, w := range rec.Pending {
 		switch w.Class {
 		case ClassFree:
-			free = append(free, i)
+			s.free = append(s.free, i)
 		case ClassEpoch:
-			if _, ok := perCore[w.Core]; !ok {
-				coreOrder = append(coreOrder, w.Core)
+			if !slices.Contains(s.cores, w.Core) {
+				s.cores = append(s.cores, w.Core)
 			}
-			perCore[w.Core] = append(perCore[w.Core], i)
 		}
 	}
-	var groups [][][]int
+	a := &s.subsets
+	a.reset()
+	s.groupEnds = s.groupEnds[:0]
 	total := uint64(1)
-	if len(free) > 0 {
-		groups = append(groups, boundedSubsets(free, b))
-		total = satMul(total, satPow2(len(free)))
+	if len(s.free) > 0 {
+		a.bounded(nil, s.free, 0, b)
+		s.groupEnds = append(s.groupEnds, len(a.ends))
+		total = satMul(total, satPow2(len(s.free)))
 	}
-	for _, c := range coreOrder {
-		groups = append(groups, epochSubsets(rec, perCore[c], b))
-		total = satMul(total, epochSpaceSize(rec, perCore[c]))
+	for _, c := range s.cores {
+		s.epoch = s.epoch[:0]
+		for i, w := range rec.Pending {
+			if w.Class == ClassEpoch && w.Core == c {
+				s.epoch = append(s.epoch, i)
+			}
+		}
+		a.epochs(rec, s.epoch, b)
+		s.groupEnds = append(s.groupEnds, len(a.ends))
+		total = satMul(total, epochSpaceSize(rec, s.epoch))
 	}
-	if len(groups) == 0 {
+	if len(s.groupEnds) == 0 {
 		// No pending writes: the space is exactly {base image}.
-		groups = append(groups, [][]int{{}})
+		a.cut()
+		s.groupEnds = append(s.groupEnds, 1)
 	}
-	return groups, total
+	return total
 }
 
 // epochSpaceSize counts one core's full legal survival space: the empty
@@ -199,70 +255,65 @@ func survivalGroups(rec *Record, b Bounds) ([][][]int, uint64) {
 // full-frontier set of epoch e coincides with the empty-frontier cut at
 // epoch e+1, so per-epoch counts are 2^|e| - 1).
 func epochSpaceSize(rec *Record, idx []int) uint64 {
-	counts := epochRuns(rec, idx)
 	total := uint64(1)
-	for _, n := range counts {
-		total += satPow2(n) - 1
+	for lo := 0; lo < len(idx); {
+		hi := epochRunEnd(rec, idx, lo)
+		total += satPow2(hi-lo) - 1
 		if total == ^uint64(0) {
 			break
 		}
+		lo = hi
 	}
 	return total
 }
 
-// epochRuns returns the run lengths of consecutive equal-epoch entries
-// (capture order is allocation order, so idx is epoch-nondecreasing).
-func epochRuns(rec *Record, idx []int) []int {
-	var (
-		runs []int
-		last uint64
-	)
-	for _, i := range idx {
-		e := rec.Pending[i].Epoch
-		if len(runs) == 0 || e != last {
-			runs = append(runs, 0)
-			last = e
-		}
-		runs[len(runs)-1]++
+// epochRunEnd returns the end of the run of equal-epoch entries of idx
+// that starts at lo (capture order is allocation order, so idx is
+// epoch-nondecreasing).
+func epochRunEnd(rec *Record, idx []int, lo int) int {
+	hi := lo + 1
+	for hi < len(idx) && rec.Pending[idx[hi]].Epoch == rec.Pending[idx[lo]].Epoch {
+		hi++
 	}
-	return runs
+	return hi
 }
 
-// subsetArena lays subsets back to back in one slice. sets carves them out
-// only once all are in, so no append can move a subset already handed out.
+// subsetArena lays subsets back to back in one slice that a scratch reuses
+// from point to point.
 type subsetArena struct {
 	ints []int
-	ends []int // ends[i] is where subset i stops in ints
+	ends []int // ends[j] is where subset j stops in ints
+	pos  []int // combinations' cursor
 }
+
+func (a *subsetArena) reset() { a.ints, a.ends = a.ints[:0], a.ends[:0] }
 
 // cut ends the subset being appended to ints.
 func (a *subsetArena) cut() { a.ends = append(a.ends, len(a.ints)) }
 
-func (a *subsetArena) sets() [][]int {
-	out := make([][]int, len(a.ends))
+// subset returns subset j; it aliases the arena until its next reset.
+func (a *subsetArena) subset(j int) []int {
 	start := 0
-	for i, end := range a.ends {
-		out[i] = a.ints[start:end:end]
-		start = end
+	if j > 0 {
+		start = a.ends[j-1]
 	}
-	return out
+	return a.ints[start:a.ends[j]]
 }
 
-// boundedSubsets returns subsets of idx per Bounds, deterministically
-// ordered by cardinality ascending, so the empty set is always first and
-// the near-full complements last. Within a cardinality an exhaustive group
-// is in mask order (bit i standing for idx[i]) and a bounded one in
-// lexicographic order.
-func boundedSubsets(idx []int, b Bounds) [][]int {
+// bounded appends the subsets of idx the bounds keep that have at least
+// kmin members, each after prefix, ordered by cardinality ascending, so
+// the empty set (for kmin 0) is first and the near-full complements last.
+// Within a cardinality an exhaustive group is in mask order (bit i
+// standing for idx[i]) and a bounded one in lexicographic order.
+func (a *subsetArena) bounded(prefix, idx []int, kmin int, b Bounds) {
 	n := len(idx)
-	var a subsetArena
 	if n <= b.ExhaustiveLimit {
-		a.ints, a.ends = make([]int, 0, n<<n>>1), make([]int, 0, 1<<n)
-		for k := 0; k <= n; k++ {
+		for k := kmin; k <= n; k++ {
 			for mask := uint(0); mask < 1<<n; mask++ {
 				if bits.OnesCount(mask) != k {
 					continue
 				}
+				a.ints = append(a.ints, prefix...)
 				for i := 0; i < n; i++ {
 					if mask&(1<<i) != 0 {
 						a.ints = append(a.ints, idx[i])
@@ -271,67 +322,64 @@ func boundedSubsets(idx []int, b Bounds) [][]int {
 				a.cut()
 			}
 		}
-		return a.sets()
-	}
-	for k := 0; k <= n; k++ {
-		if k <= b.MaxFlips || k >= n-b.MaxFlips {
-			combinations(idx, k, func(s []int) {
-				a.ints = append(a.ints, s...)
-				a.cut()
-			})
-		}
-	}
-	return a.sets()
-}
-
-// combinations calls fn with every k-of-idx combination in lexicographic
-// order. fn must copy s if it retains it.
-func combinations(idx []int, k int, fn func(s []int)) {
-	if k == 0 {
-		fn(nil)
 		return
 	}
-	sel := make([]int, k)
-	var rec func(start, d int)
-	rec = func(start, d int) {
-		if d == k {
-			fn(sel)
+	for k := kmin; k <= n; k++ {
+		if k <= b.MaxFlips || k >= n-b.MaxFlips {
+			a.combinations(prefix, idx, k)
+		}
+	}
+}
+
+// combinations appends every k-of-idx combination, each after prefix, in
+// lexicographic order.
+func (a *subsetArena) combinations(prefix, idx []int, k int) {
+	n := len(idx)
+	a.pos = a.pos[:0]
+	for i := 0; i < k; i++ {
+		a.pos = append(a.pos, i)
+	}
+	for {
+		a.ints = append(a.ints, prefix...)
+		for _, p := range a.pos {
+			a.ints = append(a.ints, idx[p])
+		}
+		a.cut()
+		i := k - 1
+		for i >= 0 && a.pos[i] == n-k+i {
+			i--
+		}
+		if i < 0 {
 			return
 		}
-		for i := start; i <= len(idx)-(k-d); i++ {
-			sel[d] = idx[i]
-			rec(i+1, d+1)
+		a.pos[i]++
+		for j := i + 1; j < k; j++ {
+			a.pos[j] = a.pos[j-1] + 1
 		}
 	}
-	rec(0, 0)
 }
 
-// epochSubsets returns one core's legal vpb survival sets: the empty set,
-// then for each cut epoch, every earlier epoch in full plus a nonempty
-// bounded subset of the frontier epoch. A frontier's empty subset is left
-// out because it repeats the previous cut's full frontier (or, for the
-// first cut, the leading empty set), which boundedSubsets always includes.
-func epochSubsets(rec *Record, idx []int, b Bounds) [][]int {
-	var a subsetArena
-	a.cut()     // nothing extra drained
-	prefix := 0 // idx[:prefix] are the earlier epochs' writes
-	for _, n := range epochRuns(rec, idx) {
-		for _, fs := range boundedSubsets(idx[prefix:prefix+n], b)[1:] {
-			a.ints = append(a.ints, idx[:prefix]...)
-			a.ints = append(a.ints, fs...)
-			a.cut()
-		}
-		prefix += n
+// epochs appends one core's legal vpb survival sets: the empty set, then
+// for each cut epoch, every earlier epoch in full plus a nonempty bounded
+// subset of the frontier epoch. A frontier's empty subset is left out
+// because it repeats the previous cut's full frontier (or, for the first
+// cut, the leading empty set), which bounded always includes.
+func (a *subsetArena) epochs(rec *Record, idx []int, b Bounds) {
+	a.cut() // nothing extra drained
+	for lo := 0; lo < len(idx); {
+		hi := epochRunEnd(rec, idx, lo)
+		a.bounded(idx[:lo], idx[lo:hi], 1, b)
+		lo = hi
 	}
-	return a.sets()
 }
 
-// materialize resolves a survival set into its image, through a line table
-// of its own. The image carries no Hash.
+// materialize resolves a survival set into its image, through a scratch of
+// its own. The image carries no Hash.
 func materialize(rec *Record, survivors []int) Image {
-	r := newLineTable(rec).resolver()
-	r.resolve(survivors)
-	return r.image(survivors)
+	var s scratch
+	s.load(rec)
+	s.r.resolve(survivors)
+	return s.r.image(survivors)
 }
 
 // clone detaches an image from a stream's reused buffers.
@@ -360,18 +408,18 @@ type lineTable struct {
 	class []int32
 }
 
-func newLineTable(rec *Record) *lineTable {
-	t := &lineTable{
-		rec:   rec,
-		line:  make([]int32, len(rec.Pending)),
-		class: make([]int32, len(rec.Pending)),
-	}
+// reset rebuilds t for rec in t's buffers.
+func (t *lineTable) reset(rec *Record) {
+	t.rec = rec
+	t.line = resize(t.line, len(rec.Pending))
+	t.class = resize(t.class, len(rec.Pending))
+	t.addrs = t.addrs[:0]
 	for _, w := range rec.Pending {
 		t.addrs = append(t.addrs, w.Addr)
 	}
 	slices.Sort(t.addrs)
 	t.addrs = slices.Compact(t.addrs)
-	t.base = make([][memory.LineSize]byte, len(t.addrs))
+	t.base = resize(t.base, len(t.addrs))
 	for l, a := range t.addrs {
 		rec.Base.PeekLine(a, &t.base[l])
 	}
@@ -379,6 +427,7 @@ func newLineTable(rec *Record) *lineTable {
 		w := &rec.Pending[i]
 		l, _ := slices.BinarySearch(t.addrs, w.Addr)
 		t.line[i] = int32(l)
+		t.class[i] = 0
 		if w.Data == t.base[l] {
 			continue
 		}
@@ -390,8 +439,11 @@ func newLineTable(rec *Record) *lineTable {
 			}
 		}
 	}
-	return t
 }
+
+// resize returns s with length n, reusing its backing array when it fits;
+// the contents are left for the caller to overwrite.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // resolver turns survival sets into dedupe keys and images through a line
 // table, reusing its buffers from one set to the next.
@@ -406,8 +458,11 @@ type resolver struct {
 	base    []LineWrite
 }
 
-func (t *lineTable) resolver() *resolver {
-	return &resolver{t: t, newest: make([]int32, len(t.addrs))}
+// reset points r at t, whose lines may have changed.
+func (r *resolver) reset(t *lineTable) {
+	r.t = t
+	r.newest = resize(r.newest, len(t.addrs))
+	clear(r.newest)
 }
 
 // resolve resolves a survival set and returns its dedupe key: the (line,
@@ -425,32 +480,36 @@ func (r *resolver) resolve(survivors []int) []byte {
 			r.newest[l] = int32(i) + 1
 		}
 	}
-	r.hits, r.key = r.hits[:0], r.key[:0]
+	// The appends go to locals, stored back once: a slice header written
+	// into r on every append costs a GC write barrier while marking.
+	hits, key := r.hits[:0], r.key[:0]
 	for l, n := range r.newest {
 		if n == 0 {
 			continue
 		}
 		r.newest[l] = 0
 		if c := t.class[n-1]; c != 0 {
-			r.hits = append(r.hits, n-1)
-			r.key = binary.AppendUvarint(r.key, uint64(l))
-			r.key = binary.AppendUvarint(r.key, uint64(c))
+			hits = append(hits, n-1)
+			key = binary.AppendUvarint(key, uint64(l))
+			key = binary.AppendUvarint(key, uint64(c))
 		}
 	}
-	return r.key
+	r.hits, r.key = hits, key
+	return key
 }
 
 // image builds the image of the set resolve saw last, in r's buffers:
 // Overlay and r.base alias them until the next call.
 func (r *resolver) image(survivors []int) Image {
 	t := r.t
-	r.overlay, r.base = r.overlay[:0], r.base[:0]
+	overlay, base := r.overlay[:0], r.base[:0] // locals, as in resolve
 	for _, p := range r.hits {
 		l := t.line[p]
-		r.overlay = append(r.overlay, LineWrite{Addr: t.addrs[l], Data: t.rec.Pending[p].Data})
-		r.base = append(r.base, LineWrite{Addr: t.addrs[l], Data: t.base[l]})
+		overlay = append(overlay, LineWrite{Addr: t.addrs[l], Data: t.rec.Pending[p].Data})
+		base = append(base, LineWrite{Addr: t.addrs[l], Data: t.base[l]})
 	}
-	return Image{Survivors: survivors, Overlay: r.overlay}
+	r.overlay, r.base = overlay, base
+	return Image{Survivors: survivors, Overlay: overlay}
 }
 
 // hasher computes canonical image hashes (see Image.Hash), reusing one
@@ -464,6 +523,94 @@ func (h *hasher) sum(overlay []LineWrite) [32]byte {
 		h.canon = append(h.canon, overlay[i].Data[:]...)
 	}
 	return sha256.Sum256(h.canon)
+}
+
+// keySet is an exact set of byte strings that a scratch reuses from one
+// crash point to the next: the keys lie back to back in one arena, and an
+// open-addressed table with linear probing holds each key's span and
+// hash. A lookup compares the full key bytes, so two keys are one member
+// only when they are equal; the hash only picks the slot.
+type keySet struct {
+	arena []byte
+	slots []keySlot // a power of two in length, at most half full
+	shift uint      // 64 - log2(len(slots)): a hash's top bits pick its slot
+	n     int
+}
+
+type keySlot struct {
+	hash uint64
+	off  int
+	size int // 1 + the key's length; 0 marks an empty slot
+}
+
+// reset empties the set and sizes its table for n keys, but for at most
+// 4096 (the default MaxImages): past that the table grows as it fills, so
+// a large MaxImages costs only what the distinct images need.
+func (s *keySet) reset(n int) {
+	size := 8
+	for size < 2*min(n, 4096) {
+		size <<= 1
+	}
+	s.slots = resize(s.slots, size)
+	clear(s.slots)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.arena, s.n = s.arena[:0], 0
+}
+
+// add inserts a copy of key and reports whether it was absent.
+func (s *keySet) add(key []byte) bool {
+	h := fnv1a(key)
+	i := s.find(h, key)
+	if s.slots[i].size != 0 {
+		return false
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+		i = s.find(h, key)
+	}
+	s.slots[i] = keySlot{hash: h, off: len(s.arena), size: len(key) + 1}
+	s.arena = append(s.arena, key...)
+	s.n++
+	return true
+}
+
+// find returns key's slot, or the empty slot where it would go.
+func (s *keySet) find(h uint64, key []byte) int {
+	mask := len(s.slots) - 1
+	for i := int(h >> s.shift); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.size == 0 || sl.hash == h && bytes.Equal(s.arena[sl.off:sl.off+sl.size-1], key) {
+			return i
+		}
+	}
+}
+
+// grow doubles the table and reinserts every key.
+func (s *keySet) grow() {
+	old := s.slots
+	s.slots = make([]keySlot, 2*len(old))
+	s.shift--
+	mask := len(s.slots) - 1
+	for _, sl := range old {
+		if sl.size == 0 {
+			continue
+		}
+		i := int(sl.hash >> s.shift)
+		for s.slots[i].size != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = sl
+	}
+}
+
+// fnv1a is the 64-bit FNV-1a hash.
+func fnv1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 func satPow2(n int) uint64 {

@@ -56,12 +56,18 @@ func FuzzParseWitness(f *testing.F) {
 // image and overwrite each other, so every dedupe case occurs. The two
 // must agree on the set counts and on every image — order, survivors,
 // overlay and hash — and Materialize must rebuild each image's overlay
-// from its survivors. The seed corpus (testdata/fuzz/FuzzEnumerate) runs
-// as a normal test.
+// from its survivors. The images come from a scratch that has just
+// enumerated another record — the input's bytes reversed, so other
+// bounds, lines and table sizes — and must not see any of its state. The
+// seed corpus (testdata/fuzz/FuzzEnumerate) runs as a normal test.
 func FuzzEnumerate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		prev := slices.Clone(data)
+		slices.Reverse(prev)
+		var s scratch
+		s.enumerate(fuzzRecord(prev))
 		rec, b := fuzzRecord(data)
-		got, want := Enumerate(rec, b), refEnumerate(rec, b)
+		got, want := s.enumerate(rec, b), refEnumerate(rec, b)
 		if got.Sets != want.Sets || got.SetsSkipped != want.SetsSkipped {
 			t.Fatalf("sets %d skipped %d, want %d and %d", got.Sets, got.SetsSkipped, want.Sets, want.SetsSkipped)
 		}
@@ -219,7 +225,22 @@ func refBoundedSubsets(idx []int, b Bounds) [][]int {
 	}
 	for k := 0; k <= n; k++ {
 		if k <= b.MaxFlips || k >= n-b.MaxFlips {
-			combinations(idx, k, func(s []int) { out = append(out, slices.Clone(s)) })
+			out = append(out, refCombinations(idx, k)...)
+		}
+	}
+	return out
+}
+
+// refCombinations returns every k-of-idx combination in lexicographic
+// order.
+func refCombinations(idx []int, k int) [][]int {
+	if k == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for i := 0; i+k <= len(idx); i++ {
+		for _, rest := range refCombinations(idx[i+1:], k-1) {
+			out = append(out, append([]int{idx[i]}, rest...))
 		}
 	}
 	return out

@@ -131,9 +131,10 @@ func (c Config) Run() Report {
 	return rep
 }
 
-// checkPoint enumerates and validates one crash point's snapshot. Each new
-// distinct image is applied to rec.Base in place, checked, and restored
-// from the base lines the line table read before the first overlay.
+// checkPoint enumerates and validates one crash point's snapshot through a
+// pooled scratch, held until the point is done. Each new distinct image is
+// applied to rec.Base in place, checked, and restored from the base lines
+// the line table read before the first overlay.
 func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Record) PointResult {
 	res := PointResult{
 		CrashCycle:  rec.CrashCycle,
@@ -148,20 +149,18 @@ func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Recor
 		applyOverlay(rec.Base, base)
 		return err
 	}
-	t := newLineTable(rec)
-	// Minimization resolves through a resolver of its own: it runs inside
-	// the stream's callback, whose resolver still holds the current image.
-	mr := t.resolver()
+	s := getScratch()
+	defer scratchPool.Put(s)
+	s.load(rec)
 	checkSet := func(survivors []int) string {
-		mr.resolve(survivors)
-		if err := check(mr.image(survivors), mr.base); err != nil {
+		s.mr.resolve(survivors)
+		if err := check(s.mr.image(survivors), s.mr.base); err != nil {
 			return err.Error()
 		}
 		return ""
 	}
 
-	var h hasher
-	res.Sets, res.SetsSkipped = stream(t, b, func(img Image, base []LineWrite) {
+	res.Sets, res.SetsSkipped = s.stream(b, func(img Image, base []LineWrite) {
 		res.DistinctImages++
 		err := check(img, base)
 		if err == nil {
@@ -171,7 +170,7 @@ func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Recor
 		if len(res.Violations) >= maxViol {
 			return
 		}
-		v := Violation{Hash: h.sum(img.Overlay), Survivors: slices.Clone(img.Survivors), Err: err.Error()}
+		v := Violation{Hash: s.h.sum(img.Overlay), Survivors: slices.Clone(img.Survivors), Err: err.Error()}
 		if len(res.Violations) == 0 {
 			v.Minimized, v.MinimizedErr = minimize(rec, v.Survivors, checkSet)
 			res.Witness = newWitness(c, rec.CrashCycle, rec, v.Minimized, v.MinimizedErr)

@@ -5,6 +5,7 @@ package workload
 // vacuously green.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -205,3 +206,37 @@ func TestSetupIsolatesRuns(t *testing.T) {
 }
 
 var _ = palloc.FromLayout // keep the import for helper extensions
+
+// TestLinkedListCheckAllocs pins the checker's cost on the crash-image
+// model checker's hot path, where most PMEM images without barriers fail:
+// a valid image allocates nothing and a violating one only its error.
+func TestLinkedListCheckAllocs(t *testing.T) {
+	w := NewLinkedList()
+	mem := buildImage(t, w, testParams(50))
+	var err error
+	if avg := testing.AllocsPerRun(100, func() { err = w.Check(mem) }); avg != 0 || err != nil {
+		t.Fatalf("valid image: %.1f allocs per Check (want 0), err %v", avg, err)
+	}
+	corrupt64(mem, w.head(1), uint64(w.head(1))+16)
+	if avg := testing.AllocsPerRun(100, func() { err = w.Check(mem) }); avg > 1 || err == nil {
+		t.Fatalf("violating image: %.1f allocs per Check (want at most 1), err %v", avg, err)
+	}
+}
+
+// TestLinkedListErrorText pins each complaint's text to the fmt.Errorf
+// form witnesses and golden reports embed.
+func TestLinkedListErrorText(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{&listError{listBadMagic, 1, 0x1040, 0}, fmt.Sprintf("linkedlist[%d]: reachable node %#x has magic %#x (dangling publish — the Figure 2 bug)", 1, uint64(0x1040), uint64(0))},
+		{&listError{listZeroValue, 0, 0x2000, 0}, fmt.Sprintf("linkedlist[%d]: node %#x has zero value", 0, uint64(0x2000))},
+		{&listError{listGap, 3, 7, 5}, fmt.Sprintf("linkedlist[%d]: chain values %d -> %d not consecutive", 3, uint64(7), uint64(5))},
+		{&listError{listCycle, 2, 0, 0}, fmt.Sprintf("linkedlist[%d]: cycle detected", 2)},
+	} {
+		if got := c.err.Error(); got != c.want {
+			t.Errorf("got %q, want %q", got, c.want)
+		}
+	}
+}

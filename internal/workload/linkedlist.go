@@ -98,8 +98,10 @@ func (l *LinkedList) volWork(p Params) int {
 // Check implements Workload: walk every thread's list in the durable image.
 // A head (or next pointer) must reference a fully initialized node, and the
 // values along the chain must strictly descend — prepends of i+1 mean a
-// node's value is exactly one more than its successor's. Its errors format
-// lazily (errorf): under PMEM without barriers most reachable images fail.
+// node's value is exactly one more than its successor's. Its errors are
+// listErrors, formatted only when read: under PMEM without barriers most
+// reachable images fail, and the crash-image model checker reads the text
+// of only the few it records.
 func (l *LinkedList) Check(mem *memory.Memory) error {
 	for t := 0; t < l.threads; t++ {
 		ptr := peek64(mem, l.head(t))
@@ -107,19 +109,19 @@ func (l *LinkedList) Check(mem *memory.Memory) error {
 		prev := uint64(0)
 		for ptr != 0 {
 			if magic := peek64(mem, memory.Addr(ptr)+offListMagic); magic != magicListNode {
-				return errorf("linkedlist[%d]: reachable node %#x has magic %#x (dangling publish — the Figure 2 bug)", t, ptr, magic)
+				return &listError{listBadMagic, int32(t), ptr, magic}
 			}
 			val := peek64(mem, memory.Addr(ptr)+offListVal)
 			if val == 0 {
-				return errorf("linkedlist[%d]: node %#x has zero value", t, ptr)
+				return &listError{listZeroValue, int32(t), ptr, 0}
 			}
 			if prev != 0 && val != prev-1 {
-				return errorf("linkedlist[%d]: chain values %d -> %d not consecutive", t, prev, val)
+				return &listError{listGap, int32(t), prev, val}
 			}
 			prev = val
 			ptr = peek64(mem, memory.Addr(ptr)+offListNext)
 			if steps++; steps > 1<<22 {
-				return errorf("linkedlist[%d]: cycle detected", t)
+				return &listError{listCycle, int32(t), 0, 0}
 			}
 		}
 	}

@@ -208,18 +208,36 @@ func volatileWork(e cpu.Env, thread, n int, r *rand.Rand) {
 	}
 }
 
-// errorf is fmt.Errorf with the formatting deferred until Error is called,
-// for checkers that reject many images: the crash-image model checker
-// validates thousands of reachable images per crash point but reads the
-// text of only the few it records. The text is fmt.Errorf's.
-func errorf(format string, args ...any) error { return &lazyError{format, args} }
-
-type lazyError struct {
-	format string
-	args   []any
+// listError is one LinkedList.Check complaint: a fault kind, the thread
+// whose list has it and the two words it names. Fixed fields keep a
+// rejected image to one allocation; the text is built only by Error.
+type listError struct {
+	fault  listFault
+	thread int32 // with fault, one word: the error is 24 bytes
+	a, b   uint64
 }
 
-func (e *lazyError) Error() string { return fmt.Sprintf(e.format, e.args...) }
+type listFault uint8
+
+const (
+	listBadMagic  listFault = iota // a: the node, b: its magic
+	listZeroValue                  // a: the node
+	listGap                        // a, b: the two chain values
+	listCycle
+)
+
+func (e *listError) Error() string {
+	switch e.fault {
+	case listBadMagic:
+		return fmt.Sprintf("linkedlist[%d]: reachable node %#x has magic %#x (dangling publish — the Figure 2 bug)", e.thread, e.a, e.b)
+	case listZeroValue:
+		return fmt.Sprintf("linkedlist[%d]: node %#x has zero value", e.thread, e.a)
+	case listGap:
+		return fmt.Sprintf("linkedlist[%d]: chain values %d -> %d not consecutive", e.thread, e.a, e.b)
+	default:
+		return fmt.Sprintf("linkedlist[%d]: cycle detected", e.thread)
+	}
+}
 
 // peek64 reads a little-endian uint64 from the durable image.
 func peek64(mem *memory.Memory, a memory.Addr) uint64 { return mem.Peek64(a) }
