@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race invariant fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke campaign-short regress check bench-json bench-profile
+.PHONY: all build test vet race invariant inline-check fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke campaign-short regress check bench-json bench-profile
 
 all: check
 
@@ -29,18 +29,27 @@ race:
 invariant:
 	$(GO) test -race -tags invariant ./internal/...
 
+# Inline guard: the memo hit of Memory.Peek64, every recovery checker's
+# word read, must stay inlinable. Its cost sits at the compiler's budget
+# (80), so an edit that grows it would silently put a call back on the
+# crash-image validator's hottest path.
+inline-check:
+	@$(GO) build -gcflags=-m ./internal/memory 2>&1 | grep -q 'can inline (\*Memory).Peek64$$' \
+		|| { echo "inline-check: FAIL: (*Memory).Peek64 is no longer inlinable"; exit 1; }
+	@echo "inline-check: ok"
+
 # Perf trajectory: run the key benchmarks (simulator throughput and
 # allocation pressure, Figure 7 wall-clock, raw event-kernel rate at a
 # fixed depth and in Figure 7's delay mix, coherence load hit / store
-# upgrade / L2 miss, program handoff, crash
-# image enumeration and whole model-checking campaigns) and
+# upgrade / L2 miss, program handoff, a memory word read, crash
+# image enumeration and validation, and whole model-checking campaigns) and
 # record them as the next BENCH_<n>.json, also appending the recording to
 # the .ledger run ledger for provenance (who ran it, where, when).
 # Non-gating; CI uploads the files as artifacts and `make regress` judges
 # the trajectory.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCoherence|BenchmarkHandoff|BenchmarkCrashMCEnumerate|BenchmarkCrashMCCampaign|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
-		-benchmem . ./internal/engine ./internal/coherence ./internal/cpu ./internal/crashmc ./internal/axiomatic ./internal/trace ./internal/vet/pressurelint ./internal/kvservice ./internal/pds \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCoherence|BenchmarkHandoff|BenchmarkCrashMCEnumerate|BenchmarkCrashMCCampaign|BenchmarkValidateImage|BenchmarkPeek64|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
+		-benchmem . ./internal/engine ./internal/coherence ./internal/cpu ./internal/memory ./internal/crashmc ./internal/axiomatic ./internal/trace ./internal/vet/pressurelint ./internal/kvservice ./internal/pds \
 		| $(GO) run ./cmd/benchjson -ledger .ledger -name bench-json > BENCH_$$(ls BENCH_*.json 2>/dev/null | wc -l).json
 	@ls BENCH_*.json | tail -1
 
@@ -171,4 +180,4 @@ litmus-short:
 	$(GO) run ./cmd/bbblitmus conform -points 6
 
 # Tier-1.5: everything above.
-check: build test vet race invariant mc-short litmus-short pressure-short kv-short trace-smoke campaign-short regress
+check: build test vet inline-check race invariant mc-short litmus-short pressure-short kv-short trace-smoke campaign-short regress

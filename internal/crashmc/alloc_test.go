@@ -30,7 +30,7 @@ func TestStreamZeroAlloc(t *testing.T) {
 	)
 	pass := func() {
 		s.load(rec)
-		sets, _ = s.stream(DefaultBounds(), func(Image, []LineWrite) { count++ })
+		sets, _ = s.stream(DefaultBounds(), func([]int) { count++ })
 	}
 	pass()
 	if sets < 500 || count < 100 {
@@ -38,6 +38,30 @@ func TestStreamZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(10, pass); avg != 0 {
 		t.Fatalf("a warmed-up stream of %d sets allocates %.1f objects, want 0", sets, avg)
+	}
+}
+
+// TestCheckPointZeroAlloc pins the validator's steady state: once a
+// scratch has checked a point, checking it again — line table, line
+// pointers, stream, and every image written into the base in place,
+// checked and restored — allocates nothing when no image violates. It
+// uses a scratch of its own, as the race detector's sync.Pool drops some
+// of what it is given.
+func TestCheckPointZeroAlloc(t *testing.T) {
+	c := mcConfig(workload.NewLinkedList(), persistency.PMEM, false)
+	rec := captured(t, c, 32_000) // two pending lines, four images
+	b := DefaultBounds().withDefaults()
+	var (
+		s   scratch
+		res PointResult
+	)
+	pass := func() { res = s.checkPoint(c.Workload, c, b, 4, rec) }
+	pass()
+	if res.DistinctImages < 2 || res.ViolatingImages != 0 {
+		t.Fatalf("record checks %d images, %d violating: want at least 2 and none", res.DistinctImages, res.ViolatingImages)
+	}
+	if avg := testing.AllocsPerRun(10, pass); avg != 0 {
+		t.Fatalf("a warmed-up checkPoint of %d images allocates %.1f objects, want 0", res.DistinctImages, avg)
 	}
 }
 

@@ -1,6 +1,7 @@
 package crashmc
 
 import (
+	"slices"
 	"testing"
 
 	"bbb/internal/persistency"
@@ -45,4 +46,35 @@ func BenchmarkCrashMCCampaign(b *testing.B) {
 		images += c.Run().TotalDistinct
 	}
 	b.ReportMetric(float64(images)/b.Elapsed().Seconds(), "images/s")
+}
+
+// BenchmarkValidateImage measures the validator's per-image cost on a
+// captured barrier-free PMEM linked-list record: writing an image into the
+// base in place, the recovery check, and the restore. The images' overlays
+// are resolved before the timer starts, so enumeration is not counted; it
+// reports ns/image.
+func BenchmarkValidateImage(b *testing.B) {
+	c := mcConfig(workload.NewLinkedList(), persistency.PMEM, true)
+	const crashAt = 16_000
+	sys, finished := workload.BuildToCrash(c.Workload, c.Scheme, c.System, c.Params, crashAt)
+	rec := Capture(sys, crashAt, finished)
+	var s scratch
+	s.load(rec)
+	s.bindLines()
+	var hits [][]int32
+	s.stream(DefaultBounds(), func([]int) { hits = append(hits, slices.Clone(s.r.hits)) })
+	if len(hits) < 2 {
+		b.Fatalf("record streams %d images; the benchmark would validate too few", len(hits))
+	}
+	r := &s.mr
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, h := range hits {
+			r.hits = h
+			s.apply(r)
+			_ = c.Workload.Check(rec.Base)
+			s.restore(r)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(hits)), "ns/image")
 }

@@ -67,8 +67,7 @@ type Image struct {
 	// little-endian address and 64 data bytes, in address order, so equal
 	// images have equal hashes. Only reported images carry it — every
 	// image of Enumerate and every recorded Violation. Deduplication does
-	// not need it, so the images Run validates as they stream and those
-	// Materialize returns leave it zero.
+	// not need it, so the images Materialize returns leave it zero.
 	Hash [32]byte
 }
 
@@ -97,8 +96,8 @@ func Enumerate(rec *Record, b Bounds) Enumeration {
 func (s *scratch) enumerate(rec *Record, b Bounds) Enumeration {
 	s.load(rec)
 	var enum Enumeration
-	enum.Sets, enum.SetsSkipped = s.stream(b, func(img Image, _ []LineWrite) {
-		img = img.clone()
+	enum.Sets, enum.SetsSkipped = s.stream(b, func(set []int) {
+		img := s.r.image(set).clone()
 		img.Hash = s.h.sum(img.Overlay)
 		enum.Images = append(enum.Images, img)
 	})
@@ -106,12 +105,12 @@ func (s *scratch) enumerate(rec *Record, b Bounds) Enumeration {
 }
 
 // scratch holds every buffer the enumeration of one crash point needs: the
-// line table, both resolvers, the survival groups' subsets, the odometer
-// and the dedupe key set. A walker reuses one from point to point, so a
-// warmed-up stream allocates nothing per set. It serves one record at a
-// time, from load to the end of the stream that follows; checkPoint and
-// Enumerate take one from scratchPool and put it back when their point is
-// done, so concurrent walkers never share one.
+// line table, both resolvers, the survival groups' subsets, the odometer,
+// the dedupe key set and the validator's line pointers. A walker reuses
+// one from point to point, so a warmed-up stream allocates nothing per
+// set. It serves one record at a time, from load to the end of the stream
+// that follows; checkPoint and Enumerate take one from scratchPool and put
+// it back when their point is done, so concurrent walkers never share one.
 type scratch struct {
 	table lineTable
 	// r resolves the streamed sets; mr is minimization's, which runs
@@ -124,6 +123,10 @@ type scratch struct {
 	subsets            subsetArena
 	groupEnds          []int // group g is subsets groupEnds[g-1] (or 0) up to groupEnds[g]
 	pick, set          []int // the odometer: one subset per group, and their union
+
+	// lines points at each line of the table in place in the record's
+	// Base, resolved by checkPoint (bindLines) after load.
+	lines []*[memory.LineSize]byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -140,14 +143,13 @@ func (s *scratch) load(rec *Record) {
 
 // stream walks the reachable crash-state space of the loaded record within
 // b and calls fn once per distinct image, in first-seen order, with the
-// image and the base image's lines under its overlay (base[i] is the base
-// line Overlay[i] replaces, so a caller that applies the overlay to the
-// record's Base in place can restore it). Images are deduplicated exactly
-// by their line table keys and carry no Hash. The survival set, key and
-// overlay buffers are s's, reused from one set to the next: img and base
-// are valid only during the call. It returns the Sets and SetsSkipped
-// counts of the Enumeration.
-func (s *scratch) stream(b Bounds, fn func(img Image, base []LineWrite)) (sets int, skipped uint64) {
+// survival set that first produced it. Images are deduplicated exactly by
+// their line table keys. During the call s.r holds the set's resolution:
+// its hits are the image's overlay, which s.r.image builds (without Hash)
+// for a caller that needs it. The survival set and s.r's buffers are
+// reused from one set to the next, so both are valid only during the call.
+// It returns the Sets and SetsSkipped counts of the Enumeration.
+func (s *scratch) stream(b Bounds, fn func(set []int)) (sets int, skipped uint64) {
 	b = b.withDefaults()
 	total := s.survivalGroups(b)
 	s.seen.reset(int(min(total, uint64(b.MaxImages))))
@@ -170,7 +172,7 @@ func (s *scratch) stream(b Bounds, fn func(img Image, base []LineWrite)) (sets i
 		s.set = set
 		sets++
 		if s.seen.add(s.r.resolve(set)) {
-			fn(s.r.image(set), s.r.base)
+			fn(set)
 		}
 		if sets >= b.MaxImages {
 			break
@@ -452,10 +454,8 @@ type resolver struct {
 	newest []int32 // per line: 1 + its newest survivor, 0 for none; all 0 between calls
 	hits   []int32 // the set's newest survivors whose bytes differ from the base, in line order
 	key    []byte
-	// overlay and base are the image of the set resolved last: its
-	// overlay lines and the base lines under them.
+	// overlay is image's buffer: the overlay of the set resolved last.
 	overlay []LineWrite
-	base    []LineWrite
 }
 
 // reset points r at t, whose lines may have changed.
@@ -498,17 +498,15 @@ func (r *resolver) resolve(survivors []int) []byte {
 	return key
 }
 
-// image builds the image of the set resolve saw last, in r's buffers:
-// Overlay and r.base alias them until the next call.
+// image builds the image of the set resolve saw last; its Overlay aliases
+// r's buffer until the next call.
 func (r *resolver) image(survivors []int) Image {
 	t := r.t
-	overlay, base := r.overlay[:0], r.base[:0] // locals, as in resolve
+	overlay := r.overlay[:0] // a local, as in resolve
 	for _, p := range r.hits {
-		l := t.line[p]
-		overlay = append(overlay, LineWrite{Addr: t.addrs[l], Data: t.rec.Pending[p].Data})
-		base = append(base, LineWrite{Addr: t.addrs[l], Data: t.base[l]})
+		overlay = append(overlay, LineWrite{Addr: t.addrs[t.line[p]], Data: t.rec.Pending[p].Data})
 	}
-	r.overlay, r.base = overlay, base
+	r.overlay = overlay
 	return Image{Survivors: survivors, Overlay: overlay}
 }
 

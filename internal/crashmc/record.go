@@ -87,8 +87,11 @@ type Record struct {
 	// the image every legal survival set extends. Capture's Base aliases
 	// the crashed machine's memory. Snapshot's is the machine's crash-image
 	// copy (System.CrashImage), valid until the next Snapshot of the same
-	// machine; Config.Run's validator overlays it in place and restores it
-	// line by line after checking each image. The enumerator only reads it.
+	// machine. Config.Run's validator writes each image into it in place,
+	// through pointers to the pending lines resolved once per point
+	// (Memory.Line), and restores those lines after checking the image; the
+	// writes bypass Memory's Writes and wear accounting, which no one reads
+	// on a crash image. The enumerator only reads it.
 	Base *memory.Memory
 	// Drain is the flush-on-fail report (battery accounting).
 	Drain persistency.DrainReport

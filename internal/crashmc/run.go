@@ -132,10 +132,20 @@ func (c Config) Run() Report {
 }
 
 // checkPoint enumerates and validates one crash point's snapshot through a
-// pooled scratch, held until the point is done. Each new distinct image is
-// applied to rec.Base in place, checked, and restored from the base lines
-// the line table read before the first overlay.
+// pooled scratch, held until the point is done.
 func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Record) PointResult {
+	s := getScratch()
+	defer scratchPool.Put(s)
+	return s.checkPoint(w, c, b, maxViol, rec)
+}
+
+// checkPoint is the package checkPoint in s's buffers. Each new distinct
+// image is written into rec.Base in place through the line pointers
+// bindLines resolved, checked, and restored from the base lines the line
+// table read before the first overlay. The writes bypass Memory's
+// accounting, so checking leaves Base's Writes and wear as the snapshot or
+// crash left them.
+func (s *scratch) checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Record) PointResult {
 	res := PointResult{
 		CrashCycle:  rec.CrashCycle,
 		Finished:    rec.Finished,
@@ -143,26 +153,25 @@ func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Recor
 		DomainLines: rec.DomainLines,
 		Pending:     len(rec.Pending),
 	}
-	check := func(img Image, base []LineWrite) error {
-		applyOverlay(rec.Base, img.Overlay)
+	s.load(rec)
+	s.bindLines()
+	check := func(r *resolver) error {
+		s.apply(r)
 		err := w.Check(rec.Base)
-		applyOverlay(rec.Base, base)
+		s.restore(r)
 		return err
 	}
-	s := getScratch()
-	defer scratchPool.Put(s)
-	s.load(rec)
 	checkSet := func(survivors []int) string {
 		s.mr.resolve(survivors)
-		if err := check(s.mr.image(survivors), s.mr.base); err != nil {
+		if err := check(&s.mr); err != nil {
 			return err.Error()
 		}
 		return ""
 	}
 
-	res.Sets, res.SetsSkipped = s.stream(b, func(img Image, base []LineWrite) {
+	res.Sets, res.SetsSkipped = s.stream(b, func(set []int) {
 		res.DistinctImages++
-		err := check(img, base)
+		err := check(&s.r)
 		if err == nil {
 			return
 		}
@@ -170,7 +179,7 @@ func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Recor
 		if len(res.Violations) >= maxViol {
 			return
 		}
-		v := Violation{Hash: s.h.sum(img.Overlay), Survivors: slices.Clone(img.Survivors), Err: err.Error()}
+		v := Violation{Hash: s.h.sum(s.r.image(set).Overlay), Survivors: slices.Clone(set), Err: err.Error()}
 		if len(res.Violations) == 0 {
 			v.Minimized, v.MinimizedErr = minimize(rec, v.Survivors, checkSet)
 			res.Witness = newWitness(c, rec.CrashCycle, rec, v.Minimized, v.MinimizedErr)
@@ -178,6 +187,35 @@ func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Recor
 		res.Violations = append(res.Violations, v)
 	})
 	return res
+}
+
+// bindLines points s.lines at each line of the loaded table in place in the
+// record's Base, materializing the pages it lacks.
+func (s *scratch) bindLines() {
+	base := s.table.rec.Base
+	lines := s.lines[:0] // a local, as in resolver.resolve
+	for _, a := range s.table.addrs {
+		lines = append(lines, base.Line(a))
+	}
+	s.lines = lines
+}
+
+// apply writes the image r resolved last into the record's Base: each
+// line's newest surviving write.
+func (s *scratch) apply(r *resolver) {
+	t := &s.table
+	for _, p := range r.hits {
+		*s.lines[t.line[p]] = t.rec.Pending[p].Data
+	}
+}
+
+// restore writes the base bytes back under the image apply wrote.
+func (s *scratch) restore(r *resolver) {
+	t := &s.table
+	for _, p := range r.hits {
+		l := t.line[p]
+		*s.lines[l] = t.base[l]
+	}
 }
 
 func applyOverlay(m *memory.Memory, overlay []LineWrite) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bbb/internal/engine"
@@ -118,37 +119,50 @@ func TestSnapshotsDoNotDisturbRun(t *testing.T) {
 	}
 }
 
-// TestCheckPointRestoresBase model-checks PMEM-without-barriers snapshots
-// whose reachable images include violations, and requires checkPoint to
-// leave each snapshot's Base byte for byte as it found it: every streamed
-// image and every set the first violation's minimization tries is applied
-// in place and must be restored from the base lines under it. The stream is
-// cut after 1, 2, … sets up to the first violation, so that a restore the
-// minimization gets wrong is not mended by the images streamed after it.
+// TestCheckPointRestoresBase model-checks barrier-free PMEM and BEP
+// snapshots whose reachable images include violations, and requires
+// checkPoint to leave each snapshot's Base byte for byte as it found it:
+// every streamed image and every set the first violation's minimization
+// tries is written in place through the line pointers and must be restored
+// from the base lines under it. The stream is cut after 1, 2, … sets up to
+// the first violation, so that a restore the minimization gets wrong is not
+// mended by the images streamed after it. Some pending lines sit on pages
+// the base had not materialized, which binding the line pointers creates.
 func TestCheckPointRestoresBase(t *testing.T) {
-	c := mcConfig(workload.NewLinkedList(), persistency.PMEM, true)
-	minimized := 0
-	for _, at := range []engine.Cycle{4_000, 10_000, 16_000} {
-		w := workload.NewLinkedList()
-		sys, finished := workload.BuildToCrash(w, c.Scheme, c.System, c.Params, at)
-		rec := Snapshot(sys, at, finished)
-		before := rec.Base.Clone()
-		for sets := 1; ; sets++ {
-			res := checkPoint(w, c, Bounds{MaxImages: sets}.withDefaults(), 4, rec)
-			if err := sameBase(rec.Base, before); err != nil {
-				t.Fatalf("@%d, stream cut after %d sets (%d violating): checkPoint changed the base image: %v",
-					at, sets, res.ViolatingImages, err)
+	for _, scheme := range []persistency.Scheme{persistency.PMEM, persistency.BEP} {
+		c := mcConfig(workload.NewLinkedList(), scheme, true)
+		minimized, fresh := 0, 0
+		for _, at := range []engine.Cycle{4_000, 10_000, 16_000} {
+			w := workload.NewLinkedList()
+			sys, finished := workload.BuildToCrash(w, c.Scheme, c.System, c.Params, at)
+			rec := Snapshot(sys, at, finished)
+			before := rec.Base.Clone()
+			pages := before.PageBases()
+			for _, p := range rec.Pending {
+				if !slices.Contains(pages, p.Addr&^(memory.PageSize-1)) {
+					fresh++
+				}
 			}
-			if res.Witness != nil {
-				minimized++
-				break
-			}
-			if res.SetsSkipped == 0 {
-				break
+			for sets := 1; ; sets++ {
+				res := checkPoint(w, c, Bounds{MaxImages: sets}.withDefaults(), 4, rec)
+				if err := sameBase(rec.Base, before); err != nil {
+					t.Fatalf("%s @%d, stream cut after %d sets (%d violating): checkPoint changed the base image: %v",
+						scheme, at, sets, res.ViolatingImages, err)
+				}
+				if res.Witness != nil {
+					minimized++
+					break
+				}
+				if res.SetsSkipped == 0 {
+					break
+				}
 			}
 		}
-	}
-	if minimized == 0 {
-		t.Fatal("no crash point had a violation to minimize; the test checks nothing")
+		if minimized == 0 {
+			t.Errorf("%s: no crash point had a violation to minimize; the test checks nothing", scheme)
+		}
+		if fresh == 0 {
+			t.Errorf("%s: no pending line sits on a page the base lacks; the test does not cover materializing one", scheme)
+		}
 	}
 }

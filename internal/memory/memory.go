@@ -109,8 +109,9 @@ type Memory struct {
 	wear  map[Addr]uint64 // per-line NVMM write counts (optional)
 
 	// Last-page memo: accesses cluster heavily within a page (sequential
-	// setup pokes, line reads), and pages are never removed once
-	// materialized, so the memo cannot go stale.
+	// setup pokes, line reads, recovery checkers' word reads). Pages are
+	// removed only by CloneInto, which resets the memo. lastBase is noPage
+	// whenever lastPage is nil.
 	lastBase Addr
 	lastPage *[PageSize]byte
 
@@ -120,16 +121,21 @@ type Memory struct {
 	Reads [2]uint64
 }
 
+// noPage is the memo's base while it holds no page. It is not page-aligned,
+// so page never matches it, and Peek64's fast path matches it only for the
+// top page of the address space, which lies outside every layout.
+const noPage = ^Addr(0)
+
 // New returns an empty memory with the given layout.
 func New(l Layout) *Memory {
-	return &Memory{layout: l, index: NewPageTable[*[PageSize]byte](l.NVMMBase)}
+	return &Memory{layout: l, index: NewPageTable[*[PageSize]byte](l.NVMMBase), lastBase: noPage}
 }
 
 // Layout returns the address map.
 func (m *Memory) Layout() Layout { return m.layout }
 
 func (m *Memory) page(a Addr, create bool) *[PageSize]byte {
-	if m.lastPage != nil && a&^(PageSize-1) == m.lastBase {
+	if a&^(PageSize-1) == m.lastBase {
 		return m.lastPage
 	}
 	return m.lookupPage(a, create)
@@ -173,6 +179,16 @@ func (m *Memory) WriteLine(a Addr, src *[LineSize]byte) {
 	copy(p[a&(PageSize-1):], src[:])
 }
 
+// Line returns the 64-byte line at a in place, materializing its page, so a
+// caller can read and write it without accounting or a page lookup per
+// access. a must be line-aligned. The pointer stays valid until a CloneInto
+// into m drops the page.
+func (m *Memory) Line(a Addr) *[LineSize]byte {
+	m.mustAligned(a)
+	p := m.page(a, true)
+	return (*[LineSize]byte)(p[a&(PageSize-1):])
+}
+
 // PeekLine reads line bytes without touching accounting (used by recovery
 // checks and tests).
 func (m *Memory) PeekLine(a Addr, dst *[LineSize]byte) {
@@ -211,9 +227,19 @@ func (m *Memory) Peek(a Addr, n int) []byte {
 }
 
 // Peek64 reads a little-endian uint64 at a without accounting or
-// allocation, mirroring Poke64: an unmaterialized page reads as zero, and
-// only a read crossing a page boundary falls back to Peek.
+// allocation, mirroring Poke64: an unmaterialized page reads as zero. A read
+// within the memoized page is inlined into the caller (make inline-check
+// guards that); every other read goes through peek64Slow.
 func (m *Memory) Peek64(a Addr) uint64 {
+	if off := a ^ m.lastBase; off <= PageSize-8 {
+		return binary.LittleEndian.Uint64(m.lastPage[off:])
+	}
+	return m.peek64Slow(a)
+}
+
+// peek64Slow is Peek64 past the memo: another page, an unmaterialized one,
+// or a read crossing a page boundary (which falls back to Peek).
+func (m *Memory) peek64Slow(a Addr) uint64 {
 	off := a & (PageSize - 1)
 	if off+8 > PageSize {
 		return binary.LittleEndian.Uint64(m.Peek(a, 8))
@@ -268,7 +294,7 @@ func (m *Memory) Clone() *Memory { return m.CloneInto(nil) }
 // image each time instead of allocating one per point.
 func (m *Memory) CloneInto(dst *Memory) *Memory {
 	if dst == nil {
-		dst = &Memory{layout: m.layout, index: NewPageTable[*[PageSize]byte](m.layout.NVMMBase)}
+		dst = New(m.layout)
 	} else {
 		for base, p := range dst.index.All() {
 			if *p == nil {
@@ -279,7 +305,8 @@ func (m *Memory) CloneInto(dst *Memory) *Memory {
 				dst.pages--
 			}
 		}
-		dst.layout, dst.wear, dst.lastPage = m.layout, nil, nil
+		dst.layout, dst.wear = m.layout, nil
+		dst.lastBase, dst.lastPage = noPage, nil
 		dst.Writes, dst.Reads = [2]uint64{}, [2]uint64{}
 	}
 	for base, p := range m.index.All() {

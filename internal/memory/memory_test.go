@@ -153,6 +153,95 @@ func TestPeek64FastPathAllocs(t *testing.T) {
 	}
 }
 
+// TestPeek64MemoEdges requires Peek64 to read what Peek reads around the
+// memo's bounds: at the first and last offsets of a page a word fits in
+// and just past them (reads crossing into the next page), on materialized
+// and unmaterialized pages, with the memo on the read's page and off it;
+// at DRAM address 0 of a fresh memory, whose memo holds no page; and after
+// CloneInto drops the page a reused copy's memo pointed at.
+func TestPeek64MemoEdges(t *testing.T) {
+	check := func(m *Memory, a Addr) {
+		t.Helper()
+		if got, want := m.Peek64(a), binary.LittleEndian.Uint64(m.Peek(a, 8)); got != want {
+			t.Fatalf("Peek64(%#x) = %#x, Peek says %#x", a, got, want)
+		}
+	}
+	if got := New(DefaultLayout()).Peek64(0); got != 0 {
+		t.Fatalf("Peek64(0) of a fresh memory = %#x, want 0", got)
+	}
+
+	m := New(DefaultLayout())
+	pattern := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + 1)
+		}
+		return b
+	}
+	// Pages 1-2 and 5 and 9 are materialized; 3, 6 and 8 are not, so page
+	// 5's last words cross into an absent page and page 8's into a present
+	// one.
+	m.Poke(1*PageSize, pattern(2*PageSize))
+	m.Poke(5*PageSize, pattern(PageSize))
+	m.Poke(9*PageSize, pattern(PageSize))
+	for _, page := range []Addr{1, 2, 3, 5, 8} {
+		for _, off := range []Addr{0, 4087, 4088, 4089, 4095} {
+			a := page*PageSize + off
+			m.Peek64(12 * PageSize) // the memo off a's page
+			check(m, a)
+			m.Peek64(page * PageSize) // and on it, if it is materialized
+			check(m, a)
+		}
+	}
+
+	// A reused copy whose memo points at a page its source lacks.
+	dst := m.Clone()
+	dst.Poke64(20*PageSize, 7)
+	if got := dst.Peek64(20 * PageSize); got != 7 {
+		t.Fatalf("Peek64 = %d, want 7", got)
+	}
+	m.CloneInto(dst)
+	check(dst, 20*PageSize)
+	if got := dst.Peek64(20 * PageSize); got != 0 {
+		t.Fatalf("Peek64 of a page CloneInto dropped = %d, want 0", got)
+	}
+	check(dst, 5*PageSize+8)
+}
+
+// TestLineAliasesMemory requires Line to return the line's bytes in place —
+// what PeekLine reads, and what a write through it changes — materializing
+// an absent page, and to panic on an unaligned address.
+func TestLineAliasesMemory(t *testing.T) {
+	m := New(DefaultLayout())
+	a := m.Layout().NVMMBase + 3*PageSize + 128
+	m.Poke64(a+8, 0x1122334455667788)
+	var got [LineSize]byte
+	l := m.Line(a)
+	m.PeekLine(a, &got)
+	if *l != got {
+		t.Fatal("Line's bytes differ from PeekLine's")
+	}
+	l[0] = 0xAB
+	m.PeekLine(a, &got)
+	if got[0] != 0xAB || m.Peek64(a+8) != 0x1122334455667788 {
+		t.Fatal("a write through Line is not what PeekLine reads")
+	}
+	absent := m.Layout().NVMMBase + 9*PageSize
+	m.Line(absent)[63] = 5
+	if m.Peek(absent+63, 1)[0] != 5 || m.TouchedPages() != 2 {
+		t.Fatalf("Line on an absent page: byte %d, %d pages", m.Peek(absent+63, 1)[0], m.TouchedPages())
+	}
+	if m.Writes != ([2]uint64{}) {
+		t.Fatalf("Line bumped write accounting: %v", m.Writes)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unaligned Line did not panic")
+		}
+	}()
+	m.Line(a + 8)
+}
+
 func TestCloneIntoReusesAndMatchesClone(t *testing.T) {
 	src := New(DefaultLayout())
 	src.Poke64(0, 1)
@@ -223,5 +312,30 @@ func TestPropertyLastWriteWins(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPeek64 measures a recovery checker's word reads, two per op:
+// "hit" reads twice within the memoized page (the inlined fast path),
+// "switch" alternates between two pages, so every read goes through
+// peek64Slow's page lookup.
+func BenchmarkPeek64(b *testing.B) {
+	m := New(DefaultLayout())
+	base := m.Layout().NVMMBase
+	m.Poke64(base, 1)
+	m.Poke64(base+PageSize, 2)
+	for _, bc := range []struct {
+		name  string
+		other Addr // the second read's address
+	}{{"hit", base + 64}, {"switch", base + PageSize}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink += m.Peek64(base) + m.Peek64(bc.other)
+			}
+			if sink == 0 {
+				b.Fatal("reads returned nothing")
+			}
+		})
 	}
 }

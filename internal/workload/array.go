@@ -89,7 +89,7 @@ func (a *Array) Setup(mem *memory.Memory, arena *palloc.Arena, p Params) {
 	a.threads = p.Threads
 	a.base = arena.Alloc(uint64(a.elems) * 8)
 	for i := 0; i < a.elems; i++ {
-		poke64(mem, a.elem(i), initialVal(i))
+		mem.Poke64(a.elem(i), initialVal(i))
 	}
 }
 
@@ -149,7 +149,7 @@ func (a *Array) volWork(p Params) int {
 func (a *Array) Check(mem *memory.Memory) error {
 	part := a.elems / a.threads
 	for i := 0; i < a.elems; i++ {
-		v := peek64(mem, a.elem(i))
+		v := mem.Peek64(a.elem(i))
 		if !validVal(v) {
 			return fmt.Errorf("array %s: element %d holds untagged value %#x (torn persist)", a.Name(), i, v)
 		}

@@ -66,7 +66,7 @@ func (bt *BTree) Setup(mem *memory.Memory, arena *palloc.Arena, p Params) {
 	bt.rootsBase = arena.Alloc(uint64(p.Threads) * memory.LineSize)
 	bt.arenas = nil
 	for t := 0; t < p.Threads; t++ {
-		poke64(mem, bt.root(t), 0)
+		mem.Poke64(bt.root(t), 0)
 		// Shadow paging rewrites up to depth+1 nodes (2 lines each) per
 		// insertion; depth grows with log_3(n). Budget generously.
 		bt.arenas = append(bt.arenas, arena.Sub(uint64(24*(p.OpsPerThread+4))*memory.LineSize))
@@ -272,7 +272,7 @@ func (bt *BTree) volWork(p Params) int {
 // within separator ranges, uniform leaf depth.
 func (bt *BTree) Check(mem *memory.Memory) error {
 	for t := 0; t < bt.threads; t++ {
-		rootPtr := peek64(mem, bt.root(t))
+		rootPtr := mem.Peek64(bt.root(t))
 		if rootPtr == 0 {
 			continue
 		}
@@ -288,17 +288,17 @@ func (bt *BTree) checkNode(mem *memory.Memory, t int, node memory.Addr, lo, hi u
 	if depth > 40 {
 		return 0, fmt.Errorf("btree[%d]: depth limit exceeded", t)
 	}
-	if magic := peek64(mem, node+offBMagic); magic != magicBNode {
+	if magic := mem.Peek64(node + offBMagic); magic != magicBNode {
 		return 0, fmt.Errorf("btree[%d]: reachable node %#x has magic %#x (shadow published before persist)", t, node, magic)
 	}
-	leaf := peek64(mem, node+offBLeaf) == 1
-	count := int(peek64(mem, node+offBCount))
+	leaf := mem.Peek64(node+offBLeaf) == 1
+	count := int(mem.Peek64(node + offBCount))
 	if count < 1 || count > bFanout {
 		return 0, fmt.Errorf("btree[%d]: node %#x count %d out of range", t, node, count)
 	}
 	var prev uint64
 	for i := 0; i < count; i++ {
-		k := peek64(mem, node+offBKeys+memory.Addr(i*8))
+		k := mem.Peek64(node + offBKeys + memory.Addr(i*8))
 		if i > 0 && k <= prev {
 			return 0, fmt.Errorf("btree[%d]: node %#x keys not ascending (%d then %d)", t, node, prev, k)
 		}
@@ -312,17 +312,17 @@ func (bt *BTree) checkNode(mem *memory.Memory, t int, node memory.Addr, lo, hi u
 	}
 	leafDepth := -1
 	for i := 0; i < count; i++ {
-		child := peek64(mem, node+offBVals+memory.Addr(i*8))
+		child := mem.Peek64(node + offBVals + memory.Addr(i*8))
 		if child == 0 {
 			return 0, fmt.Errorf("btree[%d]: internal %#x has nil child", t, node)
 		}
 		cLo := lo
 		if i > 0 {
-			cLo = peek64(mem, node+offBKeys+memory.Addr(i*8))
+			cLo = mem.Peek64(node + offBKeys + memory.Addr(i*8))
 		}
 		cHi := hi
 		if i+1 < count {
-			cHi = peek64(mem, node+offBKeys+memory.Addr((i+1)*8))
+			cHi = mem.Peek64(node + offBKeys + memory.Addr((i+1)*8))
 		}
 		d, err := bt.checkNode(mem, t, memory.Addr(child), cLo, cHi, depth+1)
 		if err != nil {

@@ -69,8 +69,8 @@ func TestBTreeKeysSortedAfterManyInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The tree must actually have grown multiple levels.
-	root := memory.Addr(peek64(sys.Mem, w.root(0)))
-	if peek64(sys.Mem, root+offBLeaf) == 1 {
+	root := memory.Addr(sys.Mem.Peek64(w.root(0)))
+	if sys.Mem.Peek64(root+offBLeaf) == 1 {
 		t.Fatal("400 inserts left a single-leaf tree: splits not happening")
 	}
 }
@@ -79,10 +79,10 @@ func TestBTreeCheckerDetectsUnsortedKeys(t *testing.T) {
 	w := NewBTree()
 	p := testParams(100)
 	mem := buildImage(t, w, p)
-	root := memory.Addr(peek64(mem, w.root(0)))
+	root := memory.Addr(mem.Peek64(w.root(0)))
 	// Swap two keys in the root to break ordering.
-	k0 := peek64(mem, root+offBKeys)
-	k1 := peek64(mem, root+offBKeys+8)
+	k0 := mem.Peek64(root + offBKeys)
+	k1 := mem.Peek64(root + offBKeys + 8)
 	corrupt64(mem, root+offBKeys, k1)
 	corrupt64(mem, root+offBKeys+8, k0)
 	err := w.Check(mem)
@@ -95,7 +95,7 @@ func TestBTreeCheckerDetectsUnpersistedShadow(t *testing.T) {
 	w := NewBTree()
 	p := testParams(100)
 	mem := buildImage(t, w, p)
-	root := memory.Addr(peek64(mem, w.root(0)))
+	root := memory.Addr(mem.Peek64(w.root(0)))
 	corrupt64(mem, root+offBMagic, 0)
 	if err := w.Check(mem); err == nil {
 		t.Fatal("zeroed shadow magic not detected")

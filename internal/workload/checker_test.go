@@ -54,7 +54,7 @@ func TestLinkedListCheckerDetectsBrokenChainValues(t *testing.T) {
 	w := NewLinkedList()
 	p := testParams(50)
 	mem := buildImage(t, w, p)
-	head := peek64(mem, w.head(0))
+	head := mem.Peek64(w.head(0))
 	corrupt64(mem, memory.Addr(head)+offListVal, 9999)
 	if err := w.Check(mem); err == nil {
 		t.Fatal("non-consecutive chain values not detected")
@@ -68,11 +68,11 @@ func TestHashmapCheckerDetectsWrongBucket(t *testing.T) {
 	// Find a non-empty bucket and corrupt its node's key so it no longer
 	// hashes there.
 	for b := 0; b < w.buckets; b++ {
-		ptr := peek64(mem, w.bucketAddr(0, uint64(b)))
+		ptr := mem.Peek64(w.bucketAddr(0, uint64(b)))
 		if ptr == 0 {
 			continue
 		}
-		corrupt64(mem, memory.Addr(ptr)+offHashKey, peek64(mem, memory.Addr(ptr)+offHashKey)+1)
+		corrupt64(mem, memory.Addr(ptr)+offHashKey, mem.Peek64(memory.Addr(ptr)+offHashKey)+1)
 		err := w.Check(mem)
 		if err == nil || !strings.Contains(err.Error(), "hashes to bucket") {
 			t.Fatalf("wrong-bucket key not detected: %v", err)
@@ -87,7 +87,7 @@ func TestHashmapCheckerDetectsUnpersistedNode(t *testing.T) {
 	p := testParams(60)
 	mem := buildImage(t, w, p)
 	for b := 0; b < w.buckets; b++ {
-		ptr := peek64(mem, w.bucketAddr(0, uint64(b)))
+		ptr := mem.Peek64(w.bucketAddr(0, uint64(b)))
 		if ptr == 0 {
 			continue
 		}
@@ -104,19 +104,19 @@ func TestCTreeCheckerDetectsPathViolation(t *testing.T) {
 	w := NewCTree()
 	p := testParams(60)
 	mem := buildImage(t, w, p)
-	root := memory.Addr(peek64(mem, w.root(0)))
-	if peek64(mem, root+offIntMagic) != magicInternal {
+	root := memory.Addr(mem.Peek64(w.root(0)))
+	if mem.Peek64(root+offIntMagic) != magicInternal {
 		t.Skip("tree too small to have an internal root")
 	}
-	bit := peek64(mem, root+offIntBit)
-	left := memory.Addr(peek64(mem, root+offIntLeft))
+	bit := mem.Peek64(root + offIntBit)
+	left := memory.Addr(mem.Peek64(root + offIntLeft))
 	// Force the left subtree's leaf (or first leaf found) to violate the
 	// branch bit.
 	n := left
-	for peek64(mem, n+offIntMagic) == magicInternal {
-		n = memory.Addr(peek64(mem, n+offIntLeft))
+	for mem.Peek64(n+offIntMagic) == magicInternal {
+		n = memory.Addr(mem.Peek64(n + offIntLeft))
 	}
-	key := peek64(mem, n+offLeafKey)
+	key := mem.Peek64(n + offLeafKey)
 	corrupt64(mem, n+offLeafKey, key|1<<bit) // set the bit the left path forbids
 	err := w.Check(mem)
 	if err == nil || !strings.Contains(err.Error(), "path bits") {
@@ -128,8 +128,8 @@ func TestCTreeCheckerDetectsNilChild(t *testing.T) {
 	w := NewCTree()
 	p := testParams(60)
 	mem := buildImage(t, w, p)
-	root := memory.Addr(peek64(mem, w.root(0)))
-	if peek64(mem, root+offIntMagic) != magicInternal {
+	root := memory.Addr(mem.Peek64(w.root(0)))
+	if mem.Peek64(root+offIntMagic) != magicInternal {
 		t.Skip("tree too small")
 	}
 	corrupt64(mem, root+offIntRight, 0)
@@ -142,13 +142,13 @@ func TestRTreeCheckerDetectsEscapedBounds(t *testing.T) {
 	w := NewRTree()
 	p := testParams(80)
 	mem := buildImage(t, w, p)
-	root := memory.Addr(peek64(mem, w.root(0)))
-	if peek64(mem, root+offRLeaf) == 1 {
+	root := memory.Addr(mem.Peek64(w.root(0)))
+	if mem.Peek64(root+offRLeaf) == 1 {
 		t.Skip("tree too small to have children")
 	}
-	child := memory.Addr(peek64(mem, root+offREntry))
+	child := memory.Addr(mem.Peek64(root + offREntry))
 	// Widen the child beyond the parent: containment violated.
-	corrupt64(mem, child+offRHi, peek64(mem, root+offRHi)+1000)
+	corrupt64(mem, child+offRHi, mem.Peek64(root+offRHi)+1000)
 	err := w.Check(mem)
 	if err == nil || !strings.Contains(err.Error(), "escapes parent") {
 		t.Fatalf("containment violation not detected: %v", err)
@@ -159,7 +159,7 @@ func TestRTreeCheckerDetectsBadCount(t *testing.T) {
 	w := NewRTree()
 	p := testParams(80)
 	mem := buildImage(t, w, p)
-	root := memory.Addr(peek64(mem, w.root(0)))
+	root := memory.Addr(mem.Peek64(w.root(0)))
 	corrupt64(mem, root+offRCount, rFanout+5)
 	if err := w.Check(mem); err == nil {
 		t.Fatal("out-of-range count not detected")

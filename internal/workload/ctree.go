@@ -57,7 +57,7 @@ func (c *CTree) Setup(mem *memory.Memory, arena *palloc.Arena, p Params) {
 	c.rootsBase = arena.Alloc(uint64(p.Threads) * memory.LineSize)
 	c.arenas = nil
 	for t := 0; t < p.Threads; t++ {
-		poke64(mem, c.root(t), 0)
+		mem.Poke64(c.root(t), 0)
 		// Worst case two nodes per insertion.
 		c.arenas = append(c.arenas, arena.Sub(uint64(2*p.OpsPerThread+2)*memory.LineSize))
 	}
@@ -173,7 +173,7 @@ func (c *CTree) insert(e cpu.Env, p Params, t int, root memory.Addr, key, val ui
 // every leaf's key is consistent with the bit decisions on its path.
 func (c *CTree) Check(mem *memory.Memory) error {
 	for t := 0; t < c.threads; t++ {
-		rootPtr := peek64(mem, c.root(t))
+		rootPtr := mem.Peek64(c.root(t))
 		if rootPtr == 0 {
 			continue
 		}
@@ -190,20 +190,20 @@ func (c *CTree) checkNode(mem *memory.Memory, t int, node memory.Addr, fixedMask
 	if depth > 70 {
 		return fmt.Errorf("ctree[%d]: depth exceeds key width (corrupt links)", t)
 	}
-	switch magic := peek64(mem, node+offIntMagic); magic {
+	switch magic := mem.Peek64(node + offIntMagic); magic {
 	case magicLeaf:
-		key := peek64(mem, node+offLeafKey)
+		key := mem.Peek64(node + offLeafKey)
 		if key&fixedMask != fixedBits {
 			return fmt.Errorf("ctree[%d]: leaf %#x key %#x violates path bits (mask %#x want %#x)", t, node, key, fixedMask, fixedBits)
 		}
 		return nil
 	case magicInternal:
-		bit := peek64(mem, node+offIntBit)
+		bit := mem.Peek64(node + offIntBit)
 		if bit > 63 {
 			return fmt.Errorf("ctree[%d]: internal %#x has bit %d", t, node, bit)
 		}
-		left := peek64(mem, node+offIntLeft)
-		right := peek64(mem, node+offIntRight)
+		left := mem.Peek64(node + offIntLeft)
+		right := mem.Peek64(node + offIntRight)
 		if left == 0 || right == 0 {
 			return fmt.Errorf("ctree[%d]: internal %#x has nil child (partial publish)", t, node)
 		}

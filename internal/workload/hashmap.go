@@ -63,7 +63,7 @@ func (h *Hashmap) Setup(mem *memory.Memory, arena *palloc.Arena, p Params) {
 	for t := 0; t < p.Threads; t++ {
 		base := arena.Alloc(uint64(h.buckets) * 8)
 		for b := 0; b < h.buckets; b++ {
-			poke64(mem, base+memory.Addr(b*8), 0)
+			mem.Poke64(base+memory.Addr(b*8), 0)
 		}
 		h.tableBases = append(h.tableBases, base)
 		h.arenas = append(h.arenas, arena.Sub(uint64(p.OpsPerThread+1)*memory.LineSize))
@@ -115,18 +115,18 @@ func (h *Hashmap) volWork(p Params) int {
 func (h *Hashmap) Check(mem *memory.Memory) error {
 	for t := 0; t < h.threads; t++ {
 		for b := 0; b < h.buckets; b++ {
-			ptr := peek64(mem, h.bucketAddr(t, uint64(b)))
+			ptr := mem.Peek64(h.bucketAddr(t, uint64(b)))
 			steps := 0
 			for ptr != 0 {
 				a := memory.Addr(ptr)
-				if magic := peek64(mem, a+offHashMagic); magic != magicHashNode {
+				if magic := mem.Peek64(a + offHashMagic); magic != magicHashNode {
 					return fmt.Errorf("hashmap[%d]: bucket %d reaches node %#x with magic %#x (unpersisted node published)", t, b, ptr, magic)
 				}
-				key := peek64(mem, a+offHashKey)
+				key := mem.Peek64(a + offHashKey)
 				if got := hashKey(key) % uint64(h.buckets); got != uint64(b) {
 					return fmt.Errorf("hashmap[%d]: node %#x key %#x hashes to bucket %d, found in %d", t, ptr, key, got, b)
 				}
-				ptr = peek64(mem, a+offHashNext)
+				ptr = mem.Peek64(a + offHashNext)
 				if steps++; steps > 1<<22 {
 					return fmt.Errorf("hashmap[%d]: cycle in bucket %d", t, b)
 				}

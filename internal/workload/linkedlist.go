@@ -48,7 +48,7 @@ func (l *LinkedList) Setup(mem *memory.Memory, arena *palloc.Arena, p Params) {
 	l.headsBase = arena.Alloc(uint64(p.Threads) * memory.LineSize)
 	l.arenas = nil
 	for i := 0; i < p.Threads; i++ {
-		poke64(mem, l.head(i), 0)
+		mem.Poke64(l.head(i), 0)
 		need := uint64(p.OpsPerThread+1) * memory.LineSize
 		l.arenas = append(l.arenas, arena.Sub(need))
 	}
@@ -104,14 +104,14 @@ func (l *LinkedList) volWork(p Params) int {
 // of only the few it records.
 func (l *LinkedList) Check(mem *memory.Memory) error {
 	for t := 0; t < l.threads; t++ {
-		ptr := peek64(mem, l.head(t))
+		ptr := mem.Peek64(l.head(t))
 		steps := 0
 		prev := uint64(0)
 		for ptr != 0 {
-			if magic := peek64(mem, memory.Addr(ptr)+offListMagic); magic != magicListNode {
+			if magic := mem.Peek64(memory.Addr(ptr) + offListMagic); magic != magicListNode {
 				return &listError{listBadMagic, int32(t), ptr, magic}
 			}
-			val := peek64(mem, memory.Addr(ptr)+offListVal)
+			val := mem.Peek64(memory.Addr(ptr) + offListVal)
 			if val == 0 {
 				return &listError{listZeroValue, int32(t), ptr, 0}
 			}
@@ -119,7 +119,7 @@ func (l *LinkedList) Check(mem *memory.Memory) error {
 				return &listError{listGap, int32(t), prev, val}
 			}
 			prev = val
-			ptr = peek64(mem, memory.Addr(ptr)+offListNext)
+			ptr = mem.Peek64(memory.Addr(ptr) + offListNext)
 			if steps++; steps > 1<<22 {
 				return &listError{listCycle, int32(t), 0, 0}
 			}

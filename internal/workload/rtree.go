@@ -73,12 +73,12 @@ func (rt *RTree) Setup(mem *memory.Memory, arena *palloc.Arena, p Params) {
 		sub := arena.Sub(uint64(8*(p.OpsPerThread+2)) * memory.LineSize)
 		rt.arenas = append(rt.arenas, sub)
 		leaf := sub.Alloc(rNodeSize)
-		poke64(mem, leaf+offRMagic, magicRNode)
-		poke64(mem, leaf+offRLeaf, 1)
-		poke64(mem, leaf+offRCount, 0)
-		poke64(mem, leaf+offRLo, ^uint64(0)) // empty interval: lo > hi
-		poke64(mem, leaf+offRHi, 0)
-		poke64(mem, rt.root(t), uint64(leaf))
+		mem.Poke64(leaf+offRMagic, magicRNode)
+		mem.Poke64(leaf+offRLeaf, 1)
+		mem.Poke64(leaf+offRCount, 0)
+		mem.Poke64(leaf+offRLo, ^uint64(0)) // empty interval: lo > hi
+		mem.Poke64(leaf+offRHi, 0)
+		mem.Poke64(rt.root(t), uint64(leaf))
 	}
 }
 
@@ -236,7 +236,7 @@ func sortU64(xs []uint64) {
 // ordering maintains at every instant.
 func (rt *RTree) Check(mem *memory.Memory) error {
 	for t := 0; t < rt.threads; t++ {
-		rootPtr := peek64(mem, rt.root(t))
+		rootPtr := mem.Peek64(rt.root(t))
 		if rootPtr == 0 {
 			return fmt.Errorf("rtree[%d]: nil root", t)
 		}
@@ -251,13 +251,13 @@ func (rt *RTree) checkNode(mem *memory.Memory, t int, node memory.Addr, pLo, pHi
 	if depth > 64 {
 		return fmt.Errorf("rtree[%d]: depth limit exceeded (corrupt links)", t)
 	}
-	if magic := peek64(mem, node+offRMagic); magic != magicRNode {
+	if magic := mem.Peek64(node + offRMagic); magic != magicRNode {
 		return fmt.Errorf("rtree[%d]: reachable node %#x has magic %#x (unpersisted node published)", t, node, magic)
 	}
-	leaf := peek64(mem, node+offRLeaf)
-	count := peek64(mem, node+offRCount)
-	lo := peek64(mem, node+offRLo)
-	hi := peek64(mem, node+offRHi)
+	leaf := mem.Peek64(node + offRLeaf)
+	count := mem.Peek64(node + offRCount)
+	lo := mem.Peek64(node + offRLo)
+	hi := mem.Peek64(node + offRHi)
 	if count > rFanout {
 		return fmt.Errorf("rtree[%d]: node %#x count %d exceeds fanout", t, node, count)
 	}
@@ -267,7 +267,7 @@ func (rt *RTree) checkNode(mem *memory.Memory, t int, node memory.Addr, pLo, pHi
 		}
 	}
 	for i := uint64(0); i < count; i++ {
-		entry := peek64(mem, node+offREntry+memory.Addr(i*8))
+		entry := mem.Peek64(node + offREntry + memory.Addr(i*8))
 		if leaf == 1 {
 			if entry < lo || entry > hi {
 				return fmt.Errorf("rtree[%d]: leaf %#x item %d outside [%d,%d]", t, node, entry, lo, hi)

@@ -67,7 +67,7 @@ func (w *WAL) Setup(mem *memory.Memory, arena *palloc.Arena, p Params) {
 	w.headersBase = arena.Alloc(uint64(p.Threads) * memory.LineSize)
 	w.logsBase = nil
 	for t := 0; t < p.Threads; t++ {
-		poke64(mem, w.header(t), 0) // tail = 0
+		mem.Poke64(w.header(t), 0) // tail = 0
 		w.logsBase = append(w.logsBase, arena.Alloc(uint64(p.OpsPerThread+1)*memory.LineSize))
 	}
 }
@@ -123,19 +123,19 @@ func (w *WAL) volWork(p Params) int {
 // replays.
 func (w *WAL) Check(mem *memory.Memory) error {
 	for t := 0; t < w.threads; t++ {
-		tail := peek64(mem, w.header(t))
+		tail := mem.Peek64(w.header(t))
 		if tail > uint64(w.capacity) {
 			return fmt.Errorf("wal[%d]: tail %d beyond capacity %d", t, tail, w.capacity)
 		}
 		for i := uint64(0); i < tail; i++ {
 			rec := w.record(t, int(i))
-			seq := peek64(mem, rec+offWALSeq)
-			tag := peek64(mem, rec+offWALTag)
+			seq := mem.Peek64(rec + offWALSeq)
+			tag := mem.Peek64(rec + offWALTag)
 			var body [5]uint64
 			for j := range body {
-				body[j] = peek64(mem, rec+offWALBody+memory.Addr(j*8))
+				body[j] = mem.Peek64(rec + offWALBody + memory.Addr(j*8))
 			}
-			sum := peek64(mem, rec+offWALSum)
+			sum := mem.Peek64(rec + offWALSum)
 			if seq != i+1 {
 				return fmt.Errorf("wal[%d]: record %d has seq %d (tail persisted before record — the WAL ordering bug)", t, i, seq)
 			}

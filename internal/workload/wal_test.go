@@ -20,7 +20,7 @@ func TestWALRunsAndValidates(t *testing.T) {
 	}
 	// Full run: every tail reaches capacity.
 	for i := 0; i < p.Threads; i++ {
-		if tail := peek64(sys.Mem, w.header(i)); tail != uint64(p.OpsPerThread) {
+		if tail := sys.Mem.Peek64(w.header(i)); tail != uint64(p.OpsPerThread) {
 			t.Fatalf("thread %d tail = %d, want %d", i, tail, p.OpsPerThread)
 		}
 	}

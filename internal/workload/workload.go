@@ -239,14 +239,6 @@ func (e *listError) Error() string {
 	}
 }
 
-// peek64 reads a little-endian uint64 from the durable image.
-func peek64(mem *memory.Memory, a memory.Addr) uint64 { return mem.Peek64(a) }
-
-// poke64 writes a little-endian uint64 into the durable image (setup only).
-func poke64(mem *memory.Memory, a memory.Addr, v uint64) {
-	mem.Poke64(a, v)
-}
-
 // barrier issues the scheme's persist barrier unless the workload was built
 // without them. It goes through cpu.PersistBarrier so the per-op variadic
 // address list stays on the stack instead of escaping through the interface
