@@ -42,13 +42,14 @@ inline-check:
 # allocation pressure, Figure 7 wall-clock, raw event-kernel rate at a
 # fixed depth and in Figure 7's delay mix, coherence load hit / store
 # upgrade / L2 miss, program handoff, a memory word read, crash
-# image enumeration and validation, and whole model-checking campaigns) and
+# image enumeration and validation, the crash walk alone, and whole
+# model-checking campaigns) and
 # record them as the next BENCH_<n>.json, also appending the recording to
 # the .ledger run ledger for provenance (who ran it, where, when).
 # Non-gating; CI uploads the files as artifacts and `make regress` judges
 # the trajectory.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCoherence|BenchmarkHandoff|BenchmarkCrashMCEnumerate|BenchmarkCrashMCCampaign|BenchmarkValidateImage|BenchmarkPeek64|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCoherence|BenchmarkHandoff|BenchmarkCrashMCEnumerate|BenchmarkCrashMCCampaign|BenchmarkCrashWalk|BenchmarkValidateImage|BenchmarkPeek64|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
 		-benchmem . ./internal/engine ./internal/coherence ./internal/cpu ./internal/memory ./internal/crashmc ./internal/axiomatic ./internal/trace ./internal/vet/pressurelint ./internal/kvservice ./internal/pds \
 		| $(GO) run ./cmd/benchjson -ledger .ledger -name bench-json > BENCH_$$(ls BENCH_*.json 2>/dev/null | wc -l).json
 	@ls BENCH_*.json | tail -1
@@ -107,14 +108,20 @@ fuzz-short:
 
 # Crash-image model checking at short bounds: the bbbmc acceptance matrix
 # (battery schemes single-image, PMEM Figures 2/3 over the whole reachable
-# space) exits non-zero on any expectation failure. Then the Figures 2/3
-# claims on the flush-on-fail image alone (one image per crash point): the
+# space) exits non-zero on any expectation failure. It runs with one
+# checker and again with three (more checkers than most hosts have cores),
+# and the two reports must be byte-identical. Then the Figures 2/3 claims
+# on the flush-on-fail image alone (one image per crash point): the
 # linked-list example strands Figure 2 under PMEM at all 15 points and
 # recovers in the other three rows, and the EXPERIMENTS table's
 # barrier-free PMEM campaign violates at all 20 of its points.
 mc-short:
-	$(GO) run ./cmd/bbbmc -points 4
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/bbbmc -points 4 -parallel 1 > $$tmp/serial.txt || { cat $$tmp/serial.txt; exit 1; }; \
+	cat $$tmp/serial.txt; \
+	$(GO) run ./cmd/bbbmc -points 4 -parallel 3 > $$tmp/pooled.txt || { cat $$tmp/pooled.txt; exit 1; }; \
+	diff $$tmp/serial.txt $$tmp/pooled.txt \
+		|| { echo "mc-short: FAIL: the matrix differs between -parallel 1 and -parallel 3"; exit 1; }; \
 	$(GO) run ./examples/linkedlist > $$tmp/example.txt; \
 	cat $$tmp/example.txt; \
 	grep -q 'UNRECOVERABLE at 15/15' $$tmp/example.txt \

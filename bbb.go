@@ -137,14 +137,15 @@ type Options struct {
 	// (kv.lat.win and the bbbkv -timeline table). Zero uses the workload
 	// default (20000 cycles, between the schemes' p50 and p95).
 	SLOTarget uint64
-	// Parallelism bounds how many independent simulations the experiment
-	// drivers (RunFig7, RunFig8, RunTable4, the ablations, seed sweeps and
-	// crash campaigns) may run concurrently. Every sweep point runs on its
-	// own engine and machine (a crash campaign gives each worker one
-	// machine and walks it through that worker's crash points) and results
-	// are joined in serial index order, so output is identical for any
-	// value — only wall-clock changes. 0 or 1 is serial; the CLIs default
-	// their -parallel flag to the host's scheduler width.
+	// Parallelism bounds how much of an experiment runs concurrently: the
+	// independent simulations of the drivers (RunFig7, RunFig8, RunTable4,
+	// the ablations and seed sweeps), each on its own engine and machine,
+	// or a crash campaign's crash-point checks (ModelCheck simulates one
+	// machine and checks the points it walks on a pool of Parallelism
+	// checkers, itself included). Results are joined in serial index
+	// order, so output is identical for any value — only wall-clock
+	// changes. 0 or 1 is serial; the CLIs default their -parallel flag to
+	// the host's scheduler width.
 	Parallelism int
 }
 

@@ -4,7 +4,10 @@ import (
 	"slices"
 	"testing"
 
+	"bbb/internal/engine"
+	"bbb/internal/memory"
 	"bbb/internal/persistency"
+	"bbb/internal/system"
 	"bbb/internal/workload"
 )
 
@@ -31,8 +34,8 @@ func BenchmarkCrashMCEnumerate(b *testing.B) {
 }
 
 // BenchmarkCrashMCCampaign measures a whole model-checking campaign — the
-// per-worker machine walk, live snapshots, enumeration and recovery-check
-// validation — over the Figures 2/3 linked list under BEP without
+// machine walk, live snapshots, enumeration and recovery-check
+// validation, serially — over the Figures 2/3 linked list under BEP without
 // barriers at 40 crash points spread over the run (it finishes near cycle
 // 56k). `make bench-json` records images/s (distinct images validated per
 // second) in the BENCH_<n>.json trail.
@@ -77,4 +80,25 @@ func BenchmarkValidateImage(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(hits)), "ns/image")
+}
+
+// BenchmarkCrashWalk measures the walker's share of BenchmarkCrashMCCampaign:
+// one machine advanced through the same 40 crash points with a live
+// Snapshot into one reused image at each, and no checks. It is the serial
+// term W of the pipelined campaign's budget max(W, (W+C)/Parallel), C being
+// the checks; it reports ns/point.
+func BenchmarkCrashWalk(b *testing.B) {
+	c := mcConfig(workload.NewLinkedList(), persistency.BEP, true)
+	c.Points = 40
+	c.Step = 1_300
+	cycles := workload.EvenCycles(c.FirstCrash, c.Step, c.Points)
+	var base *memory.Memory
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		workload.WalkCrashPoints(c.Workload, c.Scheme, c.System, c.Params, cycles,
+			func(_ int, sys *system.System, at engine.Cycle, finished bool) {
+				base = Snapshot(sys, at, finished, base).Base
+			})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.Points), "ns/point")
 }

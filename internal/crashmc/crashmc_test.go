@@ -4,6 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"bbb/internal/engine"
+	_ "bbb/internal/kvservice" // registers kv
+	_ "bbb/internal/litmus"    // registers the litmus/ corpus
+	_ "bbb/internal/pds"       // registers pds/
 	"bbb/internal/persistency"
 	"bbb/internal/system"
 	"bbb/internal/workload"
@@ -109,9 +113,13 @@ func TestBEPEpochPrefixSemantics(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossParallelWidths requires the whole report to be
+// the same at any checker count. Beyond the linked list, it covers each
+// kind of recovery checker that runs concurrently with its own instance's
+// programs (the Workload.Check contract): a kv mix, a pds structure, a
+// litmus test, and the btree, whose barrier-free PMEM points violate and
+// so also minimize witnesses on the checker goroutines.
 func TestDeterministicAcrossParallelWidths(t *testing.T) {
-	// Mirror parallel_test.go: the enumerated image set (and the whole
-	// report) is byte-identical at any fan-out width.
 	base := mcConfig(workload.NewLinkedList(), persistency.PMEM, true)
 	serial := base.Run()
 	for _, width := range []int{2, 8} {
@@ -120,6 +128,35 @@ func TestDeterministicAcrossParallelWidths(t *testing.T) {
 		got := cc.Run()
 		if !reflect.DeepEqual(serial, got) {
 			t.Fatalf("report differs between serial and parallel=%d runs", width)
+		}
+	}
+
+	for _, tc := range []struct {
+		name        string
+		scheme      persistency.Scheme
+		ops         int
+		noBarriers  bool
+		first, step engine.Cycle
+	}{
+		{"kv", persistency.BEP, 12, false, 2_000, 4_000},
+		{"pds/hashresize", persistency.PMEM, 8, false, 2_000, 6_000},
+		{"litmus/sb", persistency.PMEM, 1, true, 60, 90},
+		{"btree", persistency.PMEM, 40, true, 4_000, 6_000},
+	} {
+		w, err := workload.ByName(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := mcConfig(w, tc.scheme, tc.noBarriers)
+		c.Params.OpsPerThread = tc.ops
+		c.FirstCrash, c.Step, c.Points = tc.first, tc.step, 6
+		serial := c.Run()
+		if serial.TotalDistinct <= c.Points {
+			t.Fatalf("%s: %d images over %d points; the campaign checks too little to compare", tc.name, serial.TotalDistinct, c.Points)
+		}
+		c.Parallel = 3
+		if got := c.Run(); !reflect.DeepEqual(serial, got) {
+			t.Errorf("%s/%s: report differs between serial and parallel=3 runs:\n%s\n%s", tc.name, tc.scheme, serial, got)
 		}
 	}
 }

@@ -187,7 +187,7 @@ func TestDrainBudgetBBBBounded(t *testing.T) {
 
 // TestWalkMatchesFreshRuns pins the walked one-image campaign to the
 // per-point definition it replaces — rebuild, re-simulate to the crash
-// point, crash, check the machine's image — at several fan-out widths:
+// point, crash, check the machine's image — at several checker counts:
 // crash cycles, completion, drain reports, checker errors, the violating
 // count and the drain maximum must all be equal, and each point must check
 // exactly one survival set, the empty one, whose image has no overlay.

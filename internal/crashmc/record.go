@@ -85,13 +85,13 @@ type Record struct {
 	Finished bool
 	// Base is the machine's memory after the deterministic flush-on-fail:
 	// the image every legal survival set extends. Capture's Base aliases
-	// the crashed machine's memory. Snapshot's is the machine's crash-image
-	// copy (System.CrashImage), valid until the next Snapshot of the same
-	// machine. Config.Run's validator writes each image into it in place,
-	// through pointers to the pending lines resolved once per point
-	// (Memory.Line), and restores those lines after checking the image; the
-	// writes bypass Memory's Writes and wear accounting, which no one reads
-	// on a crash image. The enumerator only reads it.
+	// the crashed machine's memory. Snapshot's is the image it was handed
+	// (System.CrashImage), valid until that image is reused. Config.Run's
+	// validator writes each image into it in place, through pointers to
+	// the pending lines resolved once per point (Memory.Line), and restores
+	// those lines after checking the image; the writes bypass Memory's
+	// Writes and wear accounting, which no one reads on a crash image. The
+	// enumerator only reads it.
 	Base *memory.Memory
 	// Drain is the flush-on-fail report (battery accounting).
 	Drain persistency.DrainReport
@@ -137,15 +137,16 @@ func Capture(sys *system.System, crashCycle engine.Cycle, finished bool) *Record
 	return rec
 }
 
-// Snapshot is the live form of Capture: the same Record, with Base a copy
-// of the image the crash would leave (System.CrashImage, reused by the
-// machine's next Snapshot). It leaves sys untouched — memory, caches,
-// buffers, WPQ, store buffers, counters and trace — so the machine can run
-// on to the next crash point (workload.WalkCrashPoints) and finish exactly
-// as if it had never been snapshotted.
-func Snapshot(sys *system.System, crashCycle engine.Cycle, finished bool) *Record {
+// Snapshot is the live form of Capture: the same Record, with Base the
+// image the crash would leave, written into dst (System.CrashImage; nil
+// allocates one). Passing back an earlier record's Base reuses its image.
+// It leaves sys untouched — memory, caches, buffers, WPQ, store buffers,
+// counters and trace — so the machine can run on to the next crash point
+// (workload.WalkCrashPoints) and finish exactly as if it had never been
+// snapshotted.
+func Snapshot(sys *system.System, crashCycle engine.Cycle, finished bool, dst *memory.Memory) *Record {
 	rec := pending(sys, crashCycle, finished)
-	rec.Base, rec.Drain = sys.CrashImage()
+	rec.Base, rec.Drain = sys.CrashImage(dst)
 	return rec
 }
 

@@ -7,6 +7,7 @@ import (
 	"bbb/internal/engine"
 	"bbb/internal/memory"
 	"bbb/internal/persistency"
+	"bbb/internal/sweep"
 	"bbb/internal/system"
 	"bbb/internal/workload"
 )
@@ -24,11 +25,12 @@ type Config struct {
 	FirstCrash engine.Cycle
 	Step       engine.Cycle
 	Points     int
-	// Parallel bounds how many machines walk the crash points at once:
-	// worker k of Parallel advances one machine through points k,
-	// k+Parallel, … (workload.WalkCrashPoints), snapshotting it live at
-	// each. The report is byte-identical at any width. Workloads outside
-	// the registry run serially (no ByName re-resolution).
+	// Parallel bounds how many crash points are checked at once. One
+	// machine walks every point (workload.WalkCrashPoints) and snapshots
+	// it live at each; Parallel-1 checker goroutines and the walker itself
+	// enumerate and validate the snapshots (walk). 0 or 1 checks each
+	// point on the walker's goroutine, in order. The report is
+	// byte-identical at any width.
 	Parallel int
 	// Bounds prune the per-point enumeration.
 	Bounds Bounds
@@ -90,11 +92,13 @@ type Report struct {
 	Truncated       bool
 }
 
-// Run executes the campaign. Each worker walks one machine through its
-// share of the crash points (workload.WalkCrashPoints), takes a live
-// Snapshot at each, and validates the point's images as the enumerator
-// streams them; every point's result equals an independent run from a
-// fresh machine, so the report is byte-identical at any width.
+// Run executes the campaign. One machine walks the crash points
+// (workload.WalkCrashPoints) and takes a live Snapshot at each into a
+// pooled image; the point is then checked — its images enumerated and each
+// validated as the enumerator streams it — by a checker goroutine, or by
+// the walker when every checker is busy. Every point's result equals an
+// independent run from a fresh machine and lands in its own slot, so the
+// report is byte-identical at any width.
 func (c Config) Run() Report {
 	if c.Points <= 0 {
 		panic("crashmc: Points must be positive")
@@ -110,10 +114,7 @@ func (c Config) Run() Report {
 		Barriers: !c.Params.NoBarriers,
 		Bounds:   b,
 	}
-	rep.Points = workload.WalkCrashPoints(c.Workload, c.Scheme, c.System, c.Params, workload.EvenCycles(c.FirstCrash, c.Step, c.Points), c.Parallel,
-		func(w workload.Workload, sys *system.System, at engine.Cycle, finished bool) PointResult {
-			return checkPoint(w, c, b, maxViol, Snapshot(sys, at, finished))
-		})
+	rep.Points = c.walk(b, maxViol)
 	for _, p := range rep.Points {
 		rep.TotalSets += p.Sets
 		rep.TotalDistinct += p.DistinctImages
@@ -129,6 +130,60 @@ func (c Config) Run() Report {
 		}
 	}
 	return rep
+}
+
+// walk advances one machine through the campaign's crash points and
+// snapshots each into a crash image from a free list, then hands the point
+// to one of c.Parallel-1 checker goroutines over a one-slot channel, or
+// checks it on the walker when the slot is taken (caller-runs). So at most
+// c.Parallel checks run at once and c.Parallel+1 images suffice: one per
+// checker, one queued, one the walker fills or checks. A point's image is
+// freed only after its check returns, since witness minimization reads
+// rec.Base until then. At width 1 every point is checked on the caller's
+// goroutine, in one image. sweep.Run starts and joins the goroutines and
+// re-panics a panic on the caller.
+func (c Config) walk(b Bounds, maxViol int) []PointResult {
+	type job struct {
+		i   int
+		rec *Record
+	}
+	out := make([]PointResult, c.Points)
+	width := max(c.Parallel, 1)
+	var jobs chan job // nil at width 1: a send is never ready
+	images := 1
+	if width > 1 {
+		jobs = make(chan job, 1)
+		images += cap(jobs) + width - 1
+	}
+	free := make(chan *memory.Memory, images) // FIFO; a nil image is allocated on first use
+	for range images {
+		free <- nil
+	}
+	check := func(j job) {
+		out[j.i] = checkPoint(c.Workload, c, b, maxViol, j.rec)
+		free <- j.rec.Base
+	}
+	sweep.Run(width, width, func(k int) {
+		if k > 0 { // a checker
+			for j := range jobs {
+				check(j)
+			}
+			return
+		}
+		if jobs != nil {
+			defer close(jobs)
+		}
+		workload.WalkCrashPoints(c.Workload, c.Scheme, c.System, c.Params, workload.EvenCycles(c.FirstCrash, c.Step, c.Points),
+			func(i int, sys *system.System, at engine.Cycle, finished bool) {
+				j := job{i, Snapshot(sys, at, finished, <-free)}
+				select {
+				case jobs <- j:
+				default:
+					check(j)
+				}
+			})
+	})
+	return out
 }
 
 // checkPoint enumerates and validates one crash point's snapshot through a

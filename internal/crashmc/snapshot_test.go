@@ -61,9 +61,11 @@ func TestSnapshotEqualsCapture(t *testing.T) {
 		for _, s := range persistency.Schemes() {
 			for _, noBarriers := range []bool{false, true} {
 				c := mcConfig(proto, s, noBarriers)
-				workload.WalkCrashPoints(proto, s, c.System, c.Params, workload.EvenCycles(first, step, points), 1,
-					func(_ workload.Workload, sys *system.System, at engine.Cycle, finished bool) struct{} {
-						got := Snapshot(sys, at, finished)
+				var base *memory.Memory
+				workload.WalkCrashPoints(proto, s, c.System, c.Params, workload.EvenCycles(first, step, points),
+					func(_ int, sys *system.System, at engine.Cycle, finished bool) {
+						got := Snapshot(sys, at, finished, base)
+						base = got.Base
 						w, err := workload.ByName(proto.Name())
 						if err != nil {
 							t.Fatal(err)
@@ -72,7 +74,6 @@ func TestSnapshotEqualsCapture(t *testing.T) {
 						if err := sameRecord(got, Capture(fresh, at, freshFinished)); err != nil {
 							t.Errorf("%s/%s nobarriers=%t @%d: %v", proto.Name(), s, noBarriers, at, err)
 						}
-						return struct{}{}
 					})
 			}
 		}
@@ -100,8 +101,11 @@ func TestSnapshotsDoNotDisturbRun(t *testing.T) {
 			w, _ := workload.ByName(name)
 			sys, progs := workload.Build(w, s, c.System, c.Params)
 			sys.Start(progs)
+			var base *memory.Memory
 			for at := engine.Cycle(3_000); at < 60_000; at += 9_000 {
-				checkPoint(w, c, Bounds{MaxImages: 64}.withDefaults(), 4, Snapshot(sys, at, sys.Advance(at)))
+				rec := Snapshot(sys, at, sys.Advance(at), base)
+				checkPoint(w, c, Bounds{MaxImages: 64}.withDefaults(), 4, rec)
+				base = rec.Base
 			}
 			if !sys.Advance(^engine.Cycle(0)) {
 				t.Fatalf("%s/%s: programs did not finish", name, s)
@@ -135,7 +139,7 @@ func TestCheckPointRestoresBase(t *testing.T) {
 		for _, at := range []engine.Cycle{4_000, 10_000, 16_000} {
 			w := workload.NewLinkedList()
 			sys, finished := workload.BuildToCrash(w, c.Scheme, c.System, c.Params, at)
-			rec := Snapshot(sys, at, finished)
+			rec := Snapshot(sys, at, finished, nil)
 			before := rec.Base.Clone()
 			pages := before.PageBases()
 			for _, p := range rec.Pending {

@@ -23,6 +23,7 @@ import (
 	"bbb/internal/crashmc"
 	"bbb/internal/engine"
 	"bbb/internal/litmus"
+	"bbb/internal/memory"
 	"bbb/internal/persistency"
 	"bbb/internal/sweep"
 	"bbb/internal/system"
@@ -202,8 +203,10 @@ func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.
 
 	mcCfg := crashmc.Config{Workload: wl, Scheme: s, System: cfg, Params: params}
 	var outcomes []axiomatic.Outcome
-	workload.WalkCrashPoints(wl, s, cfg, params, cycles, 1, func(_ workload.Workload, sys *system.System, cy engine.Cycle, finished bool) struct{} {
-		rec := crashmc.Snapshot(sys, cy, finished)
+	var base *memory.Memory // one crash image, reused point to point
+	workload.WalkCrashPoints(wl, s, cfg, params, cycles, func(_ int, sys *system.System, cy engine.Cycle, finished bool) {
+		rec := crashmc.Snapshot(sys, cy, finished, base)
+		base = rec.Base
 		enum := crashmc.Enumerate(rec, bounds)
 		if strict && len(enum.Images) != 1 {
 			res.MultiImagePoints++
@@ -235,7 +238,6 @@ func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.
 				Witness:    crashmc.NewWitness(mcCfg, cy, rec, minimized, errStr),
 			})
 		}
-		return struct{}{}
 	})
 
 	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].Less(outcomes[j]) })

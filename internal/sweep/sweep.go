@@ -10,7 +10,9 @@
 // goroutine it runs, the joined results are identical to a serial loop in
 // index order, whatever the worker count. The callers' aggregation then
 // runs serially over the slots, so figures, tables and reports come out
-// byte-identical, parallel or not.
+// byte-identical, parallel or not. A crash campaign (crashmc) runs one
+// walker task and checker tasks fed by it over a channel; each crash
+// point's result still lands in its own slot, whoever checked it.
 package sweep
 
 import (

@@ -71,9 +71,6 @@ type System struct {
 	Cores []*cpu.Core
 	// Prov tracks durability provenance when tracing is enabled.
 	Prov *trace.Provenance
-
-	// crashImg is CrashImage's copy of Mem, reused from call to call.
-	crashImg *memory.Memory
 }
 
 // New builds a machine from cfg.
@@ -264,15 +261,15 @@ func (s *System) Crash() persistency.DrainReport {
 	return s.Model.CrashDrain(s.Cores, s.Hier, s.NVMM, s.Mem)
 }
 
-// CrashImage returns the durable image a crash at this instant would leave
-// (a copy of the NVMM image with the flush-on-fail applied) and the drain
-// report, without crashing: memory, buffers, WPQ, store buffers, counters
-// and trace are left exactly as they were, and the run may continue. The
-// image is the machine's own scratch copy, overwritten by the next
-// CrashImage call; Clone it to keep it longer.
-func (s *System) CrashImage() (*memory.Memory, persistency.DrainReport) {
-	s.crashImg = s.Mem.CloneInto(s.crashImg)
-	return s.crashImg, s.Model.SnapshotDrain(s.Cores, s.Hier, s.NVMM, s.crashImg)
+// CrashImage writes into dst the durable image a crash at this instant
+// would leave (a copy of the NVMM image with the flush-on-fail applied) and
+// returns it with the drain report, without crashing: memory, buffers, WPQ,
+// store buffers, counters and trace are left exactly as they were, and the
+// run may continue. dst is overwritten whole (Memory.CloneInto); a nil dst
+// allocates a new image.
+func (s *System) CrashImage(dst *memory.Memory) (*memory.Memory, persistency.DrainReport) {
+	dst = s.Mem.CloneInto(dst)
+	return dst, s.Model.SnapshotDrain(s.Cores, s.Hier, s.NVMM, dst)
 }
 
 // Shutdown stops every core's workload program, unwinding any that are

@@ -338,13 +338,15 @@ func TestAdvanceMatchesRunUntil(t *testing.T) {
 		cfg := smallConfig(s)
 		walker := New(cfg)
 		walker.Start(counterPrograms(walker, 60))
+		var img *memory.Memory
 		for _, at := range limits {
 			walked := walker.Advance(at)
-			img, rep := walker.CrashImage()
+			var rep persistency.DrainReport
+			img, rep = walker.CrashImage(img)
 
 			fresh := New(cfg)
 			finished := fresh.RunUntil(at, counterPrograms(fresh, 60))
-			freshImg, freshRep := fresh.CrashImage()
+			freshImg, freshRep := fresh.CrashImage(nil)
 			fresh.Shutdown()
 
 			if now := walker.Eng.Now(); now > at {

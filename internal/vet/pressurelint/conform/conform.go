@@ -202,7 +202,8 @@ func checkPair(name string, cert pressurelint.Certificate, s persistency.Scheme,
 	if err != nil {
 		return nil, err
 	}
-	errs := workload.WalkCrashPoints(fresh, s, cfg, p, cycles, 1, func(_ workload.Workload, sys *system.System, cc engine.Cycle, finished bool) error {
+	var base *memory.Memory // one crash image, reused point to point
+	check := func(sys *system.System, cc engine.Cycle, finished bool) error {
 		if err := invariant.Check(invariant.View{Hier: sys.Hier, Bufs: sys.Model.Buffers}); err != nil {
 			return fail("invariant auditor at crash cycle %d: %v", cc, err)
 		}
@@ -212,7 +213,8 @@ func checkPair(name string, cert pressurelint.Certificate, s persistency.Scheme,
 					cc, err, cert.StrictLines, cert.RelaxedLines, cert.Witness)
 			}
 		}
-		rec := crashmc.Snapshot(sys, cc, finished)
+		rec := crashmc.Snapshot(sys, cc, finished, base)
+		base = rec.Base
 		if rec.DomainLines > pair.ObservedDomainMax {
 			pair.ObservedDomainMax = rec.DomainLines
 		}
@@ -221,11 +223,15 @@ func checkPair(name string, cert pressurelint.Certificate, s persistency.Scheme,
 				cc, rec.DomainLines, sb.MaxDirtyLines)
 		}
 		return checkPending(rec, s, sb, p.Threads, pair, cc, fail)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	}
+	var walkErr error // the first failing point's
+	workload.WalkCrashPoints(fresh, s, cfg, p, cycles, func(_ int, sys *system.System, cc engine.Cycle, finished bool) {
+		if walkErr == nil {
+			walkErr = check(sys, cc, finished)
 		}
+	})
+	if walkErr != nil {
+		return nil, walkErr
 	}
 	return pair, nil
 }

@@ -7,7 +7,6 @@ import (
 	"bbb/internal/palloc"
 	"bbb/internal/persistency"
 	"bbb/internal/stats"
-	"bbb/internal/sweep"
 	"bbb/internal/system"
 )
 
@@ -79,46 +78,25 @@ func EvenCycles(first, step engine.Cycle, n int) []engine.Cycle {
 }
 
 // WalkCrashPoints visits the crash points cycles (non-decreasing; it
-// panics otherwise) and returns visit's results in point order. Instead of
-// rebuilding and re-simulating a machine per point (BuildToCrash), it
-// builds one machine per worker: worker k of workers owns points k,
-// k+workers, … and advances its machine through them in ascending order,
-// calling visit with the machine stopped at each. visit must leave the
-// machine as it found it — take a live snapshot (System.CrashImage) rather
-// than crashing it — because the walk continues from that state; the
-// results are then the same as BuildToCrash's at every point, at any
-// worker count.
-//
-// Setup and Programs mutate workload-instance state, so with more than one
-// worker each resolves a private instance by name, and visit receives the
-// instance whose machine it is looking at. A workload outside the registry
-// cannot be re-resolved and walks serially.
-func WalkCrashPoints[T any](w Workload, s persistency.Scheme, cfg system.Config, p Params, cycles []engine.Cycle, workers int,
-	visit func(w Workload, sys *system.System, at engine.Cycle, finished bool) T) []T {
+// panics otherwise) in order. Instead of rebuilding and re-simulating a
+// machine per point (BuildToCrash), it builds one machine and advances it
+// through them, calling visit with point i's index and the machine stopped
+// at its cycle. visit must leave the machine as it found it — take a live
+// snapshot (System.CrashImage) rather than crashing it — because the walk
+// continues from that state; the machine visit sees at each point is then
+// the one BuildToCrash would return. Callers that check the points
+// concurrently hand the snapshots on from visit (crashmc.Config.Run).
+func WalkCrashPoints(w Workload, s persistency.Scheme, cfg system.Config, p Params, cycles []engine.Cycle,
+	visit func(i int, sys *system.System, at engine.Cycle, finished bool)) {
 	if !slices.IsSorted(cycles) {
 		panic("workload: crash cycles must be non-decreasing")
 	}
-	n := len(cycles)
-	workers = min(max(workers, 1), n)
-	if workers > 1 {
-		if _, err := ByName(w.Name()); err != nil {
-			workers = 1
-		}
+	sys, progs := Build(w, s, cfg, p)
+	defer sys.Shutdown()
+	sys.Start(progs)
+	for i, at := range cycles {
+		visit(i, sys, at, sys.Advance(at))
 	}
-	out := make([]T, n)
-	sweep.Run(workers, workers, func(k int) {
-		wk := w
-		if workers > 1 {
-			wk, _ = ByName(w.Name())
-		}
-		sys, progs := Build(wk, s, cfg, p)
-		defer sys.Shutdown()
-		sys.Start(progs)
-		for i := k; i < n; i += workers {
-			out[i] = visit(wk, sys, cycles[i], sys.Advance(cycles[i]))
-		}
-	})
-	return out
 }
 
 // RunToCrash executes the workload, crashes it at crashCycle (or lets it

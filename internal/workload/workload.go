@@ -72,7 +72,12 @@ type Workload interface {
 	// Programs returns one program per thread.
 	Programs(p Params) []system.Program
 	// Check walks the persistent image as post-crash recovery code would,
-	// returning an error on any ordering-invariant violation.
+	// returning an error on any ordering-invariant violation. A crash
+	// campaign (crashmc.Config.Run) calls it on other goroutines while the
+	// same instance's programs keep running, and concurrently with other
+	// Check calls on different images, so it may read only instance state
+	// that Setup fixed (roots, layouts, precomputed request streams) and
+	// must write none.
 	Check(mem *memory.Memory) error
 	// PaperPStores is the %P-stores column of Table IV (0 if not listed).
 	PaperPStores() float64
@@ -100,16 +105,15 @@ func Extras() []Workload {
 
 // extraFactories holds workloads registered by other packages. They are
 // factories, not instances, so every ByName lookup gets fresh state —
-// matching how Registry and Extras construct on each call (the crash-image
-// checker relies on that for its parallel sweeps).
+// matching how Registry and Extras construct on each call (witness replay
+// and the conformance gates rebuild a workload by name and rely on that).
 var extraFactories []func() Workload
 
-// byNameCache memoizes the name → factory mapping ByName resolves through.
-// ByName is hot in witness replay and per-point sweep fan-out, where the old
-// behavior — constructing every Registry, Extras and registered workload per
-// lookup — dominated the lookup cost. The cache holds *factories*, never
-// instances: each hit still constructs a fresh workload, preserving the
-// crash-image isolation the parallel sweeps rely on. Guarded by byNameMu and
+// byNameCache memoizes the name → factory mapping ByName resolves through,
+// so a lookup does not construct every Registry, Extras and registered
+// workload. The cache holds *factories*, never instances: each hit still
+// constructs a fresh workload, so a replayed or re-run workload never
+// shares Setup state with another machine. Guarded by byNameMu and
 // invalidated by Register (init-time registrations may land after a first
 // lookup in tests).
 var (

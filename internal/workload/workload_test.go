@@ -252,13 +252,19 @@ func TestConflictingArrayMigratesEntries(t *testing.T) {
 // TestWalkCrashPointsRejectsDecreasingCycles pins the walk's input
 // contract: a cycle list that steps backwards panics before any machine is
 // built (Advance cannot rewind), while repeated cycles are visited in
-// order, each at the cycle asked for.
+// order, each at the cycle asked for and with its index.
 func TestWalkCrashPointsRejectsDecreasingCycles(t *testing.T) {
 	w, err := ByName("hashmap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	visit := func(_ Workload, _ *system.System, at engine.Cycle, _ bool) engine.Cycle { return at }
+	var got []engine.Cycle
+	visit := func(i int, _ *system.System, at engine.Cycle, _ bool) {
+		if i != len(got) {
+			t.Errorf("point %d visited with index %d", len(got), i)
+		}
+		got = append(got, at)
+	}
 
 	func() {
 		defer func() {
@@ -266,11 +272,14 @@ func TestWalkCrashPointsRejectsDecreasingCycles(t *testing.T) {
 				t.Error("decreasing cycle list did not panic")
 			}
 		}()
-		WalkCrashPoints(w, persistency.BBB, testConfig(), testParams(2), []engine.Cycle{2_000, 1_000}, 1, visit)
+		WalkCrashPoints(w, persistency.BBB, testConfig(), testParams(2), []engine.Cycle{2_000, 1_000}, visit)
 	}()
+	if got != nil {
+		t.Errorf("decreasing cycle list visited %v before panicking", got)
+	}
 
 	want := []engine.Cycle{1_000, 1_000, 3_000}
-	if got := WalkCrashPoints(w, persistency.BBB, testConfig(), testParams(2), want, 1, visit); !slices.Equal(got, want) {
+	if WalkCrashPoints(w, persistency.BBB, testConfig(), testParams(2), want, visit); !slices.Equal(got, want) {
 		t.Errorf("visited %v, want %v", got, want)
 	}
 	if got := EvenCycles(5, 10, 3); !slices.Equal(got, []engine.Cycle{5, 15, 25}) {
