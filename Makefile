@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race invariant inline-check fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke campaign-short regress check bench-json bench-profile
+.PHONY: all build test vet race invariant inline-check fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke campaign-short regress check bench-json bench-profile loc
 
 all: check
 
@@ -185,6 +185,11 @@ campaign-short:
 # point. Exits non-zero with a minimized witness on any divergence.
 litmus-short:
 	$(GO) run ./cmd/bbblitmus conform -points 6
+
+# Non-test Go source lines, comments and blanks included, bench/ included
+# and testdata/ excluded: the size figure CHANGES.md and ROADMAP.md cite.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l
 
 # Tier-1.5: everything above.
 check: build test vet inline-check race invariant mc-short litmus-short pressure-short kv-short trace-smoke campaign-short regress

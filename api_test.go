@@ -201,6 +201,46 @@ func TestModelCheckAPI(t *testing.T) {
 	})
 }
 
+// TestWitnessReplaysCoreOptions model-checks barrier-free linkedlist under
+// PMEM once with store prefetching and once with relaxed store-buffer
+// drain, and requires each campaign's first witness to pin its option and
+// to reproduce through ReplayWitness: a witness that left the option out
+// would be replayed on the default core, reach a different crash state and
+// miss.
+func TestWitnessReplaysCoreOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		set    func(*Options)
+		pinned func(*MCWitness) bool
+	}{
+		{"store-prefetch", func(o *Options) { o.StorePrefetch = true }, func(w *MCWitness) bool { return w.StorePrefetch }},
+		{"relaxed-consistency", func(o *Options) { o.RelaxedConsistency = true }, func(w *MCWitness) bool { return w.RelaxedConsistency }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := Options{Threads: 2, OpsPerThread: 40, NoBarriers: true}
+			tc.set(&o)
+			rep, err := ModelCheck("linkedlist", SchemePMEM, o, 3, 4_000, 8_000, MCBounds{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := rep.FirstWitness()
+			if w == nil {
+				t.Fatalf("no violation to replay: %s", rep.String())
+			}
+			if !tc.pinned(w) {
+				t.Errorf("witness does not record %s", tc.name)
+			}
+			out, err := ReplayWitness(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Reproduced {
+				t.Fatalf("witness at cycle %d did not reproduce: got %q, witness says %q", w.CrashCycle, out.Err, w.Err)
+			}
+		})
+	}
+}
+
 func TestProcSideWriteRatioAboveOne(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")

@@ -50,12 +50,11 @@ func TestStreamZeroAlloc(t *testing.T) {
 func TestCheckPointZeroAlloc(t *testing.T) {
 	c := mcConfig(workload.NewLinkedList(), persistency.PMEM, false)
 	rec := captured(t, c, 32_000) // two pending lines, four images
-	b := DefaultBounds().withDefaults()
 	var (
 		s   scratch
 		res PointResult
 	)
-	pass := func() { res = s.checkPoint(c.Workload, c, b, 4, rec) }
+	pass := func() { res = s.checkPoint(c, rec, c.Workload.Check) }
 	pass()
 	if res.DistinctImages < 2 || res.ViolatingImages != 0 {
 		t.Fatalf("record checks %d images, %d violating: want at least 2 and none", res.DistinctImages, res.ViolatingImages)

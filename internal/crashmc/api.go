@@ -1,39 +1,42 @@
 package crashmc
 
-import (
-	"bbb/internal/engine"
-	"bbb/internal/memory"
-)
+import "bbb/internal/memory"
 
-// Exported seams over the enumeration internals, for validators other
-// than the built-in recovery-checker pass of Run: the litmus conformance
-// driver (internal/litmus/conform) enumerates with Enumerate exactly as
-// checkPoint does, but judges each image against the axiomatic allowed
-// set instead of workload.Check — so it needs the image, overlay,
-// minimization and witness plumbing individually.
+// Exported seams over the enumeration internals. CheckRecord is the one
+// image-validation path: Run's checkers call it with the workload's
+// recovery checker, and the litmus conformance gate
+// (internal/litmus/conform) with a judge that reads each image's outcome
+// against the axiomatic allowed set. ApplyOverlay and RevertOverlay are
+// kept for the benchmark's per-stage decomposition (bench/decompose.go),
+// which times Enumerate and the validation of its images on a cloned base
+// as separate stages.
 
-// Materialize builds the durable image overlay for one survival set. The
-// image's Hash is left zero.
-func Materialize(rec *Record, survivors []int) Image { return materialize(rec, survivors) }
-
-// ApplyOverlay writes an image overlay into m.
-func ApplyOverlay(m *memory.Memory, overlay []LineWrite) { applyOverlay(m, overlay) }
-
-// RevertOverlay restores m's overlaid lines from base.
-func RevertOverlay(m, base *memory.Memory, overlay []LineWrite) { revertOverlay(m, base, overlay) }
-
-// LegalSet reports whether a survival set respects the class rules
-// (epoch-downward closure per core).
-func LegalSet(rec *Record, set []int) bool { return legalSet(rec, set) }
-
-// Minimize greedily shrinks a failing survival set while check keeps
-// rejecting it and the set stays legal; check returns the complaint ("" =
-// image acceptable). See minimize.
-func Minimize(rec *Record, survivors []int, check func([]int) string) ([]int, string) {
-	return minimize(rec, survivors, check)
+// CheckRecord enumerates the reachable images of one crash point within
+// c.Bounds and judges each with check as the enumerator streams it, on the
+// caller's goroutine. Each image is written into rec.Base in place for the
+// call and restored after it, so check may read m only during the call.
+// The first violation is minimized — check also judges the smaller legal
+// sets the minimizer tries — and pinned as the result's Witness for
+// campaign c.
+func (c Config) CheckRecord(rec *Record, check func(m *memory.Memory) error) PointResult {
+	s := getScratch()
+	defer scratchPool.Put(s)
+	return s.checkPoint(c, rec, check)
 }
 
-// NewWitness pins a minimized violation of campaign c for replay.
-func NewWitness(c Config, crashAt engine.Cycle, rec *Record, survivors []int, errStr string) *Witness {
-	return newWitness(c, crashAt, rec, survivors, errStr)
+// ApplyOverlay writes an image overlay into m, with Memory's write
+// accounting.
+func ApplyOverlay(m *memory.Memory, overlay []LineWrite) {
+	for i := range overlay {
+		m.WriteLine(overlay[i].Addr, &overlay[i].Data)
+	}
+}
+
+// RevertOverlay restores m's overlaid lines from base.
+func RevertOverlay(m, base *memory.Memory, overlay []LineWrite) {
+	var line [memory.LineSize]byte
+	for i := range overlay {
+		base.PeekLine(overlay[i].Addr, &line)
+		m.WriteLine(overlay[i].Addr, &line)
+	}
 }

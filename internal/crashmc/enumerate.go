@@ -66,8 +66,8 @@ type Image struct {
 	// Hash is the canonical image hash: SHA-256 over each Overlay line's
 	// little-endian address and 64 data bytes, in address order, so equal
 	// images have equal hashes. Only reported images carry it — every
-	// image of Enumerate and every recorded Violation. Deduplication does
-	// not need it, so the images Materialize returns leave it zero.
+	// image of Enumerate and every recorded Violation; deduplication does
+	// not need it.
 	Hash [32]byte
 }
 
@@ -109,8 +109,9 @@ func (s *scratch) enumerate(rec *Record, b Bounds) Enumeration {
 // the dedupe key set and the validator's line pointers. A walker reuses
 // one from point to point, so a warmed-up stream allocates nothing per
 // set. It serves one record at a time, from load to the end of the stream
-// that follows; checkPoint and Enumerate take one from scratchPool and put
-// it back when their point is done, so concurrent walkers never share one.
+// that follows; CheckRecord, Enumerate and Witness.Recapture take one from
+// scratchPool and put it back when their point is done, so concurrent
+// walkers never share one.
 type scratch struct {
 	table lineTable
 	// r resolves the streamed sets; mr is minimization's, which runs
@@ -125,7 +126,7 @@ type scratch struct {
 	pick, set          []int // the odometer: one subset per group, and their union
 
 	// lines points at each line of the table in place in the record's
-	// Base, resolved by checkPoint (bindLines) after load.
+	// Base, resolved by bindLines after load.
 	lines []*[memory.LineSize]byte
 }
 
@@ -373,15 +374,6 @@ func (a *subsetArena) epochs(rec *Record, idx []int, b Bounds) {
 		a.bounded(idx[:lo], idx[lo:hi], 1, b)
 		lo = hi
 	}
-}
-
-// materialize resolves a survival set into its image, through a scratch of
-// its own. The image carries no Hash.
-func materialize(rec *Record, survivors []int) Image {
-	var s scratch
-	s.load(rec)
-	s.r.resolve(survivors)
-	return s.r.image(survivors)
 }
 
 // clone detaches an image from a stream's reused buffers.

@@ -29,6 +29,15 @@ func testRecord(pending []PendingWrite) *Record {
 	}
 }
 
+// resolveImage resolves one survival set into its image through a fresh
+// scratch's resolver, independent of any stream. The image carries no Hash.
+func resolveImage(rec *Record, survivors []int) Image {
+	var s scratch
+	s.load(rec)
+	s.r.resolve(survivors)
+	return s.r.image(survivors)
+}
+
 func lineData(b byte) (d [memory.LineSize]byte) {
 	d[0] = b
 	return
@@ -203,7 +212,7 @@ func TestMaterializeAppliesSeqOrderPerLine(t *testing.T) {
 		epochWrite(0, 0, 1, 0xAA),
 		{Addr: addr(0), Data: lineData(0xBB), Class: ClassEpoch, Core: 0, Epoch: 2, Seq: 1},
 	})
-	img := materialize(rec, []int{0, 1})
+	img := resolveImage(rec, []int{0, 1})
 	if len(img.Overlay) != 1 {
 		t.Fatalf("one line expected, got %d", len(img.Overlay))
 	}

@@ -55,11 +55,11 @@ func FuzzParseWitness(f *testing.F) {
 // input into a small record whose writes repeat values, equal the base
 // image and overwrite each other, so every dedupe case occurs. The two
 // must agree on the set counts and on every image — order, survivors,
-// overlay and hash — and Materialize must rebuild each image's overlay
-// from its survivors. The images come from a scratch that has just
-// enumerated another record — the input's bytes reversed, so other
-// bounds, lines and table sizes — and must not see any of its state. The
-// seed corpus (testdata/fuzz/FuzzEnumerate) runs as a normal test.
+// overlay and hash — and a fresh scratch's resolver must rebuild each
+// image's overlay from its survivors alone. The images come from a scratch
+// that has just enumerated another record — the input's bytes reversed, so
+// other bounds, lines and table sizes — and must not see any of its state.
+// The seed corpus (testdata/fuzz/FuzzEnumerate) runs as a normal test.
 func FuzzEnumerate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prev := slices.Clone(data)
@@ -78,8 +78,8 @@ func FuzzEnumerate(f *testing.F) {
 			if !reflect.DeepEqual(got.Images[i], img) {
 				t.Fatalf("image %d:\n got %+v\nwant %+v", i, got.Images[i], img)
 			}
-			if m := materialize(rec, img.Survivors); !reflect.DeepEqual(m.Overlay, img.Overlay) {
-				t.Fatalf("materialize(%v) overlay %+v, want %+v", img.Survivors, m.Overlay, img.Overlay)
+			if m := resolveImage(rec, img.Survivors); !reflect.DeepEqual(m.Overlay, img.Overlay) {
+				t.Fatalf("resolving %v gives overlay %+v, want %+v", img.Survivors, m.Overlay, img.Overlay)
 			}
 		}
 	})

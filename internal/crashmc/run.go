@@ -34,12 +34,14 @@ type Config struct {
 	Parallel int
 	// Bounds prune the per-point enumeration.
 	Bounds Bounds
-	// MaxViolations caps the violations recorded per point (the counts
-	// stay exact). Zero means 4.
-	MaxViolations int
 }
 
-// Violation is one reachable durable image the recovery checker rejects.
+// maxViolations caps the violations recorded per point; the counts stay
+// exact.
+const maxViolations = 4
+
+// Violation is one reachable durable image the check rejects (under Run,
+// the workload's recovery checker).
 type Violation struct {
 	// Hash identifies the violating image.
 	Hash [32]byte
@@ -103,18 +105,13 @@ func (c Config) Run() Report {
 	if c.Points <= 0 {
 		panic("crashmc: Points must be positive")
 	}
-	b := c.Bounds.withDefaults()
-	maxViol := c.MaxViolations
-	if maxViol <= 0 {
-		maxViol = 4
-	}
 	rep := Report{
 		Workload: c.Workload.Name(),
 		Scheme:   c.Scheme,
 		Barriers: !c.Params.NoBarriers,
-		Bounds:   b,
+		Bounds:   c.Bounds.withDefaults(),
 	}
-	rep.Points = c.walk(b, maxViol)
+	rep.Points = c.walk()
 	for _, p := range rep.Points {
 		rep.TotalSets += p.Sets
 		rep.TotalDistinct += p.DistinctImages
@@ -142,7 +139,7 @@ func (c Config) Run() Report {
 // rec.Base until then. At width 1 every point is checked on the caller's
 // goroutine, in one image. sweep.Run starts and joins the goroutines and
 // re-panics a panic on the caller.
-func (c Config) walk(b Bounds, maxViol int) []PointResult {
+func (c Config) walk() []PointResult {
 	type job struct {
 		i   int
 		rec *Record
@@ -160,7 +157,7 @@ func (c Config) walk(b Bounds, maxViol int) []PointResult {
 		free <- nil
 	}
 	check := func(j job) {
-		out[j.i] = checkPoint(c.Workload, c, b, maxViol, j.rec)
+		out[j.i] = c.CheckRecord(j.rec, c.Workload.Check)
 		free <- j.rec.Base
 	}
 	sweep.Run(width, width, func(k int) {
@@ -186,21 +183,13 @@ func (c Config) walk(b Bounds, maxViol int) []PointResult {
 	return out
 }
 
-// checkPoint enumerates and validates one crash point's snapshot through a
-// pooled scratch, held until the point is done.
-func checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Record) PointResult {
-	s := getScratch()
-	defer scratchPool.Put(s)
-	return s.checkPoint(w, c, b, maxViol, rec)
-}
-
-// checkPoint is the package checkPoint in s's buffers. Each new distinct
-// image is written into rec.Base in place through the line pointers
-// bindLines resolved, checked, and restored from the base lines the line
+// checkPoint is CheckRecord in s's buffers. Each new distinct image is
+// written into rec.Base in place through the line pointers bindLines
+// resolved, judged by check, and restored from the base lines the line
 // table read before the first overlay. The writes bypass Memory's
 // accounting, so checking leaves Base's Writes and wear as the snapshot or
 // crash left them.
-func (s *scratch) checkPoint(w workload.Workload, c Config, b Bounds, maxViol int, rec *Record) PointResult {
+func (s *scratch) checkPoint(c Config, rec *Record, check func(*memory.Memory) error) PointResult {
 	res := PointResult{
 		CrashCycle:  rec.CrashCycle,
 		Finished:    rec.Finished,
@@ -210,28 +199,28 @@ func (s *scratch) checkPoint(w workload.Workload, c Config, b Bounds, maxViol in
 	}
 	s.load(rec)
 	s.bindLines()
-	check := func(r *resolver) error {
+	judge := func(r *resolver) error {
 		s.apply(r)
-		err := w.Check(rec.Base)
+		err := check(rec.Base)
 		s.restore(r)
 		return err
 	}
 	checkSet := func(survivors []int) string {
 		s.mr.resolve(survivors)
-		if err := check(&s.mr); err != nil {
+		if err := judge(&s.mr); err != nil {
 			return err.Error()
 		}
 		return ""
 	}
 
-	res.Sets, res.SetsSkipped = s.stream(b, func(set []int) {
+	res.Sets, res.SetsSkipped = s.stream(c.Bounds, func(set []int) {
 		res.DistinctImages++
-		err := check(&s.r)
+		err := judge(&s.r)
 		if err == nil {
 			return
 		}
 		res.ViolatingImages++
-		if len(res.Violations) >= maxViol {
+		if len(res.Violations) >= maxViolations {
 			return
 		}
 		v := Violation{Hash: s.h.sum(s.r.image(set).Overlay), Survivors: slices.Clone(set), Err: err.Error()}
@@ -270,20 +259,6 @@ func (s *scratch) restore(r *resolver) {
 	for _, p := range r.hits {
 		l := t.line[p]
 		*s.lines[l] = t.base[l]
-	}
-}
-
-func applyOverlay(m *memory.Memory, overlay []LineWrite) {
-	for i := range overlay {
-		m.WriteLine(overlay[i].Addr, &overlay[i].Data)
-	}
-}
-
-func revertOverlay(m, base *memory.Memory, overlay []LineWrite) {
-	var line [memory.LineSize]byte
-	for i := range overlay {
-		base.PeekLine(overlay[i].Addr, &line)
-		m.WriteLine(overlay[i].Addr, &line)
 	}
 }
 

@@ -101,10 +101,11 @@ func TestSnapshotsDoNotDisturbRun(t *testing.T) {
 			w, _ := workload.ByName(name)
 			sys, progs := workload.Build(w, s, c.System, c.Params)
 			sys.Start(progs)
+			c.Bounds = Bounds{MaxImages: 64}
 			var base *memory.Memory
 			for at := engine.Cycle(3_000); at < 60_000; at += 9_000 {
 				rec := Snapshot(sys, at, sys.Advance(at), base)
-				checkPoint(w, c, Bounds{MaxImages: 64}.withDefaults(), 4, rec)
+				c.CheckRecord(rec, w.Check)
 				base = rec.Base
 			}
 			if !sys.Advance(^engine.Cycle(0)) {
@@ -125,7 +126,7 @@ func TestSnapshotsDoNotDisturbRun(t *testing.T) {
 
 // TestCheckPointRestoresBase model-checks barrier-free PMEM and BEP
 // snapshots whose reachable images include violations, and requires
-// checkPoint to leave each snapshot's Base byte for byte as it found it:
+// CheckRecord to leave each snapshot's Base byte for byte as it found it:
 // every streamed image and every set the first violation's minimization
 // tries is written in place through the line pointers and must be restored
 // from the base lines under it. The stream is cut after 1, 2, … sets up to
@@ -148,9 +149,10 @@ func TestCheckPointRestoresBase(t *testing.T) {
 				}
 			}
 			for sets := 1; ; sets++ {
-				res := checkPoint(w, c, Bounds{MaxImages: sets}.withDefaults(), 4, rec)
+				c.Bounds = Bounds{MaxImages: sets}
+				res := c.CheckRecord(rec, w.Check)
 				if err := sameBase(rec.Base, before); err != nil {
-					t.Fatalf("%s @%d, stream cut after %d sets (%d violating): checkPoint changed the base image: %v",
+					t.Fatalf("%s @%d, stream cut after %d sets (%d violating): CheckRecord changed the base image: %v",
 						scheme, at, sets, res.ViolatingImages, err)
 				}
 				if res.Witness != nil {

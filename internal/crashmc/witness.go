@@ -23,8 +23,10 @@ import (
 // misreplaying them.
 const WitnessSchemaVersion = 1
 
-// The witness pins every knob the model checker varies from the default
-// Table III machine; all other configuration is assumed default.
+// The witness pins every machine knob the model checker varies from the
+// default Table III machine — caches, bbPB, store prefetching and relaxed
+// store-buffer drain — and the workload's barrier mode, threads, ops, seed
+// and volatile work; all other configuration is assumed default.
 type Witness struct {
 	// SchemaVersion is WitnessSchemaVersion at write time; ParseWitness
 	// rejects any other value (including its absence in pre-versioned
@@ -38,10 +40,12 @@ type Witness struct {
 	Seed          int64  `json:"seed"`
 	VolatileWork  int    `json:"volatile_work,omitempty"`
 
-	L1Size         int     `json:"l1_size,omitempty"`
-	L2Size         int     `json:"l2_size,omitempty"`
-	BBPBEntries    int     `json:"bbpb_entries,omitempty"`
-	DrainThreshold float64 `json:"drain_threshold,omitempty"`
+	L1Size             int     `json:"l1_size,omitempty"`
+	L2Size             int     `json:"l2_size,omitempty"`
+	BBPBEntries        int     `json:"bbpb_entries,omitempty"`
+	DrainThreshold     float64 `json:"drain_threshold,omitempty"`
+	StorePrefetch      bool    `json:"store_prefetch,omitempty"`
+	RelaxedConsistency bool    `json:"relaxed_consistency,omitempty"`
 
 	CrashCycle engine.Cycle   `json:"crash_cycle"`
 	Survivors  []WitnessWrite `json:"survivors"`
@@ -61,20 +65,22 @@ type WitnessWrite struct {
 // newWitness pins a minimized violation for replay.
 func newWitness(c Config, crashAt engine.Cycle, rec *Record, survivors []int, errStr string) *Witness {
 	w := &Witness{
-		SchemaVersion:  WitnessSchemaVersion,
-		Workload:       c.Workload.Name(),
-		Scheme:         c.Scheme.String(),
-		NoBarriers:     c.Params.NoBarriers,
-		Threads:        c.Params.Threads,
-		OpsPerThread:   c.Params.OpsPerThread,
-		Seed:           c.Params.Seed,
-		VolatileWork:   c.Params.VolatileWork,
-		L1Size:         c.System.Hierarchy.L1Size,
-		L2Size:         c.System.Hierarchy.L2Size,
-		BBPBEntries:    c.System.BBPB.Entries,
-		DrainThreshold: c.System.BBPB.DrainThreshold,
-		CrashCycle:     crashAt,
-		Err:            errStr,
+		SchemaVersion:      WitnessSchemaVersion,
+		Workload:           c.Workload.Name(),
+		Scheme:             c.Scheme.String(),
+		NoBarriers:         c.Params.NoBarriers,
+		Threads:            c.Params.Threads,
+		OpsPerThread:       c.Params.OpsPerThread,
+		Seed:               c.Params.Seed,
+		VolatileWork:       c.Params.VolatileWork,
+		L1Size:             c.System.Hierarchy.L1Size,
+		L2Size:             c.System.Hierarchy.L2Size,
+		BBPBEntries:        c.System.BBPB.Entries,
+		DrainThreshold:     c.System.BBPB.DrainThreshold,
+		StorePrefetch:      c.System.Core.StorePrefetch,
+		RelaxedConsistency: c.System.Core.RelaxedSBDrain,
+		CrashCycle:         crashAt,
+		Err:                errStr,
 	}
 	for _, i := range survivors {
 		pw := rec.Pending[i]
@@ -117,20 +123,23 @@ type ReplayOutcome struct {
 }
 
 // Recapture rebuilds the witnessed machine, runs the workload to the
-// crash cycle, recaptures its pending set and resolves the witness's
-// surviving writes against it — everything Replay does short of image
-// validation, so other validators (bbblitmus explain checks against the
-// axiomatic allowed set rather than the recovery checker) can share the
-// reconstruction. The returned workload is the resolved instance whose
-// Setup ran inside the rebuilt machine.
-func (w *Witness) Recapture() (workload.Workload, *Record, []int, error) {
+// crash cycle, recaptures its pending set, resolves the witness's
+// surviving writes against it and writes their image into the record's
+// Base in place, as CheckRecord writes each image: rec.Base is then the
+// witnessed durable image, not the crash base. That is everything Replay
+// does short of judging the image, so other validators (bbblitmus explain
+// reads the litmus outcome against the axiomatic allowed set rather than
+// running the recovery checker) share the reconstruction. The returned
+// workload is the resolved instance whose Setup ran inside the rebuilt
+// machine. On an error after the capture, rec is returned unoverlaid.
+func (w *Witness) Recapture() (workload.Workload, *Record, error) {
 	wl, err := workload.ByName(w.Workload)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	scheme, err := persistency.ParseScheme(w.Scheme)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	cfg := system.DefaultConfig(scheme)
 	if w.L1Size > 0 {
@@ -145,6 +154,8 @@ func (w *Witness) Recapture() (workload.Workload, *Record, []int, error) {
 	if w.DrainThreshold > 0 {
 		cfg.BBPB.DrainThreshold = w.DrainThreshold
 	}
+	cfg.Core.StorePrefetch = w.StorePrefetch
+	cfg.Core.RelaxedSBDrain = w.RelaxedConsistency
 	params := workload.Params{
 		Threads:      w.Threads,
 		OpsPerThread: w.OpsPerThread,
@@ -157,31 +168,32 @@ func (w *Witness) Recapture() (workload.Workload, *Record, []int, error) {
 
 	survivors, err := matchSurvivors(rec, w.Survivors)
 	if err != nil {
-		return wl, rec, nil, err
+		return wl, rec, err
 	}
 	if !legalSet(rec, survivors) {
-		return wl, rec, nil,
-			fmt.Errorf("crashmc: witness survival set is not legal under %s ordering", w.Scheme)
+		return wl, rec, fmt.Errorf("crashmc: witness survival set is not legal under %s ordering", w.Scheme)
 	}
-	return wl, rec, survivors, nil
+	s := getScratch()
+	defer scratchPool.Put(s)
+	s.load(rec)
+	s.bindLines()
+	s.r.resolve(survivors)
+	s.apply(&s.r)
+	return wl, rec, nil
 }
 
 // Replay rebuilds the witnessed machine, runs the workload to the crash
 // cycle, re-applies the surviving-write subset and re-checks the image.
 func Replay(w *Witness) (ReplayOutcome, error) {
-	wl, rec, survivors, err := w.Recapture()
+	wl, rec, err := w.Recapture()
+	var out ReplayOutcome
+	if rec != nil {
+		out.Pending = len(rec.Pending)
+	}
 	if err != nil {
-		out := ReplayOutcome{}
-		if rec != nil {
-			out.Pending = len(rec.Pending)
-		}
 		return out, err
 	}
-	img := materialize(rec, survivors)
-	scratch := rec.Base.Clone()
-	applyOverlay(scratch, img.Overlay)
-	out := ReplayOutcome{Pending: len(rec.Pending)}
-	if cerr := wl.Check(scratch); cerr != nil {
+	if cerr := wl.Check(rec.Base); cerr != nil {
 		out.Err = cerr.Error()
 	}
 	out.Reproduced = out.Err != "" && out.Err == w.Err

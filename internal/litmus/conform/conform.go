@@ -8,10 +8,13 @@
 // (rather than hides) every case where a scheme's model strengthens the
 // relaxed Px86 envelope.
 //
-// A divergence (operational outcome outside the allowed set) is minimized
-// with the same greedy shrinker crashmc uses and pinned as a replayable
-// crashmc.Witness, so CI failures arrive with a repro: `bbblitmus explain
-// -witness <file>` rebuilds the machine and triages it.
+// Every image is judged on crashmc's own validation path
+// (crashmc.Config.CheckRecord): the judge reads the image's litmus outcome
+// and rejects it when it lies outside the allowed set, so a divergence is
+// minimized with crashmc's shrinker and pinned as a replayable
+// crashmc.Witness exactly as a recovery-checker violation is, and CI
+// failures arrive with a repro: `bbblitmus explain -witness <file>`
+// rebuilds the machine and triages it.
 package conform
 
 import (
@@ -61,21 +64,6 @@ type Options struct {
 	Bounds crashmc.Bounds
 }
 
-// maxDivergences caps the divergences recorded per pair; the counts stay
-// exact via Divergent.
-const maxDivergences = 4
-
-// Divergence is one operational outcome outside the allowed set.
-type Divergence struct {
-	CrashCycle engine.Cycle
-	Outcome    axiomatic.Outcome
-	// Formatted is the human-readable outcome ("x=1 y=0").
-	Formatted string
-	// Witness replays the minimized surviving-write subset that produces
-	// an out-of-envelope outcome (`bbblitmus explain`).
-	Witness *crashmc.Witness
-}
-
 // PairResult is one test × scheme conformance check.
 type PairResult struct {
 	Test   string
@@ -96,10 +84,12 @@ type PairResult struct {
 	AllowedCount int
 	RelaxedCount int
 	Collapsed    bool
-	// Divergent counts operational outcomes outside the allowed set;
-	// Divergences holds the first few, minimized and witnessed.
-	Divergent   int
-	Divergences []Divergence
+	// Divergent counts the distinct crash images, summed over the crash
+	// points, whose outcome lies outside the allowed set.
+	Divergent int
+	// Witness replays the first divergent point's first divergence,
+	// minimized (`bbblitmus explain`); nil when none diverged.
+	Witness *crashmc.Witness
 }
 
 // Ok reports whether the pair conforms: operational ⊆ allowed, and (for
@@ -125,10 +115,8 @@ func (r Report) Ok() bool {
 // FirstWitness returns the first divergence witness, if any.
 func (r Report) FirstWitness() *crashmc.Witness {
 	for _, p := range r.Pairs {
-		for _, d := range p.Divergences {
-			if d.Witness != nil {
-				return d.Witness
-			}
+		if p.Witness != nil {
+			return p.Witness
 		}
 	}
 	return nil
@@ -162,14 +150,14 @@ func Run(o Options) Report {
 	}
 	rep := Report{Points: points}
 	rep.Pairs = sweep.Map(o.Parallel, len(pairs), func(i int) PairResult {
-		return checkPair(pairs[i].t, pairs[i].s, points, bounds)
+		return checkPair(pairs[i].t, pairs[i].s, ModelFor(pairs[i].s), points, bounds)
 	})
 	return rep
 }
 
-// checkPair runs the full conformance check for one test × scheme.
-func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.Bounds) PairResult {
-	model := ModelFor(s)
+// checkPair runs the full conformance check for one test × scheme, judged
+// against model.
+func checkPair(t *litmus.Test, s persistency.Scheme, model axiomatic.Model, points int, bounds crashmc.Bounds) PairResult {
 	allowed := axiomatic.Enumerate(t, model)
 	relaxed := axiomatic.Enumerate(t, axiomatic.Relaxed)
 	strict := model == axiomatic.Strict
@@ -201,42 +189,31 @@ func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.
 		Collapsed:    len(allowed.Outcomes) < len(relaxed.Outcomes),
 	}
 
-	mcCfg := crashmc.Config{Workload: wl, Scheme: s, System: cfg, Params: params}
+	mcCfg := crashmc.Config{Workload: wl, Scheme: s, System: cfg, Params: params, Bounds: bounds}
+	// The judge records every image's outcome and rejects those outside
+	// the allowed set. The minimizer's probes reach it too; each is a
+	// legal survival set whose outcome the enumeration reaches as well, so
+	// recording them adds nothing the streamed images do not.
 	var outcomes []axiomatic.Outcome
+	judge := func(m *memory.Memory) error {
+		o := axiomatic.Outcome(wl.ReadOutcome(m))
+		outcomes = append(outcomes, o)
+		if allowed.Contains(o) {
+			return nil
+		}
+		return divergenceErr(t, s, model, o)
+	}
 	var base *memory.Memory // one crash image, reused point to point
 	workload.WalkCrashPoints(wl, s, cfg, params, cycles, func(_ int, sys *system.System, cy engine.Cycle, finished bool) {
 		rec := crashmc.Snapshot(sys, cy, finished, base)
 		base = rec.Base
-		enum := crashmc.Enumerate(rec, bounds)
-		if strict && len(enum.Images) != 1 {
+		pt := mcCfg.CheckRecord(rec, judge)
+		if strict && pt.DistinctImages != 1 {
 			res.MultiImagePoints++
 		}
-		for _, img := range enum.Images {
-			out := overlayOutcome(rec, wl, img.Overlay)
-			outcomes = append(outcomes, out)
-			if allowed.Contains(out) {
-				continue
-			}
-			res.Divergent++
-			if len(res.Divergences) >= maxDivergences {
-				continue
-			}
-			// Minimize against the axiomatic envelope: shrink the
-			// surviving set while its image stays outside the allowed set.
-			check := func(set []int) string {
-				if o := outcomeOf(rec, wl, set); !allowed.Contains(o) {
-					return divergenceErr(t, s, model, o)
-				}
-				return ""
-			}
-			minimized, errStr := crashmc.Minimize(rec, img.Survivors, check)
-			mo := outcomeOf(rec, wl, minimized)
-			res.Divergences = append(res.Divergences, Divergence{
-				CrashCycle: cy,
-				Outcome:    mo,
-				Formatted:  axiomatic.FormatOutcome(t, mo),
-				Witness:    crashmc.NewWitness(mcCfg, cy, rec, minimized, errStr),
-			})
+		res.Divergent += pt.ViolatingImages
+		if res.Witness == nil {
+			res.Witness = pt.Witness
 		}
 	})
 
@@ -249,22 +226,10 @@ func checkPair(t *litmus.Test, s persistency.Scheme, points int, bounds crashmc.
 	return res
 }
 
-// outcomeOf decodes the durable outcome of one survival set.
-func outcomeOf(rec *crashmc.Record, wl *litmus.Workload, set []int) axiomatic.Outcome {
-	return overlayOutcome(rec, wl, crashmc.Materialize(rec, set).Overlay)
-}
-
-// overlayOutcome decodes the durable outcome of one image overlay on the
-// crash base.
-func overlayOutcome(rec *crashmc.Record, wl *litmus.Workload, overlay []crashmc.LineWrite) axiomatic.Outcome {
-	sc := rec.Base.Clone()
-	crashmc.ApplyOverlay(sc, overlay)
-	return axiomatic.Outcome(wl.ReadOutcome(sc))
-}
-
-// divergenceErr is the witness Err string for an out-of-envelope outcome.
-func divergenceErr(t *litmus.Test, s persistency.Scheme, m axiomatic.Model, o axiomatic.Outcome) string {
-	return fmt.Sprintf("litmus %s/%s: outcome {%s} not allowed by the %s model",
+// divergenceErr is the judge's complaint, and so the witness Err, for an
+// out-of-envelope outcome.
+func divergenceErr(t *litmus.Test, s persistency.Scheme, m axiomatic.Model, o axiomatic.Outcome) error {
+	return fmt.Errorf("litmus %s/%s: outcome {%s} not allowed by the %s model",
 		t.Name, s, axiomatic.FormatOutcome(t, o), m)
 }
 

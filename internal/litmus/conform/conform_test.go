@@ -142,6 +142,39 @@ func TestPointsCountsDistinctCrashCycles(t *testing.T) {
 	}
 }
 
+// TestDivergenceWitnessReplays drives the divergence path, which no
+// corpus pair reaches under its own model: mp judged on PMEM against the
+// strict model reaches the flag-without-payload outcome. The pair must
+// count a divergence and keep a witness, and the witness replayed through
+// Recapture must rebuild an image whose outcome is outside the strict
+// allowed set and draw the judge's complaint the witness recorded.
+func TestDivergenceWitnessReplays(t *testing.T) {
+	mp, err := litmus.ByName("mp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, model := persistency.PMEM, axiomatic.Strict
+	p := checkPair(mp, s, model, 6, crashmc.Bounds{})
+	if p.Divergent == 0 || p.Ok() {
+		t.Fatalf("mp/%s judged %s: %d divergent outcomes, want some", s, model, p.Divergent)
+	}
+	w := Report{Pairs: []PairResult{p}}.FirstWitness()
+	if w == nil {
+		t.Fatal("divergent pair kept no witness")
+	}
+	wl, rec, err := w.Recapture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := axiomatic.Outcome(wl.(*litmus.Workload).ReadOutcome(rec.Base))
+	if axiomatic.Enumerate(mp, model).Contains(out) {
+		t.Fatalf("replayed outcome {%s} is inside the %s allowed set", axiomatic.FormatOutcome(mp, out), model)
+	}
+	if got := divergenceErr(mp, s, model, out).Error(); got != w.Err {
+		t.Fatalf("judge on the replayed image says %q, witness says %q", got, w.Err)
+	}
+}
+
 // TestExplainTriagesStaleWitness pins the explain path on a fabricated
 // witness whose outcome is inside the allowed set: it must replay cleanly
 // and triage as stale rather than claim a divergence.
@@ -152,15 +185,19 @@ func TestExplainTriagesStaleWitness(t *testing.T) {
 	}
 	wl := litmus.NewWorkload(mp)
 	s := persistency.PMEM
-	cfg := system.DefaultConfig(s)
 	params := workload.Params{Threads: len(mp.Threads), OpsPerThread: 1, Seed: 1}
-	end := workload.Run(wl, s, cfg, params).Cycles
-	cy := end / 2
-	sys, finished := workload.BuildToCrash(wl, s, cfg, params, cy)
-	rec := crashmc.Capture(sys, cy, finished)
+	end := workload.Run(wl, s, system.DefaultConfig(s), params).Cycles
 
-	mcCfg := crashmc.Config{Workload: wl, Scheme: s, System: cfg, Params: params}
-	wit := crashmc.NewWitness(mcCfg, cy, rec, nil, "fabricated: empty survival set")
+	wit := &crashmc.Witness{
+		SchemaVersion: crashmc.WitnessSchemaVersion,
+		Workload:      wl.Name(),
+		Scheme:        s.String(),
+		Threads:       params.Threads,
+		OpsPerThread:  params.OpsPerThread,
+		Seed:          params.Seed,
+		CrashCycle:    end / 2,
+		Err:           "fabricated: empty survival set",
+	}
 	ex, err := Explain(wit)
 	if err != nil {
 		t.Fatal(err)

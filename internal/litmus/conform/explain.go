@@ -29,9 +29,9 @@ type Explanation struct {
 	Note string
 }
 
-// Explain replays a conformance divergence witness: it rebuilds the
-// machine via Witness.Recapture, re-materializes the surviving-write
-// subset, and re-judges the outcome against the axiomatic model — the
+// Explain replays a conformance divergence witness: Witness.Recapture
+// rebuilds the machine and writes the witnessed image in place, and the
+// outcome read from it is re-judged against the axiomatic model — the
 // litmus analogue of `bbbmc -repro`.
 func Explain(w *crashmc.Witness) (Explanation, error) {
 	name, ok := strings.CutPrefix(w.Workload, "litmus/")
@@ -46,7 +46,7 @@ func Explain(w *crashmc.Witness) (Explanation, error) {
 	if err != nil {
 		return Explanation{}, err
 	}
-	wl, rec, survivors, err := w.Recapture()
+	wl, rec, err := w.Recapture()
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -56,7 +56,7 @@ func Explain(w *crashmc.Witness) (Explanation, error) {
 	}
 
 	model := ModelFor(scheme)
-	out := outcomeOf(rec, lw, survivors)
+	out := axiomatic.Outcome(lw.ReadOutcome(rec.Base))
 	allowed := axiomatic.Enumerate(t, model)
 	relaxed := axiomatic.Enumerate(t, axiomatic.Relaxed)
 
