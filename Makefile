@@ -42,14 +42,15 @@ inline-check:
 # allocation pressure, Figure 7 wall-clock, raw event-kernel rate at a
 # fixed depth and in Figure 7's delay mix, coherence load hit / store
 # upgrade / L2 miss, program handoff, a memory word read, crash
-# image enumeration and validation, the crash walk alone, and whole
+# image enumeration and validation, one point's validation with the
+# checks its verdict memo leaves, the crash walk alone, and whole
 # model-checking campaigns) and
 # record them as the next BENCH_<n>.json, also appending the recording to
 # the .ledger run ledger for provenance (who ran it, where, when).
 # Non-gating; CI uploads the files as artifacts and `make regress` judges
 # the trajectory.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCoherence|BenchmarkHandoff|BenchmarkCrashMCEnumerate|BenchmarkCrashMCCampaign|BenchmarkCrashWalk|BenchmarkValidateImage|BenchmarkPeek64|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFig7aExecutionTime|BenchmarkEngineKernel|BenchmarkCoherence|BenchmarkHandoff|BenchmarkCrashMCEnumerate|BenchmarkCrashMCCampaign|BenchmarkCrashWalk|BenchmarkValidateImage|BenchmarkCheckRecord|BenchmarkPeek64|BenchmarkAxiomaticEnumerate|BenchmarkTraceOverhead|BenchmarkPressureLint|BenchmarkKVService|BenchmarkPDSQueue' \
 		-benchmem . ./internal/engine ./internal/coherence ./internal/cpu ./internal/memory ./internal/crashmc ./internal/axiomatic ./internal/trace ./internal/vet/pressurelint ./internal/kvservice ./internal/pds \
 		| $(GO) run ./cmd/benchjson -ledger .ledger -name bench-json > BENCH_$$(ls BENCH_*.json 2>/dev/null | wc -l).json
 	@ls BENCH_*.json | tail -1

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bbb/internal/memory"
 	"bbb/internal/persistency"
 	"bbb/internal/workload"
 )
@@ -43,24 +44,38 @@ func TestStreamZeroAlloc(t *testing.T) {
 
 // TestCheckPointZeroAlloc pins the validator's steady state: once a
 // scratch has checked a point, checking it again — line table, line
-// pointers, stream, and every image written into the base in place,
-// checked and restored — allocates nothing when no image violates. It
-// uses a scratch of its own, as the race detector's sync.Pool drops some
-// of what it is given.
+// pointers, stream, verdict memo, and every image written into the base in
+// place, checked and restored — allocates nothing when no image violates.
+// The BEP point takes most of its verdicts from the memo. It uses a
+// scratch of its own, as the race detector's sync.Pool drops some of what
+// it is given.
 func TestCheckPointZeroAlloc(t *testing.T) {
-	c := mcConfig(workload.NewLinkedList(), persistency.PMEM, false)
-	rec := captured(t, c, 32_000) // two pending lines, four images
-	var (
-		s   scratch
-		res PointResult
-	)
-	pass := func() { res = s.checkPoint(c, rec, c.Workload.Check) }
-	pass()
-	if res.DistinctImages < 2 || res.ViolatingImages != 0 {
-		t.Fatalf("record checks %d images, %d violating: want at least 2 and none", res.DistinctImages, res.ViolatingImages)
-	}
-	if avg := testing.AllocsPerRun(10, pass); avg != 0 {
-		t.Fatalf("a warmed-up checkPoint of %d images allocates %.1f objects, want 0", res.DistinctImages, avg)
+	for _, p := range []struct {
+		scheme  persistency.Scheme
+		crashAt uint64
+	}{
+		{persistency.PMEM, 32_000}, // two pending lines, four images
+		{persistency.BEP, 16_000},
+	} {
+		c := mcConfig(workload.NewLinkedList(), p.scheme, false)
+		rec := captured(t, c, p.crashAt)
+		var (
+			s      scratch
+			res    PointResult
+			checks int
+		)
+		check := func(m *memory.Memory) error { checks++; return c.Workload.Check(m) }
+		pass := func() { checks = 0; res = s.checkPoint(c, rec, check) }
+		pass()
+		if res.DistinctImages < 2 || res.ViolatingImages != 0 {
+			t.Fatalf("%v: record checks %d images, %d violating: want at least 2 and none", p.scheme, res.DistinctImages, res.ViolatingImages)
+		}
+		if p.scheme == persistency.BEP && 2*checks > res.DistinctImages {
+			t.Fatalf("%v: %d checks of %d images: the point does not exercise the memo", p.scheme, checks, res.DistinctImages)
+		}
+		if avg := testing.AllocsPerRun(10, pass); avg != 0 {
+			t.Fatalf("%v: a warmed-up checkPoint of %d images (%d checks) allocates %.1f objects, want 0", p.scheme, res.DistinctImages, checks, avg)
+		}
 	}
 }
 

@@ -15,9 +15,18 @@ import "bbb/internal/memory"
 // c.Bounds and judges each with check as the enumerator streams it, on the
 // caller's goroutine. Each image is written into rec.Base in place for the
 // call and restored after it, so check may read m only during the call.
-// The first violation is minimized — check also judges the smaller legal
-// sets the minimizer tries — and pinned as the result's Witness for
+// The first violation is minimized — the smaller legal sets the minimizer
+// tries are judged the same way — and pinned as the result's Witness for
 // campaign c.
+//
+// check must keep a contract: its verdict, and which bytes it reads, are a
+// deterministic function of the image bytes it reads through m's Peek
+// methods (Peek64, Peek, PeekLine). CheckRecord relies on it to skip
+// checks: an image that agrees with an earlier checked image of the point
+// on every pending line that check read gets that check's error without a
+// call, so check may run on far fewer images than the point has, and an
+// error it returns may be reported for several images. A check whose reads
+// are seen to depart from the contract makes CheckRecord panic.
 func (c Config) CheckRecord(rec *Record, check func(m *memory.Memory) error) PointResult {
 	s := getScratch()
 	defer scratchPool.Put(s)

@@ -82,6 +82,27 @@ func BenchmarkValidateImage(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(hits)), "ns/image")
 }
 
+// BenchmarkCheckRecord measures the one validation path, CheckRecord, on a
+// captured barrier-free BEP linked-list record, whose checker reads two or
+// three of the point's pending lines: enumeration, the verdict memo, and
+// the checks the memo cannot answer. It reports the images judged and the
+// checks run per call, so `make bench-json` puts the memo's hit rate on
+// the BENCH_<n>.json trail.
+func BenchmarkCheckRecord(b *testing.B) {
+	c := mcConfig(workload.NewLinkedList(), persistency.BEP, true)
+	const crashAt = 10_000
+	sys, finished := workload.BuildToCrash(c.Workload, c.Scheme, c.System, c.Params, crashAt)
+	rec := Capture(sys, crashAt, finished)
+	checks, images := 0, 0
+	check := func(m *memory.Memory) error { checks++; return c.Workload.Check(m) }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		images += c.CheckRecord(rec, check).DistinctImages
+	}
+	b.ReportMetric(float64(checks)/float64(b.N), "checks/op")
+	b.ReportMetric(float64(images)/float64(b.N), "images/op")
+}
+
 // BenchmarkCrashWalk measures the walker's share of BenchmarkCrashMCCampaign:
 // one machine advanced through the same 40 crash points with a live
 // Snapshot into one reused image at each, and no checks. It is the serial

@@ -106,12 +106,12 @@ func (s *scratch) enumerate(rec *Record, b Bounds) Enumeration {
 
 // scratch holds every buffer the enumeration of one crash point needs: the
 // line table, both resolvers, the survival groups' subsets, the odometer,
-// the dedupe key set and the validator's line pointers. A walker reuses
-// one from point to point, so a warmed-up stream allocates nothing per
-// set. It serves one record at a time, from load to the end of the stream
-// that follows; CheckRecord, Enumerate and Witness.Recapture take one from
-// scratchPool and put it back when their point is done, so concurrent
-// walkers never share one.
+// the dedupe key set, and the validator's line pointers and verdict memo.
+// A walker reuses one from point to point, so a warmed-up stream allocates
+// nothing per set. It serves one record at a time, from load to the end of
+// the stream that follows; CheckRecord, Enumerate and Witness.Recapture
+// take one from scratchPool and put it back when their point is done, so
+// concurrent walkers never share one.
 type scratch struct {
 	table lineTable
 	// r resolves the streamed sets; mr is minimization's, which runs
@@ -128,6 +128,7 @@ type scratch struct {
 	// lines points at each line of the table in place in the record's
 	// Base, resolved by bindLines after load.
 	lines []*[memory.LineSize]byte
+	memo  verdictMemo
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -145,15 +146,19 @@ func (s *scratch) load(rec *Record) {
 // stream walks the reachable crash-state space of the loaded record within
 // b and calls fn once per distinct image, in first-seen order, with the
 // survival set that first produced it. Images are deduplicated exactly by
-// their line table keys. During the call s.r holds the set's resolution:
-// its hits are the image's overlay, which s.r.image builds (without Hash)
-// for a caller that needs it. The survival set and s.r's buffers are
+// their line table keys, unless the table shows that distinct sets give
+// distinct images (lineTable.distinct). During the call s.r holds the
+// set's resolution: its hits are the image's overlay, which s.r.image
+// builds (without Hash) for a caller that needs it. The survival set and s.r's buffers are
 // reused from one set to the next, so both are valid only during the call.
 // It returns the Sets and SetsSkipped counts of the Enumeration.
 func (s *scratch) stream(b Bounds, fn func(set []int)) (sets int, skipped uint64) {
 	b = b.withDefaults()
 	total := s.survivalGroups(b)
-	s.seen.reset(int(min(total, uint64(b.MaxImages))))
+	dedupe := !s.table.distinct()
+	if dedupe {
+		s.seen.reset(int(min(total, uint64(b.MaxImages))))
+	}
 	if s.set == nil {
 		s.set = []int{} // Survivors of the empty set is empty, not nil
 	}
@@ -172,7 +177,8 @@ func (s *scratch) stream(b Bounds, fn func(set []int)) (sets int, skipped uint64
 		slices.Sort(set)
 		s.set = set
 		sets++
-		if s.seen.add(s.r.resolve(set)) {
+		s.r.resolve(set)
+		if !dedupe || s.seen.add(s.r.key()) {
 			fn(set)
 		}
 		if sets >= b.MaxImages {
@@ -435,6 +441,22 @@ func (t *lineTable) reset(rec *Record) {
 	}
 }
 
+// distinct reports whether distinct survival sets give distinct images:
+// whether every pending write has a line of its own and bytes that differ
+// from the base line's. A set's image then shows each survivor's bytes on
+// its line and the base bytes on every other, so the image names the set.
+func (t *lineTable) distinct() bool {
+	if len(t.addrs) != len(t.line) {
+		return false
+	}
+	for _, c := range t.class {
+		if c == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // resize returns s with length n, reusing its backing array when it fits;
 // the contents are left for the caller to overwrite.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
@@ -445,7 +467,7 @@ type resolver struct {
 	t      *lineTable
 	newest []int32 // per line: 1 + its newest survivor, 0 for none; all 0 between calls
 	hits   []int32 // the set's newest survivors whose bytes differ from the base, in line order
-	key    []byte
+	keyBuf []byte
 	// overlay is image's buffer: the overlay of the set resolved last.
 	overlay []LineWrite
 }
@@ -457,36 +479,45 @@ func (r *resolver) reset(t *lineTable) {
 	clear(r.newest)
 }
 
-// resolve resolves a survival set and returns its dedupe key: the (line,
-// class) pair of every line whose resolved bytes differ from the base
-// image, in line order. A line resolves to its newest surviving write —
-// the highest index, as pending writes are in Seq order — so two sets get
-// equal keys exactly when their images are byte-equal. The pairs are
-// uvarints, which are self-delimiting, so the encoding is one-to-one and a
-// small record's pair takes two bytes. The key aliases r's buffer until
-// the next call.
-func (r *resolver) resolve(survivors []int) []byte {
+// resolve resolves a survival set into r.hits: the newest survivor of
+// every line whose resolved bytes differ from the base image, in line
+// order. A line resolves to its newest surviving write — the highest
+// index, as pending writes are in Seq order.
+func (r *resolver) resolve(survivors []int) {
 	t := r.t
 	for _, i := range survivors {
 		if l := t.line[i]; int32(i)+1 > r.newest[l] {
 			r.newest[l] = int32(i) + 1
 		}
 	}
-	// The appends go to locals, stored back once: a slice header written
+	// The appends go to a local, stored back once: a slice header written
 	// into r on every append costs a GC write barrier while marking.
-	hits, key := r.hits[:0], r.key[:0]
+	hits := r.hits[:0]
 	for l, n := range r.newest {
 		if n == 0 {
 			continue
 		}
 		r.newest[l] = 0
-		if c := t.class[n-1]; c != 0 {
+		if t.class[n-1] != 0 {
 			hits = append(hits, n-1)
-			key = binary.AppendUvarint(key, uint64(l))
-			key = binary.AppendUvarint(key, uint64(c))
 		}
 	}
-	r.hits, r.key = hits, key
+	r.hits = hits
+}
+
+// key returns the dedupe key of the set resolve saw last: the (line,
+// class) pair of each hit, in line order, so two sets get equal keys
+// exactly when their images are byte-equal. The pairs are uvarints, which
+// are self-delimiting, so the encoding is one-to-one and a small record's
+// pair takes two bytes. The key aliases r's buffer until the next call.
+func (r *resolver) key() []byte {
+	t := r.t
+	key := r.keyBuf[:0] // a local, as in resolve
+	for _, p := range r.hits {
+		key = binary.AppendUvarint(key, uint64(t.line[p]))
+		key = binary.AppendUvarint(key, uint64(t.class[p]))
+	}
+	r.keyBuf = key
 	return key
 }
 

@@ -85,6 +85,41 @@ func FuzzEnumerate(f *testing.F) {
 	})
 }
 
+// TestDistinctRecordSkipsKeySet streams the FuzzEnumerate seeds whose
+// writes each have a line of their own and bytes unlike the base — free
+// writes within and past the exhaustive limit, and epoch writes of two
+// cores beside a free one — and requires the enumeration to skip the
+// dedupe key set and still give the reference enumerator's result. A
+// write on a shared line, or of the base bytes, keeps the key set.
+func TestDistinctRecordSkipsKeySet(t *testing.T) {
+	for _, data := range [][]byte{
+		{0x0b, 0x04, 0x09, 0x0e, 0x07}, // free-distinct
+		{0x01, 0x04, 0x09, 0x0e, 0x07}, // free-distinct-bounded
+		{0x0b, 0x14, 0x59, 0x3e, 0x07}, // epoch-distinct
+	} {
+		rec, b := fuzzRecord(data)
+		var s scratch
+		got := s.enumerate(rec, b)
+		if !s.table.distinct() || s.seen.n != 0 {
+			t.Fatalf("%x: distinct %v, %d keys in the key set: want the key set skipped", data, s.table.distinct(), s.seen.n)
+		}
+		if want := refEnumerate(rec, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%x: %d sets, %d images; the reference gives %d and %d (or the images differ)",
+				data, got.Sets, len(got.Images), want.Sets, len(want.Images))
+		}
+	}
+	for _, data := range [][]byte{
+		{0x0b, 0x04, 0x09, 0x0e, 0x03}, // line 3 written with its base bytes
+		{0x0b, 0x04, 0x09, 0x0e, 0x0a}, // line 2 written twice
+	} {
+		rec, _ := fuzzRecord(data)
+		var t0 lineTable
+		if t0.reset(rec); t0.distinct() {
+			t.Fatalf("%x: the table claims distinct sets give distinct images", data)
+		}
+	}
+}
+
 // fuzzRecord decodes data into a record and bounds. data[0] picks the
 // bounds; each later byte, up to 12, is one pending write:
 //

@@ -23,9 +23,11 @@
 //     set within configurable bounds through a per-record line table,
 //     deduplicating equivalent images exactly by each line's value class
 //     (a canonical SHA-256 is computed only for the images it reports);
-//   - the validator (run.go) checks every distinct image with the
-//     workload's recovery checker and minimizes the surviving-write set
-//     of the first violation into a replayable witness (witness.go).
+//   - the validator (run.go) judges every distinct image with the
+//     workload's recovery checker, running it once per distinct path of
+//     pending-line reads (the verdict memo, memo.go), and minimizes the
+//     surviving-write set of the first violation into a replayable
+//     witness (witness.go).
 package crashmc
 
 import (

@@ -183,12 +183,16 @@ func (c Config) walk() []PointResult {
 	return out
 }
 
-// checkPoint is CheckRecord in s's buffers. Each new distinct image is
+// checkPoint is CheckRecord in s's buffers. Each image is judged through
+// the point's verdict memo: an image that agrees with an earlier checked
+// one on every pending line that check read takes its verdict. Any other is
 // written into rec.Base in place through the line pointers bindLines
-// resolved, judged by check, and restored from the base lines the line
-// table read before the first overlay. The writes bypass Memory's
-// accounting, so checking leaves Base's Writes and wear as the snapshot or
-// crash left them.
+// resolved, judged by check while Base reports its reads of pending lines
+// (memory.Memory.Watch), and restored from the base lines the line table
+// read before the first overlay. The writes bypass Memory's accounting, so
+// checking leaves Base's Writes and wear as the snapshot or crash left
+// them. A point whose first check reads every pending line (one without
+// pending lines included) judges its other images without the memo.
 func (s *scratch) checkPoint(c Config, rec *Record, check func(*memory.Memory) error) PointResult {
 	res := PointResult{
 		CrashCycle:  rec.CrashCycle,
@@ -199,10 +203,23 @@ func (s *scratch) checkPoint(c Config, rec *Record, check func(*memory.Memory) e
 	}
 	s.load(rec)
 	s.bindLines()
+	s.memo.reset(&s.table)
+	rec.Base.Watch(s.table.addrs, s.memo.onRead)
+	defer rec.Base.Watch(nil, nil)
+	memo := true
 	judge := func(r *resolver) error {
+		if memo {
+			if err, ok := s.memo.lookup(r.hits); ok {
+				return err
+			}
+		}
 		s.apply(r)
 		err := check(rec.Base)
 		s.restore(r)
+		if memo && !s.memo.learn(err) {
+			memo = false // judge the point's other images without it
+			rec.Base.Watch(nil, nil)
+		}
 		return err
 	}
 	checkSet := func(survivors []int) string {

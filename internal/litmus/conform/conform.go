@@ -190,10 +190,14 @@ func checkPair(t *litmus.Test, s persistency.Scheme, model axiomatic.Model, poin
 	}
 
 	mcCfg := crashmc.Config{Workload: wl, Scheme: s, System: cfg, Params: params, Bounds: bounds}
-	// The judge records every image's outcome and rejects those outside
-	// the allowed set. The minimizer's probes reach it too; each is a
-	// legal survival set whose outcome the enumeration reaches as well, so
-	// recording them adds nothing the streamed images do not.
+	// The judge records the outcome of every image it is called on and
+	// rejects those outside the allowed set. CheckRecord calls it only on
+	// images whose verdict its memo does not already hold; a skipped image
+	// agrees with a judged one on every variable line that judge read,
+	// so it has the same outcome and the deduplicated Operational set is
+	// what judging every image gives. The minimizer's probes reach it too;
+	// each is a legal survival set whose outcome the enumeration reaches
+	// as well, so recording them adds nothing the streamed images do not.
 	var outcomes []axiomatic.Outcome
 	judge := func(m *memory.Memory) error {
 		o := axiomatic.Outcome(wl.ReadOutcome(m))

@@ -10,6 +10,7 @@ package memory
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Addr is a physical byte address.
@@ -111,14 +112,28 @@ type Memory struct {
 	// Last-page memo: accesses cluster heavily within a page (sequential
 	// setup pokes, line reads, recovery checkers' word reads). Pages are
 	// removed only by CloneInto, which resets the memo. lastBase is noPage
-	// whenever lastPage is nil.
+	// whenever lastPage is nil. A watched page never enters it, so every
+	// read of one misses the memo and is reported.
 	lastBase Addr
 	lastPage *[PageSize]byte
+
+	// watched are the pages of the lines Watch reports reads of, and
+	// onRead the report.
+	watched []watchedPage
+	onRead  func(i int)
 
 	// Writes counts line-sized writes per region (for endurance accounting).
 	Writes [2]uint64
 	// Reads counts line-sized reads per region.
 	Reads [2]uint64
+}
+
+// watchedPage is one page holding watched lines.
+type watchedPage struct {
+	base  Addr
+	page  *[PageSize]byte
+	lines uint64 // bit k: the page's line k is watched
+	first int    // Watch's index of the page's lowest watched line
 }
 
 // noPage is the memo's base while it holds no page. It is not page-aligned,
@@ -134,14 +149,17 @@ func New(l Layout) *Memory {
 // Layout returns the address map.
 func (m *Memory) Layout() Layout { return m.layout }
 
-func (m *Memory) page(a Addr, create bool) *[PageSize]byte {
+// page returns a's page for a write, materializing it.
+func (m *Memory) page(a Addr) *[PageSize]byte {
 	if a&^(PageSize-1) == m.lastBase {
 		return m.lastPage
 	}
-	return m.lookupPage(a, create)
+	return m.lookupPage(a, true)
 }
 
-// lookupPage is page past the memo, kept out of line so page inlines.
+// lookupPage finds (or, with create, materializes) a's page past the memo,
+// and memoizes it unless it is watched. It is kept out of line so page and
+// readPage inline.
 func (m *Memory) lookupPage(a Addr, create bool) *[PageSize]byte {
 	base := a &^ (PageSize - 1)
 	var p *[PageSize]byte
@@ -155,10 +173,66 @@ func (m *Memory) lookupPage(a Addr, create bool) *[PageSize]byte {
 	} else if slot := m.index.Lookup(base); slot != nil {
 		p = *slot
 	}
-	if p != nil {
+	if p != nil && m.watchedAt(base) == nil {
 		m.lastBase, m.lastPage = base, p
 	}
 	return p
+}
+
+// watchedAt returns the watched page at base, or nil.
+func (m *Memory) watchedAt(base Addr) *watchedPage {
+	for k := range m.watched {
+		if m.watched[k].base == base {
+			return &m.watched[k]
+		}
+	}
+	return nil
+}
+
+// Watch reports every later read of the given lines: each Peek64, Peek,
+// PeekLine or ReadLine that touches lines[i] calls onRead(i), once per
+// line the read touches. lines must be line-aligned and ascending; their
+// pages are materialized. Reads of other lines cost what they did, as a
+// watched page never enters the last-page memo, so only a memo miss looks
+// for one. Watch replaces any earlier watch, and Watch(nil, nil) ends it;
+// CloneInto into m ends it too.
+func (m *Memory) Watch(lines []Addr, onRead func(i int)) {
+	m.watched, m.onRead = m.watched[:0], onRead
+	for i, a := range lines {
+		m.mustAligned(a)
+		base := a &^ (PageSize - 1)
+		if n := len(m.watched); n == 0 || m.watched[n-1].base != base {
+			m.watched = append(m.watched, watchedPage{base: base, page: m.lookupPage(a, true), first: i})
+		}
+		m.watched[len(m.watched)-1].lines |= 1 << (a & (PageSize - 1) / LineSize)
+	}
+	m.lastBase, m.lastPage = noPage, nil
+}
+
+// readPage returns a's page for a read of n bytes at a within the page,
+// or nil when the page is not materialized, and reports the watched lines
+// the read touches.
+func (m *Memory) readPage(a Addr, n int) *[PageSize]byte {
+	if a&^(PageSize-1) == m.lastBase {
+		return m.lastPage
+	}
+	return m.readMiss(a, n)
+}
+
+// readMiss is readPage past the memo, kept out of line so readPage
+// inlines.
+func (m *Memory) readMiss(a Addr, n int) *[PageSize]byte {
+	w := m.watchedAt(a &^ (PageSize - 1))
+	if w == nil {
+		return m.lookupPage(a, false)
+	}
+	off := a & (PageSize - 1)
+	lo, hi := off/LineSize, (off+Addr(n)-1)/LineSize // hi+1 may be 64: the shift then gives 0
+	for touched := w.lines &^ (1<<lo - 1) & (1<<(hi+1) - 1); touched != 0; touched &= touched - 1 {
+		l := bits.TrailingZeros64(touched)
+		m.onRead(w.first + bits.OnesCount64(w.lines&(1<<l-1)))
+	}
+	return w.page
 }
 
 // ReadLine copies the 64-byte line containing a into dst and bumps read
@@ -175,7 +249,7 @@ func (m *Memory) WriteLine(a Addr, src *[LineSize]byte) {
 	m.mustAligned(a)
 	m.Writes[m.layout.RegionOf(a)]++
 	m.recordWear(a)
-	p := m.page(a, true)
+	p := m.page(a)
 	copy(p[a&(PageSize-1):], src[:])
 }
 
@@ -185,7 +259,7 @@ func (m *Memory) WriteLine(a Addr, src *[LineSize]byte) {
 // into m drops the page.
 func (m *Memory) Line(a Addr) *[LineSize]byte {
 	m.mustAligned(a)
-	p := m.page(a, true)
+	p := m.page(a)
 	return (*[LineSize]byte)(p[a&(PageSize-1):])
 }
 
@@ -197,7 +271,7 @@ func (m *Memory) PeekLine(a Addr, dst *[LineSize]byte) {
 }
 
 func (m *Memory) peekLine(a Addr, dst *[LineSize]byte) {
-	p := m.page(a, false)
+	p := m.readPage(a, LineSize)
 	if p == nil {
 		for i := range dst {
 			dst[i] = 0
@@ -212,13 +286,12 @@ func (m *Memory) peekLine(a Addr, dst *[LineSize]byte) {
 func (m *Memory) Peek(a Addr, n int) []byte {
 	out := make([]byte, n)
 	for i := 0; i < n; {
-		p := m.page(a+Addr(i), false)
 		off := int((a + Addr(i)) & (PageSize - 1))
 		chunk := PageSize - off
 		if chunk > n-i {
 			chunk = n - i
 		}
-		if p != nil {
+		if p := m.readPage(a+Addr(i), chunk); p != nil {
 			copy(out[i:i+chunk], p[off:off+chunk])
 		}
 		i += chunk
@@ -237,14 +310,15 @@ func (m *Memory) Peek64(a Addr) uint64 {
 	return m.peek64Slow(a)
 }
 
-// peek64Slow is Peek64 past the memo: another page, an unmaterialized one,
-// or a read crossing a page boundary (which falls back to Peek).
+// peek64Slow is Peek64 past the memo: another page, an unmaterialized or a
+// watched one, or a read crossing a page boundary (which falls back to
+// Peek).
 func (m *Memory) peek64Slow(a Addr) uint64 {
 	off := a & (PageSize - 1)
 	if off+8 > PageSize {
 		return binary.LittleEndian.Uint64(m.Peek(a, 8))
 	}
-	p := m.page(a, false)
+	p := m.readPage(a, 8)
 	if p == nil {
 		return 0
 	}
@@ -254,7 +328,7 @@ func (m *Memory) peek64Slow(a Addr) uint64 {
 // Poke writes raw bytes without accounting (test/initialization helper).
 func (m *Memory) Poke(a Addr, b []byte) {
 	for i := 0; i < len(b); {
-		p := m.page(a+Addr(i), true)
+		p := m.page(a + Addr(i))
 		off := int((a + Addr(i)) & (PageSize - 1))
 		chunk := PageSize - off
 		if chunk > len(b)-i {
@@ -270,7 +344,7 @@ func (m *Memory) Poke(a Addr, b []byte) {
 func (m *Memory) Poke64(a Addr, v uint64) {
 	off := a & (PageSize - 1)
 	if off+8 <= PageSize {
-		p := m.page(a, true)
+		p := m.page(a)
 		binary.LittleEndian.PutUint64(p[off:], v)
 		return
 	}
@@ -307,6 +381,7 @@ func (m *Memory) CloneInto(dst *Memory) *Memory {
 		}
 		dst.layout, dst.wear = m.layout, nil
 		dst.lastBase, dst.lastPage = noPage, nil
+		dst.watched, dst.onRead = dst.watched[:0], nil
 		dst.Writes, dst.Reads = [2]uint64{}, [2]uint64{}
 	}
 	for base, p := range m.index.All() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -207,6 +208,64 @@ func TestPeek64MemoEdges(t *testing.T) {
 	}
 	check(dst, 5*PageSize+8)
 }
+
+// TestWatchReportsReads requires every read that touches a watched line —
+// Peek64 (repeated, so the page would sit in the memo were it not
+// watched, and crossing a line or a page boundary), Peek over several
+// lines, PeekLine and ReadLine — to report each watched line it touches,
+// by its index in Watch's list, once per read; reads of unwatched lines,
+// on a watched page or not, to report nothing; every read to return what
+// it returns unwatched; and Watch(nil, nil) and CloneInto to end the
+// watch.
+func TestWatchReportsReads(t *testing.T) {
+	base := DefaultLayout().NVMMBase
+	lines := []Addr{base + 64, base + 192, base + PageSize - 64, base + PageSize, base + 5*PageSize}
+	m := New(DefaultLayout())
+	for a := base; a < base+6*PageSize; a += 8 {
+		m.Poke64(a, a*3+1)
+	}
+	plain := m.Clone()
+	var got []int
+	m.Watch(lines, func(i int) { got = append(got, i) })
+	var line [LineSize]byte
+	for _, c := range []struct {
+		name string
+		read func(m *Memory) []byte
+		want []int
+	}{
+		{"Peek64 of a watched line", func(m *Memory) []byte { return le(m.Peek64(base + 64 + 8)) }, []int{0}},
+		{"Peek64 of it again", func(m *Memory) []byte { return le(m.Peek64(base + 64 + 16)) }, []int{0}},
+		{"Peek64 of an unwatched line on its page", func(m *Memory) []byte { return le(m.Peek64(base + 128)) }, nil},
+		{"Peek64 of an unwatched page", func(m *Memory) []byte { return le(m.Peek64(base + 2*PageSize)) }, nil},
+		{"Peek64 across two lines", func(m *Memory) []byte { return le(m.Peek64(base + 188)) }, []int{1}},
+		{"Peek64 across a page boundary", func(m *Memory) []byte { return le(m.Peek64(base + PageSize - 4)) }, []int{2, 3}},
+		{"Peek over four lines", func(m *Memory) []byte { return m.Peek(base+60, 200) }, []int{0, 1}},
+		{"PeekLine", func(m *Memory) []byte { m.PeekLine(base+5*PageSize, &line); return line[:] }, []int{4}},
+		{"ReadLine", func(m *Memory) []byte { m.ReadLine(base+PageSize, &line); return line[:] }, []int{3}},
+		{"PeekLine of an unwatched line", func(m *Memory) []byte { m.PeekLine(base+5*PageSize+64, &line); return line[:] }, nil},
+	} {
+		got = got[:0]
+		b := c.read(m)
+		if want := c.read(plain); !bytes.Equal(b, want) {
+			t.Errorf("%s: read %x, unwatched %x", c.name, b, want)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: reported %v, want %v", c.name, got, c.want)
+		}
+	}
+	for _, end := range []func(){func() { m.Watch(nil, nil) }, func() { plain.CloneInto(m) }} {
+		m.Watch(lines, func(i int) { got = append(got, i) })
+		end()
+		got = got[:0]
+		m.Peek64(base + 64)
+		m.PeekLine(base+PageSize, &line)
+		if len(got) != 0 {
+			t.Errorf("reads after the watch ended reported %v", got)
+		}
+	}
+}
+
+func le(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 
 // TestLineAliasesMemory requires Line to return the line's bytes in place —
 // what PeekLine reads, and what a write through it changes — materializing

@@ -145,17 +145,19 @@ func (a *Array) volWork(p Params) int {
 
 // Check implements Workload: every element must hold a validly tagged value
 // — either its initial value or one written by some thread; in NC mode a
-// mutate value must come from the partition's owner.
+// mutate value must come from the partition's owner. It walks one
+// partition (thread t's elements lo..hi) at a time, so the owner is t.
 func (a *Array) Check(mem *memory.Memory) error {
-	part := a.elems / a.threads
-	for i := 0; i < a.elems; i++ {
-		v := mem.Peek64(a.elem(i))
-		if !validVal(v) {
-			return fmt.Errorf("array %s: element %d holds untagged value %#x (torn persist)", a.Name(), i, v)
-		}
-		if a.op == OpMutate && !a.conflict {
-			writer := int(v >> 48 & 0xFF)
-			if writer != 0xFF && writer != i/part {
+	owned := a.op == OpMutate && !a.conflict
+	part := max(a.elems/a.threads, 1)
+	p := a.base
+	for t, lo := 0, 0; lo < a.elems; t, lo = t+1, lo+part {
+		for i, hi := lo, min(lo+part, a.elems); i < hi; i, p = i+1, p+8 {
+			v := mem.Peek64(p)
+			if !validVal(v) {
+				return fmt.Errorf("array %s: element %d holds untagged value %#x (torn persist)", a.Name(), i, v)
+			}
+			if writer := int(v >> 48 & 0xFF); owned && writer != 0xFF && writer != t {
 				return fmt.Errorf("array %s: element %d written by thread %d outside its partition", a.Name(), i, writer)
 			}
 		}

@@ -172,8 +172,8 @@ func TestArrayCheckerDetectsTornValue(t *testing.T) {
 	mem := buildImage(t, a, p)
 	corrupt64(mem, a.elem(3), 0xDEAD) // untagged
 	err := a.Check(mem)
-	if err == nil || !strings.Contains(err.Error(), "untagged") {
-		t.Fatalf("torn value not detected: %v", err)
+	if want := "array mutateNC: element 3 holds untagged value 0xdead (torn persist)"; err == nil || err.Error() != want {
+		t.Fatalf("torn value: got %v, want %q", err, want)
 	}
 }
 
@@ -184,8 +184,16 @@ func TestArrayCheckerDetectsForeignWriter(t *testing.T) {
 	// Element 0 belongs to thread 0's partition; tag it as thread 3's.
 	corrupt64(mem, a.elem(0), encode(3, 1))
 	err := a.Check(mem)
-	if err == nil || !strings.Contains(err.Error(), "outside its partition") {
-		t.Fatalf("foreign writer not detected: %v", err)
+	if want := "array mutateNC: element 0 written by thread 3 outside its partition"; err == nil || err.Error() != want {
+		t.Fatalf("foreign writer: got %v, want %q", err, want)
+	}
+	// The last partition's first element, tagged as thread 0's.
+	corrupt64(mem, a.elem(0), initialVal(0))
+	i := (a.threads - 1) * (a.elems / a.threads)
+	corrupt64(mem, a.elem(i), encode(0, 1))
+	err = a.Check(mem)
+	if want := fmt.Sprintf("array mutateNC: element %d written by thread 0 outside its partition", i); err == nil || err.Error() != want {
+		t.Fatalf("foreign writer in the last partition: got %v, want %q", err, want)
 	}
 }
 

@@ -77,7 +77,11 @@ type Workload interface {
 	// same instance's programs keep running, and concurrently with other
 	// Check calls on different images, so it may read only instance state
 	// that Setup fixed (roots, layouts, precomputed request streams) and
-	// must write none.
+	// must write none. Its verdict, and which bytes it reads, must be a
+	// deterministic function of the image bytes it reads through mem's
+	// Peek methods: a campaign skips the check of an image that agrees with
+	// an earlier one on every pending line the earlier check read, and
+	// reuses that check's error (crashmc.Config.CheckRecord).
 	Check(mem *memory.Memory) error
 	// PaperPStores is the %P-stores column of Table IV (0 if not listed).
 	PaperPStores() float64
