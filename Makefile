@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race invariant inline-check fuzz-short mc-short litmus-short pressure-short kv-short trace-smoke campaign-short regress check bench-json bench-profile loc
+.PHONY: all build test vet race invariant inline-check fuzz-short mc-short experiments-short litmus-short pressure-short kv-short trace-smoke campaign-short regress check bench-json bench-profile loc
 
 all: check
 
@@ -136,6 +136,25 @@ mc-short:
 		|| { echo "mc-short: FAIL: Figure 2 flush-on-fail campaign not violating at all 20 points"; exit 1; }; \
 	echo "mc-short: ok"
 
+# Experiment-grid smoke: the CLIs' two paths into bbb.RunGrid — bbbench,
+# whose figure and table drivers each run a grid, and a bbbsim workload ×
+# scheme matrix — run at -parallel 1 and at -parallel 3, and each pair of
+# outputs must be byte-identical. bbbench's report is compared rather than
+# its -json export: at this scale the eADR runs write no NVMM line, so
+# Figure 7's write ratios are +Inf, which JSON cannot encode.
+experiments-short:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/ ./cmd/bbbench ./cmd/bbbsim; \
+	for p in 1 3; do \
+		$$tmp/bbbench -threads 2 -ops 60 -parallel $$p > $$tmp/bench$$p.txt; \
+		$$tmp/bbbsim -workload hashmap,rtree -scheme bbb,eadr -ops 60 -parallel $$p > $$tmp/sim$$p.txt; \
+	done; \
+	cmp $$tmp/bench1.txt $$tmp/bench3.txt \
+		|| { echo "experiments-short: FAIL: the bbbench report differs between -parallel 1 and -parallel 3"; exit 1; }; \
+	diff $$tmp/sim1.txt $$tmp/sim3.txt \
+		|| { echo "experiments-short: FAIL: the bbbsim matrix differs between -parallel 1 and -parallel 3"; exit 1; }; \
+	echo "experiments-short: ok"
+
 # Pressure-bound soundness gate: replay every Table IV workload × scheme
 # pair and check the observed buffer occupancy, runtime invariants and
 # crashmc pending-line sets against pressurelint's static battery-bound
@@ -193,4 +212,4 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l
 
 # Tier-1.5: everything above.
-check: build test vet inline-check race invariant mc-short litmus-short pressure-short kv-short trace-smoke campaign-short regress
+check: build test vet inline-check race invariant mc-short experiments-short litmus-short pressure-short kv-short trace-smoke campaign-short regress

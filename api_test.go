@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"bbb/internal/stats"
+	"bbb/internal/workload"
 )
 
 // scaled returns options for a proportionally scaled machine: smaller
@@ -126,31 +129,45 @@ func TestTable4Measured(t *testing.T) {
 }
 
 func TestDrainThresholdAblation(t *testing.T) {
-	pts, err := RunDrainThresholdAblation("hashmap", scaled(120), []float64{0.25, 0.75})
+	res, err := RunGrid(drainThresholdCells("hashmap", scaled(120), []float64{0.25, 0.75}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
 	// A lower threshold drains more eagerly: at least as many NVMM writes.
-	if pts[0].NVMMWrites < pts[1].NVMMWrites {
-		t.Fatalf("eager threshold wrote less (%d) than lazy (%d)", pts[0].NVMMWrites, pts[1].NVMMWrites)
+	if res[0].NVMMWrites < res[1].NVMMWrites {
+		t.Fatalf("eager threshold wrote less (%d) than lazy (%d)", res[0].NVMMWrites, res[1].NVMMWrites)
 	}
 }
 
+// drainThresholdCells is the §III-F drain-threshold ablation's grid: name
+// under BBB at each threshold.
+func drainThresholdCells(name string, o Options, thresholds []float64) []Cell {
+	var cells []Cell
+	for _, th := range thresholds {
+		o.DrainThreshold = th
+		cells = append(cells, Cell{name, SchemeBBB, o})
+	}
+	return cells
+}
+
 func TestWPQDepthAblation(t *testing.T) {
-	pts, err := RunWPQDepthAblation("mutateNC", scaled(120), []int{4, 32})
+	shallow := runWPQDepth(t, "mutateNC", scaled(120), 4).Counters.Get("nvmm.wpq_full_stalls")
+	deep := runWPQDepth(t, "mutateNC", scaled(120), 32).Counters.Get("nvmm.wpq_full_stalls")
+	if shallow < deep {
+		t.Fatalf("shallow WPQ (%d stalls) should stall at least as much as deep (%d)", shallow, deep)
+	}
+}
+
+// runWPQDepth runs name under BBB with an NVMM write-pending queue of depth
+// entries. Options has no WPQ field, so it runs below Run, on workload.Run.
+func runWPQDepth(tb testing.TB, name string, o Options, depth int) Result {
+	w, err := workload.ByName(name)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].FullStalls < pts[1].FullStalls {
-		t.Fatalf("shallow WPQ (%d stalls) should stall at least as much as deep (%d)",
-			pts[0].FullStalls, pts[1].FullStalls)
-	}
+	cfg := o.sysConfig(SchemeBBB)
+	cfg.NVMM.WPQEntries = depth
+	return workload.Run(w, SchemeBBB, cfg, o.params())
 }
 
 func TestSchemeComparisonCoversAllSchemes(t *testing.T) {
@@ -256,21 +273,37 @@ func TestSeedSweepStability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	sw, err := RunSeedSweep("hashmap", scaled(150), []int64{1, 2, 3})
+	res, err := RunGrid(seedSweepCells("hashmap", scaled(150), []int64{1, 2, 3}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.Seeds != 3 {
-		t.Fatalf("seeds = %d", sw.Seeds)
-	}
 	// BBB-32 should be close to eADR on every seed: a tight distribution.
-	if sw.ExecMean < 0.8 || sw.ExecMean > 1.3 {
-		t.Fatalf("exec mean = %.3f out of plausible band", sw.ExecMean)
+	var sum, sumSq float64
+	for i := 0; i < len(res); i += 2 {
+		x := stats.Ratio(float64(res[i+1].Cycles), float64(res[i].Cycles))
+		sum, sumSq = sum+x, sumSq+x*x
 	}
-	if sw.ExecStdDev > 0.1 {
-		t.Fatalf("exec ratio unstable across seeds: stddev %.3f", sw.ExecStdDev)
+	n := float64(len(res) / 2)
+	mean := sum / n
+	stdDev := math.Sqrt(max(sumSq/n-mean*mean, 0))
+	if mean < 0.8 || mean > 1.3 {
+		t.Fatalf("exec mean = %.3f out of plausible band", mean)
 	}
-	t.Logf("exec %.3f±%.3f writes %.3f±%.3f", sw.ExecMean, sw.ExecStdDev, sw.WriteMean, sw.WriteStdDev)
+	if stdDev > 0.1 {
+		t.Fatalf("exec ratio unstable across seeds: stddev %.3f", stdDev)
+	}
+	t.Logf("exec %.3f±%.3f", mean, stdDev)
+}
+
+// seedSweepCells reruns the Fig. 7 comparison for one workload across
+// seeds: eADR, then BBB, per seed.
+func seedSweepCells(name string, o Options, seeds []int64) []Cell {
+	var cells []Cell
+	for _, seed := range seeds {
+		o.Seed = seed
+		cells = append(cells, Cell{name, SchemeEADR, o}, Cell{name, SchemeBBB, o})
+	}
+	return cells
 }
 
 // TestFig7TinyScaleReportsZeroWrites runs Figure 7 at a scale where the

@@ -26,6 +26,7 @@
 package bbb
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -33,6 +34,7 @@ import (
 	"bbb/internal/engine"
 	"bbb/internal/invariant"
 	"bbb/internal/persistency"
+	"bbb/internal/sweep"
 	"bbb/internal/system"
 	"bbb/internal/trace"
 	"bbb/internal/workload"
@@ -138,9 +140,10 @@ type Options struct {
 	// default (20000 cycles, between the schemes' p50 and p95).
 	SLOTarget uint64
 	// Parallelism bounds how much of an experiment runs concurrently: the
-	// independent simulations of the drivers (RunFig7, RunFig8, RunTable4,
-	// the ablations and seed sweeps), each on its own engine and machine,
-	// or a crash campaign's crash-point checks (ModelCheck simulates one
+	// independent simulations of the figure and table drivers (RunFig7,
+	// ProcSideWriteRatio, RunFig8, RunTable4, RunSchemeComparison) and the
+	// frontier campaign's points, each on its own engine and machine, or a
+	// crash campaign's crash-point checks (ModelCheck simulates one
 	// machine and checks the points it walks on a pool of Parallelism
 	// checkers, itself included). Results are joined in serial index
 	// order, so output is identical for any value — only wall-clock
@@ -270,11 +273,27 @@ func MustRun(workloadName string, s Scheme, o Options) Result {
 	return r
 }
 
-// sweepRun is MustRun for the experiment drivers: every sweep point runs
-// to completion untraced and unaudited, whatever o's per-run fields say.
-func sweepRun(workloadName string, s Scheme, o Options) Result {
-	o.Trace, o.Check, o.CrashAt = nil, false, 0
-	return MustRun(workloadName, s, o)
+// Cell is one simulation of an experiment grid: a workload under a scheme,
+// with its own Options.
+type Cell struct {
+	Workload string
+	Scheme   Scheme
+	Options  Options
+}
+
+// RunGrid runs Run on every cell over parallel workers (internal/sweep).
+// Results come back in cell order, with the failing cells' errors joined
+// in that order, so the output is identical at any width. The cells'
+// Options.Parallelism is not read.
+func RunGrid(cells []Cell, parallel int) ([]Result, error) {
+	errs := make([]error, len(cells))
+	results := sweep.Map(parallel, len(cells), func(i int) Result {
+		c := cells[i]
+		r, err := Run(c.Workload, c.Scheme, c.Options)
+		errs[i] = err
+		return r
+	})
+	return results, errors.Join(errs...)
 }
 
 // MCBounds prune a model-checking campaign's per-point enumeration; the

@@ -142,17 +142,16 @@ func BenchmarkFig8Sensitivity(b *testing.B) {
 // BenchmarkAblationWPQDepth sweeps the NVMM write-pending-queue depth,
 // showing where controller backpressure starts reaching the cores.
 func BenchmarkAblationWPQDepth(b *testing.B) {
-	var pts []WPQDepthPoint
+	depths := []int{4, 8, 16, 32, 64}
+	res := make([]Result, len(depths))
 	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = RunWPQDepthAblation("mutateNC", benchOptions(), nil)
-		if err != nil {
-			b.Fatal(err)
+		for j, d := range depths {
+			res[j] = runWPQDepth(b, "mutateNC", benchOptions(), d)
 		}
 	}
-	for _, p := range pts {
-		b.ReportMetric(float64(p.Cycles), "cycles_wpq"+strconv.Itoa(p.Entries))
-		b.ReportMetric(float64(p.FullStalls), "stalls_wpq"+strconv.Itoa(p.Entries))
+	for j, r := range res {
+		b.ReportMetric(float64(r.Cycles), "cycles_wpq"+strconv.Itoa(depths[j]))
+		b.ReportMetric(float64(r.Counters.Get("nvmm.wpq_full_stalls")), "stalls_wpq"+strconv.Itoa(depths[j]))
 	}
 }
 
@@ -188,16 +187,16 @@ func BenchmarkAblationRelaxedConsistency(b *testing.B) {
 
 // BenchmarkAblationDrainThreshold sweeps the §III-F drain threshold.
 func BenchmarkAblationDrainThreshold(b *testing.B) {
-	var pts []DrainThresholdPoint
+	thresholds := []float64{0.125, 0.25, 0.5, 0.75, 0.9}
+	var res []Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = RunDrainThresholdAblation("hashmap", benchOptions(), nil)
-		if err != nil {
+		if res, err = RunGrid(drainThresholdCells("hashmap", benchOptions(), thresholds), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, p := range pts {
-		b.ReportMetric(float64(p.NVMMWrites), "writes_t"+strconv.Itoa(int(p.Threshold*100)))
+	for j, r := range res {
+		b.ReportMetric(float64(r.NVMMWrites), "writes_t"+strconv.Itoa(int(thresholds[j]*100)))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"bbb/internal/energy"
 	"bbb/internal/obs"
+	"bbb/internal/workload"
 )
 
 // The frontier campaign is the repo's first ledger-backed resumable sweep:
@@ -169,7 +170,7 @@ func RunFrontierCampaign(o Options, fc FrontierConfig) (FrontierResult, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, err := Run(fc.Workload, SchemeBBB, Options{Threads: 1, OpsPerThread: 1}); err != nil {
+	if _, err := workload.ByName(fc.Workload); err != nil {
 		return res, fmt.Errorf("validating workload: %w", err)
 	}
 	res.Workload, res.Platform, res.Tech = fc.Workload, plat.Name, tech.Name
@@ -199,7 +200,7 @@ func RunFrontierCampaign(o Options, fc FrontierConfig) (FrontierResult, error) {
 			oc := o
 			oc.BBPBEntries = c.Entries
 			oc.DrainThreshold = c.Threshold
-			r := sweepRun(fc.Workload, SchemeBBB, oc)
+			r := runCells(oc, []Cell{{fc.Workload, SchemeBBB, oc}})[0]
 			return FrontierPoint{
 				Entries:      c.Entries,
 				Threshold:    c.Threshold,

@@ -53,17 +53,17 @@ func main() {
 	)
 	flag.Parse()
 
-	combos, err := run.Combos()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *perfettoOut != "" && len(combos) > 1 {
-		log.Fatal("-perfetto-out needs a single workload/scheme combination")
-	}
 	o := run.Options()
 	o.BatchWindow = bbb.Cycle(*window)
 	o.SLOTarget = *slo
-	results, err := cli.Matrix(combos, run.Parallel, o)
+	cells, err := run.Cells(o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *perfettoOut != "" && len(cells) > 1 {
+		log.Fatal("-perfetto-out needs a single workload/scheme combination")
+	}
+	results, err := bbb.RunGrid(cells, run.Parallel)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("%-12s %-9s %10s %9s %9s %9s %9s %7s %9s %7s\n",
 		"workload", "scheme", "cycles", "kreq/s", "lat p50", "lat p95", "lat p99", "batch", "queue p50", "burn%")
 	for i, res := range results {
-		c := combos[i]
+		c := cells[i]
 		if res.Metrics == nil || res.Metrics.Hist("kv.lat") == nil {
 			log.Fatalf("%s is not a service workload (no kv.lat histogram); bbbkv drives kv and kv/uniform", c.Workload)
 		}
@@ -116,7 +116,7 @@ func main() {
 // printTimeline renders latency over time: one row per kv.lat.win window
 // with its percentiles, SLO violations, the window burn rate and the
 // cumulative burn — the table EXPERIMENTS.md quotes per scheme.
-func printTimeline(c cli.Combo, win *stats.Windowed) {
+func printTimeline(c bbb.Cell, win *stats.Windowed) {
 	fmt.Printf("\n  %s/%s latency over time (window %d cycles, SLO %d cycles):\n",
 		c.Workload, c.Scheme, win.Width(), win.SLO())
 	fmt.Printf("  %12s %7s %9s %9s %9s %7s %9s\n",

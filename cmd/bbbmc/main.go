@@ -66,14 +66,14 @@ func main() {
 		if rf.Scheme == "" {
 			log.Fatal("-workload needs -scheme (or drop both for the acceptance matrix)")
 		}
-		combos, err := rf.Combos()
+		cells, err := rf.Cells(opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(combos) != 1 {
+		if len(cells) != 1 {
 			log.Fatal("-workload and -scheme name one combination to model-check")
 		}
-		rep := run(combos[0].Workload, combos[0].Scheme, rf.NoBarriers)
+		rep := run(cells[0].Workload, cells[0].Scheme, rf.NoBarriers)
 		fmt.Println(rep.String())
 		if wit := rep.FirstWitness(); wit != nil {
 			fmt.Printf("    first witness @%d: %d survivor(s): %s\n", wit.CrashCycle, len(wit.Survivors), wit.Err)

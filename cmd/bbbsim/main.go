@@ -123,34 +123,34 @@ func main() {
 		}()
 	}
 
-	combos, err := run.Combos()
-	if err != nil {
-		log.Fatal(err)
-	}
 	o.BBPBEntries = *entries
 	o.DrainThreshold = *threshold
 	o.CrashAt = bbb.Cycle(*crash)
 	o.Check = *check
+	cells, err := run.Cells(o)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *traceN > 0 || *traceOut != "" {
-		if len(combos) > 1 {
+		if len(cells) > 1 {
 			log.Fatal("-trace and -trace-out need a single workload/scheme combination")
 		}
 		if *traceN > 0 && *traceOut != "" {
 			log.Fatal("-trace and -trace-out are mutually exclusive")
 		}
-		c := combos[0]
+		c := cells[0]
 		var f *os.File
 		if *traceOut != "" {
 			if f, err = os.Create(*traceOut); err != nil {
 				log.Fatal(err)
 			}
-			o.Trace = f
+			c.Options.Trace = f
 		} else {
-			o.TraceCapacity = *traceN
-			o.Trace = os.Stdout
+			c.Options.TraceCapacity = *traceN
+			c.Options.Trace = os.Stdout
 			fmt.Printf("--- last %d microarchitectural events ---\n", *traceN)
 		}
-		res, err := bbb.Run(c.Workload, c.Scheme, o)
+		res, err := bbb.Run(c.Workload, c.Scheme, c.Options)
 		if f != nil {
 			if cerr := f.Close(); err == nil {
 				err = cerr
@@ -161,11 +161,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		printResult(c, o, res, *verbose)
+		printResult(c, res, *verbose)
 		return
 	}
 
-	results, err := cli.Matrix(combos, run.Parallel, o)
+	results, err := bbb.RunGrid(cells, run.Parallel)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func main() {
 		if i > 0 {
 			fmt.Println()
 		}
-		printResult(combos[i], o, res, *verbose)
+		printResult(cells[i], res, *verbose)
 	}
 }
 
@@ -223,8 +223,8 @@ func parseList[T any](s string, parse func(string) (T, error)) []T {
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
-func printResult(c cli.Combo, o bbb.Options, res bbb.Result, verbose bool) {
-	fmt.Printf("workload            %s (%d threads x %d ops)\n", c.Workload, o.Threads, o.OpsPerThread)
+func printResult(c bbb.Cell, res bbb.Result, verbose bool) {
+	fmt.Printf("workload            %s (%d threads x %d ops)\n", c.Workload, c.Options.Threads, c.Options.OpsPerThread)
 	fmt.Printf("scheme              %s\n", c.Scheme)
 	fmt.Printf("execution cycles    %d (%.3f ms at 2 GHz)\n", res.Cycles, float64(res.Cycles)/2e6)
 	fmt.Printf("stores              %d (%d persisting, %.1f%%)\n",

@@ -1,14 +1,14 @@
 // Package cli is the front end the simulation commands share: the run
 // flags (-workload, -scheme, -ops, -threads, -seed, -parallel,
-// -no-barriers) declared once with each command's defaults, the
-// (workload × scheme) matrix runner, and the helpers several commands
-// need — the ledger host stamp, the witness-file write and the BENCH
-// document. It lives under cmd/ because it probes the host (hostname, CPU
-// count, wall clock), which detlint keeps out of the simulator packages.
+// -no-barriers) declared once with each command's defaults, their
+// (workload × scheme) matrix as bbb.RunGrid cells, and the helpers several
+// commands need — the ledger host stamp, the witness-file write and the
+// BENCH document. It lives under cmd/ because it probes the host
+// (hostname, CPU count, wall clock), which detlint keeps out of the
+// simulator packages.
 package cli
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,7 +20,6 @@ import (
 	"bbb/internal/crashmc"
 	"bbb/internal/obs"
 	"bbb/internal/persistency"
-	"bbb/internal/sweep"
 )
 
 // Flag selects one of the shared run flags.
@@ -140,12 +139,6 @@ func (r *Run) Options() bbb.Options {
 	}
 }
 
-// Combo is one (workload, scheme) point of a run matrix.
-type Combo struct {
-	Workload string
-	Scheme   bbb.Scheme
-}
-
 // Schemes parses a comma-separated scheme list, trimming the space around
 // each name.
 func Schemes(list string) ([]bbb.Scheme, error) {
@@ -160,33 +153,20 @@ func Schemes(list string) ([]bbb.Scheme, error) {
 	return out, nil
 }
 
-// Combos returns the cross product of the -workload and -scheme lists in
-// workload-major order.
-func (r *Run) Combos() ([]Combo, error) {
+// Cells returns the cross product of the -workload and -scheme lists in
+// workload-major order, each cell run with o: the matrix bbb.RunGrid runs.
+func (r *Run) Cells(o bbb.Options) ([]bbb.Cell, error) {
 	schemes, err := Schemes(r.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	var out []Combo
+	var out []bbb.Cell
 	for _, w := range strings.Split(r.Workload, ",") {
 		for _, s := range schemes {
-			out = append(out, Combo{strings.TrimSpace(w), s})
+			out = append(out, bbb.Cell{Workload: strings.TrimSpace(w), Scheme: s, Options: o})
 		}
 	}
 	return out, nil
-}
-
-// Matrix runs bbb.Run with o on every combination over parallel workers
-// (internal/sweep). Results come back in combination order, with the
-// failing combinations' errors joined in that order.
-func Matrix(combos []Combo, parallel int, o bbb.Options) ([]bbb.Result, error) {
-	errs := make([]error, len(combos))
-	results := sweep.Map(parallel, len(combos), func(i int) bbb.Result {
-		r, err := bbb.Run(combos[i].Workload, combos[i].Scheme, o)
-		errs[i] = err
-		return r
-	})
-	return results, errors.Join(errs...)
 }
 
 // HostInfo stamps a ledger line with where and when it was written.

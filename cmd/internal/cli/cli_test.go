@@ -22,16 +22,20 @@ func parse(t *testing.T, s Spec, args ...string) *Run {
 }
 
 // TestCombosOrderAndTrim pins the matrix order (workload-major, schemes in
-// list order) and that space around list items is trimmed.
+// list order), that space around list items is trimmed and that every cell
+// carries the options given.
 func TestCombosOrderAndTrim(t *testing.T) {
 	r := parse(t, Sim, "-workload", "rtree, hashmap", "-scheme", "pmem , bbb,eadr")
-	got, err := r.Combos()
+	o := bbb.Options{OpsPerThread: 7}
+	got, err := r.Cells(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Combo{
-		{"rtree", bbb.SchemePMEM}, {"rtree", bbb.SchemeBBB}, {"rtree", bbb.SchemeEADR},
-		{"hashmap", bbb.SchemePMEM}, {"hashmap", bbb.SchemeBBB}, {"hashmap", bbb.SchemeEADR},
+	var want []bbb.Cell
+	for _, w := range []string{"rtree", "hashmap"} {
+		for _, s := range []bbb.Scheme{bbb.SchemePMEM, bbb.SchemeBBB, bbb.SchemeEADR} {
+			want = append(want, bbb.Cell{Workload: w, Scheme: s, Options: o})
+		}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("combos = %v, want %v", got, want)
@@ -40,7 +44,7 @@ func TestCombosOrderAndTrim(t *testing.T) {
 
 func TestUnknownScheme(t *testing.T) {
 	r := parse(t, Sim, "-scheme", "bbb,nosuch")
-	if _, err := r.Combos(); err == nil {
+	if _, err := r.Cells(bbb.Options{}); err == nil {
 		t.Fatal("unknown scheme in the list parsed without error")
 	}
 	if _, err := Schemes("pmem,,bbb"); err == nil {

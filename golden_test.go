@@ -3,6 +3,7 @@ package bbb
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -216,4 +217,38 @@ func TestHarnessGolden(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s %x", c.name, sha256.Sum256(append(encodeResult(res), buf.Bytes()...))))
 	}
 	checkGoldenLines(t, harnessGoldenPath, got)
+}
+
+const experimentsGoldenPath = "testdata/experiments.golden"
+
+// TestExperimentsGolden pins every figure and table driver's output byte
+// for byte: one sha256 per driver over the JSON of what it returns, at
+// scaled(60) on two workers. Regenerate with `go test -run
+// TestExperimentsGolden -update .` only for a deliberate change to what a
+// driver computes.
+func TestExperimentsGolden(t *testing.T) {
+	o := scaled(60)
+	o.Parallelism = 2
+	cmp, err := RunSchemeComparison("hashmap", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range []struct {
+		name string
+		out  any
+	}{
+		{"fig7", RunFig7(o)},
+		{"procside", ProcSideWriteRatio(o)},
+		{"fig8", RunFig8(o, Fig8Sizes)},
+		{"table4", RunTable4(o)},
+		{"schemes hashmap", cmp},
+	} {
+		data, err := json.Marshal(d.out)
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		got = append(got, fmt.Sprintf("%s %x", d.name, sha256.Sum256(data)))
+	}
+	checkGoldenLines(t, experimentsGoldenPath, got)
 }

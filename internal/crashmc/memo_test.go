@@ -145,11 +145,25 @@ func TestMemoRunsFewChecks(t *testing.T) {
 // TestMemoPanicsOnBrokenContract requires a check whose reads depend on
 // something besides the image — here, how often it has been called — to
 // stop validation with the contract's name instead of being memoized into
-// wrong verdicts.
+// wrong verdicts, and a check that panics to leave the record's base as it
+// found it: checking the same record again must give a fresh record's
+// result.
 func TestMemoPanicsOnBrokenContract(t *testing.T) {
-	for _, c := range []struct {
+	pending := []PendingWrite{freeWrite(0, 1), freeWrite(1, 2), freeWrite(2, 3)}
+	c := Config{Workload: workload.NewLinkedList()} // names the witnesses
+	// good reads line 1 only when line 0 holds its pending write, so its
+	// reads branch, and rejects line 0 written without line 1.
+	good := func(m *memory.Memory) error {
+		if m.Peek64(addr(0)) != 0 && m.Peek64(addr(1)) == 0 {
+			return fmt.Errorf("line 0 without line 1")
+		}
+		return nil
+	}
+	want := c.CheckRecord(testRecord(pending), good)
+	for _, tc := range []struct {
 		name  string
 		check func(calls int, m *memory.Memory)
+		panic string
 	}{
 		{"reordered reads", func(calls int, m *memory.Memory) {
 			if calls%2 == 0 {
@@ -157,31 +171,38 @@ func TestMemoPanicsOnBrokenContract(t *testing.T) {
 			}
 			m.Peek64(addr(1))
 			m.Peek64(addr(0))
-		}},
+		}, "broke the CheckRecord contract"},
 		{"fewer reads", func(calls int, m *memory.Memory) {
 			if calls == 0 {
 				m.Peek64(addr(0))
 			}
-		}},
+		}, "broke the CheckRecord contract"},
+		{"panicking check", func(calls int, m *memory.Memory) {
+			if m.Peek64(addr(0)) != 0 || m.Peek64(addr(1)) != 0 || m.Peek64(addr(2)) != 0 {
+				panic("check failed on a written line")
+			}
+		}, "check failed"},
 	} {
-		// Three pending lines, of which the first check reads at most two,
-		// so the memo stays on. A panicking check leaves its image in the
-		// base, so each case takes a fresh record.
-		rec := testRecord([]PendingWrite{freeWrite(0, 1), freeWrite(1, 2), freeWrite(2, 3)})
+		// Three pending lines, of which a contract case's first check reads
+		// at most two, so the memo stays on.
+		rec := testRecord(pending)
 		calls := 0
 		check := func(m *memory.Memory) error {
-			c.check(calls, m)
+			tc.check(calls, m)
 			calls++
 			return nil
 		}
 		func() {
 			defer func() {
-				if r, _ := recover().(string); !strings.Contains(r, "broke the CheckRecord contract") {
-					t.Errorf("%s: CheckRecord recovered %q after %d checks, want the contract panic", c.name, r, calls)
+				if r, _ := recover().(string); !strings.Contains(r, tc.panic) {
+					t.Errorf("%s: CheckRecord recovered %q after %d checks, want %q", tc.name, r, calls, tc.panic)
 				}
 			}()
-			Config{}.CheckRecord(rec, check)
+			c.CheckRecord(rec, check)
 		}()
+		if got := c.CheckRecord(rec, good); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the record checked again after the panic gave\n%+v\nwant a fresh record's\n%+v", tc.name, got, want)
+		}
 	}
 }
 

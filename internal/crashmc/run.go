@@ -192,7 +192,8 @@ func (c Config) walk() []PointResult {
 // read before the first overlay. The writes bypass Memory's accounting, so
 // checking leaves Base's Writes and wear as the snapshot or crash left
 // them. A point whose first check reads every pending line (one without
-// pending lines included) judges its other images without the memo.
+// pending lines included) judges its other images without the memo. A
+// check that panics still leaves rec.Base restored.
 func (s *scratch) checkPoint(c Config, rec *Record, check func(*memory.Memory) error) PointResult {
 	res := PointResult{
 		CrashCycle:  rec.CrashCycle,
@@ -207,6 +208,12 @@ func (s *scratch) checkPoint(c Config, rec *Record, check func(*memory.Memory) e
 	rec.Base.Watch(s.table.addrs, s.memo.onRead)
 	defer rec.Base.Watch(nil, nil)
 	memo := true
+	var applied *resolver // the image written in rec.Base while check runs
+	defer func() {
+		if applied != nil { // check panicked: put the base back
+			s.restore(applied)
+		}
+	}()
 	judge := func(r *resolver) error {
 		if memo {
 			if err, ok := s.memo.lookup(r.hits); ok {
@@ -214,8 +221,10 @@ func (s *scratch) checkPoint(c Config, rec *Record, check func(*memory.Memory) e
 			}
 		}
 		s.apply(r)
+		applied = r
 		err := check(rec.Base)
 		s.restore(r)
+		applied = nil
 		if memo && !s.memo.learn(err) {
 			memo = false // judge the point's other images without it
 			rec.Base.Watch(nil, nil)

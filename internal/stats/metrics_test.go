@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -267,51 +266,6 @@ func TestMetricsStringSortedAndStable(t *testing.T) {
 	annotated := m.StringWith(map[string]string{"aa": "doc line"})
 	if !strings.Contains(annotated, "# doc line") {
 		t.Fatalf("StringWith missing annotation:\n%s", annotated)
-	}
-}
-
-// Satellite: Distribution edge cases.
-func TestDistributionEmpty(t *testing.T) {
-	var d Distribution
-	if d.Count() != 0 || d.Mean() != 0 || d.StdDev() != 0 || d.Min() != 0 || d.Max() != 0 {
-		t.Fatal("empty Distribution not zero")
-	}
-}
-
-func TestDistributionSingleSample(t *testing.T) {
-	var d Distribution
-	d.Observe(-7.5)
-	if d.Count() != 1 || d.Mean() != -7.5 || d.Min() != -7.5 || d.Max() != -7.5 {
-		t.Fatalf("n=%d mean=%g min=%g max=%g", d.Count(), d.Mean(), d.Min(), d.Max())
-	}
-	if d.StdDev() != 0 {
-		t.Fatalf("single-sample StdDev = %g, want 0", d.StdDev())
-	}
-}
-
-func TestDistributionNegativeSamples(t *testing.T) {
-	var d Distribution
-	for _, x := range []float64{-3, -1, 1, 3} {
-		d.Observe(x)
-	}
-	if d.Mean() != 0 || d.Min() != -3 || d.Max() != 3 {
-		t.Fatalf("mean=%g min=%g max=%g", d.Mean(), d.Min(), d.Max())
-	}
-	want := math.Sqrt(5) // population variance of {-3,-1,1,3} is 5
-	if math.Abs(d.StdDev()-want) > 1e-12 {
-		t.Fatalf("StdDev = %g, want %g", d.StdDev(), want)
-	}
-}
-
-func TestDistributionConstantSamplesStdDevNonNegative(t *testing.T) {
-	// Large equal samples stress the sumSq - mean² cancellation; the
-	// clamp must keep the result at exactly 0, never NaN.
-	var d Distribution
-	for i := 0; i < 1000; i++ {
-		d.Observe(1e9)
-	}
-	if s := d.StdDev(); s != 0 || math.IsNaN(s) {
-		t.Fatalf("constant-sample StdDev = %g, want 0", s)
 	}
 }
 

@@ -159,55 +159,3 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// Distribution accumulates scalar samples and reports simple summary
-// statistics. It keeps running moments, not the samples themselves.
-type Distribution struct {
-	n        uint64
-	sum      float64
-	sumSq    float64
-	min, max float64
-}
-
-// Observe adds one sample.
-func (d *Distribution) Observe(x float64) {
-	if d.n == 0 || x < d.min {
-		d.min = x
-	}
-	if d.n == 0 || x > d.max {
-		d.max = x
-	}
-	d.n++
-	d.sum += x
-	d.sumSq += x * x
-}
-
-// Count returns the number of samples.
-func (d *Distribution) Count() uint64 { return d.n }
-
-// Mean returns the sample mean (0 with no samples).
-func (d *Distribution) Mean() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	return d.sum / float64(d.n)
-}
-
-// Min returns the smallest sample (0 with no samples).
-func (d *Distribution) Min() float64 { return d.min }
-
-// Max returns the largest sample (0 with no samples).
-func (d *Distribution) Max() float64 { return d.max }
-
-// StdDev returns the population standard deviation.
-func (d *Distribution) StdDev() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	m := d.Mean()
-	v := d.sumSq/float64(d.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}

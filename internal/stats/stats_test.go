@@ -83,20 +83,6 @@ func TestMeanMaxRatio(t *testing.T) {
 	}
 }
 
-func TestDistribution(t *testing.T) {
-	var d Distribution
-	for _, x := range []float64{1, 2, 3, 4} {
-		d.Observe(x)
-	}
-	if d.Count() != 4 || d.Mean() != 2.5 || d.Min() != 1 || d.Max() != 4 {
-		t.Fatalf("n=%d mean=%g min=%g max=%g", d.Count(), d.Mean(), d.Min(), d.Max())
-	}
-	want := math.Sqrt(1.25)
-	if math.Abs(d.StdDev()-want) > 1e-12 {
-		t.Fatalf("StdDev = %g, want %g", d.StdDev(), want)
-	}
-}
-
 // Property: geomean lies between min and max of positive inputs.
 func TestPropertyGeomeanBounds(t *testing.T) {
 	f := func(raw []uint16) bool {

@@ -2,10 +2,12 @@ package bbb
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"bbb/internal/persistency"
 	"bbb/internal/sweep"
+	"bbb/internal/workload"
 )
 
 // TestConcurrentSimsIndependent runs two simulations on plain goroutines
@@ -73,9 +75,9 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDriversParallelMatchesSerial checks the ported experiment drivers
-// end to end: the same driver with Parallelism set must return a result
-// deep-equal to its serial run.
+// TestDriversParallelMatchesSerial checks every experiment driver end to
+// end, and the grid runner under them: the same driver with Parallelism
+// set must return a result deep-equal to its serial run.
 func TestDriversParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full sweeps")
@@ -95,17 +97,45 @@ func TestDriversParallelMatchesSerial(t *testing.T) {
 			t.Errorf("RunFig8 parallel != serial\ngot:  %+v\nwant: %+v", got, want)
 		}
 	})
-	t.Run("SeedSweep", func(t *testing.T) {
-		got, err := RunSeedSweep("hashmap", parOpts, []int64{1, 2, 3})
+	t.Run("Fig7", func(t *testing.T) {
+		if got, want := RunFig7(parOpts), RunFig7(serialOpts); !reflect.DeepEqual(got, want) {
+			t.Errorf("RunFig7 parallel != serial\ngot:  %+v\nwant: %+v", got, want)
+		}
+	})
+	t.Run("ProcSide", func(t *testing.T) {
+		if got, want := ProcSideWriteRatio(parOpts), ProcSideWriteRatio(serialOpts); got != want {
+			t.Errorf("ProcSideWriteRatio parallel = %v, serial = %v", got, want)
+		}
+	})
+	t.Run("SchemeComparison", func(t *testing.T) {
+		got, err := RunSchemeComparison("hashmap", parOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunSeedSweep("hashmap", serialOpts, []int64{1, 2, 3})
+		want, err := RunSchemeComparison("hashmap", serialOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("RunSeedSweep parallel != serial\ngot:  %+v\nwant: %+v", got, want)
+			t.Errorf("RunSchemeComparison parallel != serial\ngot:  %+v\nwant: %+v", got, want)
+		}
+		_, unknown := workload.ByName("nosuch")
+		if _, err := RunSchemeComparison("nosuch", parOpts); err == nil || err.Error() != unknown.Error() {
+			t.Errorf("RunSchemeComparison(nosuch) error = %v, want workload.ByName's %q", err, unknown)
+		}
+	})
+	t.Run("SeedSweep", func(t *testing.T) {
+		// A seed-sweep grid with an unknown workload in its middle: the
+		// Results and the joined error must not depend on the width.
+		cells := seedSweepCells("hashmap", serialOpts, []int64{1, 2, 3})
+		cells = slices.Insert(cells, 3, Cell{"nosuch", SchemeBBB, serialOpts})
+		got, gotErr := RunGrid(cells, 4)
+		want, wantErr := RunGrid(cells, 1)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("RunGrid at width 4 != width 1\ngot:  %+v\nwant: %+v", got, want)
+		}
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Errorf("RunGrid joined error at width 4 = %v, at width 1 = %v", gotErr, wantErr)
 		}
 	})
 	t.Run("CrashCampaign", func(t *testing.T) {
