@@ -32,10 +32,19 @@ invariant:
 # Inline guard: the memo hit of Memory.Peek64, every recovery checker's
 # word read, must stay inlinable. Its cost sits at the compiler's budget
 # (80), so an edit that grows it would silently put a call back on the
-# crash-image validator's hottest path.
+# crash-image validator's hottest path. The same holds for the stats
+# handles' record methods, which run once per simulated event: a counter
+# bump, and the histogram and gauge writes, whose disabled (untraced) path
+# must stay a single inlined test.
 inline-check:
 	@$(GO) build -gcflags=-m ./internal/memory 2>&1 | grep -q 'can inline (\*Memory).Peek64$$' \
 		|| { echo "inline-check: FAIL: (*Memory).Peek64 is no longer inlinable"; exit 1; }
+	@out=$$($(GO) build -gcflags=-m ./internal/stats 2>&1); \
+	for m in Lazy.Inc LazyHist.Observe LazyGauge.Sample; do \
+		typ=$${m%.*}; fn=$${m#*.}; \
+		echo "$$out" | grep -q "can inline (\*$$typ).$$fn$$" \
+			|| { echo "inline-check: FAIL: (*$$typ).$$fn is no longer inlinable"; exit 1; }; \
+	done
 	@echo "inline-check: ok"
 
 # Perf trajectory: run the key benchmarks (simulator throughput and

@@ -116,6 +116,8 @@ type Buffer struct {
 	nCoalesced, nRejections, nAllocations, nMigratedOut stats.Lazy
 	nDrains, nDrainAfterMigration, nForcedDrains        stats.Lazy
 	nCrashDrained                                       stats.Lazy
+	occupancy                                           stats.LazyGauge
+	residency                                           stats.LazyHist
 
 	drainFree *drainOp // pooled drain completions
 }
@@ -169,15 +171,21 @@ func New(cfg Config, coreID int, eng *engine.Engine, nvmm *memctrl.Controller) *
 	b.nDrainAfterMigration = b.stats.Lazy("bbpb.drain_after_migration")
 	b.nForcedDrains = b.stats.Lazy("bbpb.forced_drains")
 	b.nCrashDrained = b.stats.Lazy("bbpb.crash_drained")
+	b.occupancy = eng.Metrics.LazyGauge("bbpb.occupancy")
+	b.residency = eng.Metrics.LazyHist("bbpb.residency")
 	return b
 }
 
 // Counters returns the buffer's statistics counters.
 func (b *Buffer) Counters() *stats.Counters { return b.stats }
 
+// find returns the index of addr's newest entry, or -1. A line has two
+// entries only while its older one drains; the newer one holds the line's
+// latest data, so it is the one a store coalesces into, a migration takes
+// and a forced drain writes.
 func (b *Buffer) find(addr memory.Addr) int {
-	for i, a := range b.addrs {
-		if a == addr {
+	for i := len(b.addrs) - 1; i >= 0; i-- {
+		if b.addrs[i] == addr {
 			return i
 		}
 	}
@@ -204,7 +212,7 @@ func (b *Buffer) Put(addr memory.Addr, data *[memory.LineSize]byte) bool {
 	b.addrs = append(b.addrs, addr)
 	b.nAllocations.Inc()
 	b.eng.EmitTrace(trace.KindBufAlloc, b.coreID, addr, uint64(len(b.entries)))
-	b.eng.Metrics.Sample("bbpb.occupancy", uint64(b.eng.Now()), b.coreID, uint64(len(b.entries)))
+	b.occupancy.Sample(uint64(b.eng.Now()), b.coreID, uint64(len(b.entries)))
 	b.maybeDrain()
 	return true
 }
@@ -237,7 +245,7 @@ func (b *Buffer) Remove(addr memory.Addr) ([memory.LineSize]byte, bool) {
 func (b *Buffer) deleteAt(i int) {
 	b.entries = append(b.entries[:i], b.entries[i+1:]...)
 	b.addrs = append(b.addrs[:i], b.addrs[i+1:]...)
-	b.eng.Metrics.Sample("bbpb.occupancy", uint64(b.eng.Now()), b.coreID, uint64(len(b.entries)))
+	b.occupancy.Sample(uint64(b.eng.Now()), b.coreID, uint64(len(b.entries)))
 	b.wakeOne()
 }
 
@@ -324,7 +332,7 @@ func (b *Buffer) startDrain(i int, done func()) {
 func (b *Buffer) finishDrain(addr memory.Addr) {
 	for i := range b.entries {
 		if b.entries[i].addr == addr && b.entries[i].draining {
-			b.eng.Metrics.Observe("bbpb.residency", uint64(b.eng.Now()-b.entries[i].alloc))
+			b.residency.Observe(uint64(b.eng.Now() - b.entries[i].alloc))
 			b.deleteAt(i)
 			b.maybeDrain()
 			return

@@ -49,14 +49,28 @@ func TestCoalesceRejectedWhileDraining(t *testing.T) {
 	if b.Occupancy() != 2 {
 		t.Fatalf("occupancy = %d, want 2 (old draining + fresh)", b.Occupancy())
 	}
+	// The next store coalesces into the fresh entry, not a third one.
+	d3 := lineOf(3)
+	b.Put(a, &d3)
+	if b.Occupancy() != 2 {
+		t.Fatalf("occupancy = %d after a third store, want 2", b.Occupancy())
+	}
 	eng.Run()
 	// The fresh entry remains; the drained one is gone.
 	if b.Occupancy() != 1 || !b.Has(a) {
 		t.Fatalf("after drain: occupancy=%d has=%v", b.Occupancy(), b.Has(a))
 	}
 	data, _ := b.Remove(a)
-	if data[0] != 2 {
-		t.Fatalf("surviving data = %d, want the fresh 2", data[0])
+	if data[0] != 3 {
+		t.Fatalf("surviving data = %d, want the newest 3", data[0])
+	}
+	// A migration mid-drain takes the newest data and leaves only the
+	// draining entry behind.
+	b.Put(a, &d1)
+	b.ForceDrain(a, func() {})
+	b.Put(a, &d2)
+	if data, _ := b.Remove(a); data[0] != 2 || b.Occupancy() != 1 {
+		t.Fatalf("mid-drain Remove took %d and left %d entries, want 2 and 1", data[0], b.Occupancy())
 	}
 }
 

@@ -33,6 +33,8 @@ type ProcSide struct {
 	nCoalesced, nRejections, nAllocations stats.Lazy
 	nMigratedOut, nDrains, nForcedDrains  stats.Lazy
 	nCrashDrained                         stats.Lazy
+	occupancy                             stats.LazyGauge
+	residency                             stats.LazyHist
 }
 
 var _ PersistBuffer = (*ProcSide)(nil)
@@ -50,6 +52,8 @@ func NewProcSide(cfg Config, coreID int, eng *engine.Engine, nvmm *memctrl.Contr
 	p.nDrains = p.stats.Lazy("bbpb.drains")
 	p.nForcedDrains = p.stats.Lazy("bbpb.forced_drains")
 	p.nCrashDrained = p.stats.Lazy("bbpb.crash_drained")
+	p.occupancy = eng.Metrics.LazyGauge("bbpb.occupancy")
+	p.residency = eng.Metrics.LazyHist("bbpb.residency")
 	return p
 }
 
@@ -74,7 +78,7 @@ func (p *ProcSide) Put(addr memory.Addr, data *[memory.LineSize]byte) bool {
 	p.entries = append(p.entries, entry{addr: addr, seq: p.seq, alloc: p.eng.Now(), data: *data})
 	p.nAllocations.Inc()
 	p.eng.EmitTrace(trace.KindBufAlloc, p.coreID, addr, uint64(len(p.entries)))
-	p.eng.Metrics.Sample("bbpb.occupancy", uint64(p.eng.Now()), p.coreID, uint64(len(p.entries)))
+	p.occupancy.Sample(uint64(p.eng.Now()), p.coreID, uint64(len(p.entries)))
 	p.maybeDrain()
 	return true
 }
@@ -174,8 +178,8 @@ func (p *ProcSide) drainHead(done func()) {
 		p.draining = false
 		if len(p.entries) > 0 && p.entries[0].addr == addr && p.entries[0].draining {
 			p.entries = p.entries[1:]
-			p.eng.Metrics.Observe("bbpb.residency", uint64(p.eng.Now()-allocCycle))
-			p.eng.Metrics.Sample("bbpb.occupancy", uint64(p.eng.Now()), p.coreID, uint64(len(p.entries)))
+			p.residency.Observe(uint64(p.eng.Now() - allocCycle))
+			p.occupancy.Sample(uint64(p.eng.Now()), p.coreID, uint64(len(p.entries)))
 			p.wakeOne()
 		}
 		p.maybeDrain()

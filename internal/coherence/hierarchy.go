@@ -94,6 +94,7 @@ type Hierarchy struct {
 	nL1Evictions, nL2Evictions, nBackInvals, nInvals                   stats.Lazy
 	nInterventions, nPrefetches, nAtomics, nClwbClean, nClwbWritebacks stats.Lazy
 	nWritebacks, nWritebacksSkipped, nPersistRejected, nCommitWaits    stats.Lazy
+	l2MissLatency                                                      stats.LazyHist
 
 	// Stats holds hierarchy counters (hits, misses, invalidations, ...).
 	Stats *stats.Counters
@@ -143,6 +144,7 @@ func New(cfg Config, eng *engine.Engine, layout memory.Layout, dram, nvmm *memct
 	h.nWritebacksSkipped = h.Stats.Lazy("l2.writebacks_skipped")
 	h.nPersistRejected = h.Stats.Lazy("store.persist_rejected")
 	h.nCommitWaits = h.Stats.Lazy("store.persist_commit_waits")
+	h.l2MissLatency = eng.Metrics.LazyHist("l2.miss_latency")
 	return h
 }
 

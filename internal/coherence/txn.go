@@ -284,7 +284,7 @@ func (h *Hierarchy) fillStep(t *accessTxn) {
 	h.l2.Fill(victim, t.la, cache.Exclusive, &t.fillBuf)
 	victim.Persistent = h.layout.Persistent(t.la)
 	extra := h.cfg.L2Lat + (h.eng.Now() - t.fillFrom)
-	h.eng.Metrics.Observe("l2.miss_latency", uint64(extra))
+	h.l2MissLatency.Observe(uint64(extra))
 	if t.kind == txnLoad {
 		h.installLoad(t, victim, false, extra)
 	} else {

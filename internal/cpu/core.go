@@ -149,6 +149,7 @@ type Core struct {
 	// happens at first increment, so counter listings are unchanged.
 	nComputeCycles, nLoads, nStores, nClwbs, nFences, nAtomics, nEpochBarriers stats.Lazy
 	nSBFullStalls, nSBReorderedDrains, nSBForwards, nSBOverlapStalls           stats.Lazy
+	sbResidency                                                                stats.LazyHist
 	// StallCycles accumulates cycles the program spent blocked on a full
 	// store buffer.
 	StallCycles engine.Cycle
@@ -178,6 +179,7 @@ func New(id int, cfg Config, eng *engine.Engine, h *coherence.Hierarchy) *Core {
 	c.nSBReorderedDrains = c.Stats.Lazy("core.sb_reordered_drains")
 	c.nSBForwards = c.Stats.Lazy("core.sb_forwards")
 	c.nSBOverlapStalls = c.Stats.Lazy("core.sb_overlap_stalls")
+	c.sbResidency = eng.Metrics.LazyHist("cpu.sb_residency")
 	c.replyVal = c.reply
 	c.reply0 = func() { c.reply(0) }
 	c.fetchFn = c.fetch
@@ -206,7 +208,7 @@ func New(id int, cfg Config, eng *engine.Engine, h *coherence.Hierarchy) *Core {
 	// join at the tail while it is in flight, so its index still holds.
 	c.sbDrainDone = func() {
 		e := c.sb.remove(c.sbInFlight)
-		c.eng.Metrics.Observe("cpu.sb_residency", uint64(c.eng.Now()-e.enq))
+		c.sbResidency.Observe(uint64(c.eng.Now() - e.enq))
 		c.sbDraining = false
 		c.wakeSBWaiters()
 		c.pumpSB()

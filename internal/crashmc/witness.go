@@ -25,8 +25,8 @@ const WitnessSchemaVersion = 1
 
 // The witness pins every machine knob the model checker varies from the
 // default Table III machine — caches, bbPB, store prefetching and relaxed
-// store-buffer drain — and the workload's barrier mode, threads, ops, seed
-// and volatile work; all other configuration is assumed default.
+// store-buffer drain — and the workload's barrier mode, threads, ops and
+// seed; all other configuration is assumed default.
 type Witness struct {
 	// SchemaVersion is WitnessSchemaVersion at write time; ParseWitness
 	// rejects any other value (including its absence in pre-versioned
@@ -38,7 +38,6 @@ type Witness struct {
 	Threads       int    `json:"threads"`
 	OpsPerThread  int    `json:"ops_per_thread"`
 	Seed          int64  `json:"seed"`
-	VolatileWork  int    `json:"volatile_work,omitempty"`
 
 	L1Size             int     `json:"l1_size,omitempty"`
 	L2Size             int     `json:"l2_size,omitempty"`
@@ -72,7 +71,6 @@ func newWitness(c Config, crashAt engine.Cycle, rec *Record, survivors []int, er
 		Threads:            c.Params.Threads,
 		OpsPerThread:       c.Params.OpsPerThread,
 		Seed:               c.Params.Seed,
-		VolatileWork:       c.Params.VolatileWork,
 		L1Size:             c.System.Hierarchy.L1Size,
 		L2Size:             c.System.Hierarchy.L2Size,
 		BBPBEntries:        c.System.BBPB.Entries,
@@ -161,7 +159,6 @@ func (w *Witness) Recapture() (workload.Workload, *Record, error) {
 		OpsPerThread: w.OpsPerThread,
 		Seed:         w.Seed,
 		NoBarriers:   w.NoBarriers,
-		VolatileWork: w.VolatileWork,
 	}
 	sys, finished := workload.BuildToCrash(wl, scheme, cfg, params, w.CrashCycle)
 	rec := Capture(sys, w.CrashCycle, finished)

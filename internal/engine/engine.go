@@ -1,13 +1,15 @@
 // Package engine provides the discrete-event simulation kernel used by every
 // timed component in the BBB simulator.
 //
-// The kernel is deliberately simple: a binary heap of events ordered by
-// (time, sequence). Events scheduled for the same cycle fire in the order
-// they were scheduled, which makes whole-system runs deterministic.
+// Events are ordered by (time, sequence) across three queues: a ring for
+// the current cycle, a timing wheel for the near future and an overflow
+// binary heap beyond it (see Engine). Events scheduled for the same cycle
+// fire in the order they were scheduled, which makes whole-system runs
+// deterministic.
 //
-// The heap is hand-specialized over the event struct (no container/heap,
-// no interface boxing), so Schedule and Step are allocation-free once the
-// backing array has grown to the run's high-water mark. For the hottest
+// The queues are hand-specialized over the event struct (no container/heap,
+// no interface boxing), so Schedule and Step are allocation-free once they
+// have grown to the run's high-water mark. For the hottest
 // schedule sites, ScheduleArg carries a uint64 argument in the event itself
 // so callers can reuse one long-lived callback instead of allocating a
 // closure per event.

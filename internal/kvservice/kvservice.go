@@ -446,10 +446,11 @@ func (s *Service) MergeServiceMetrics(m *stats.Metrics) {
 	// tracks, decimation, CLI summaries). Stamped at each window's last
 	// cycle, machine-wide (core -1).
 	if win := m.Windowed("kv.lat.win"); win != nil {
+		p50, p99 := m.LazyGauge("kv.lat.win.p50"), m.LazyGauge("kv.lat.win.p99")
 		for _, snap := range win.Snapshots() {
 			end := snap.Start + win.Width() - 1
-			m.Sample("kv.lat.win.p50", end, -1, uint64(snap.P50))
-			m.Sample("kv.lat.win.p99", end, -1, uint64(snap.P99))
+			p50.Sample(end, -1, uint64(snap.P50))
+			p99.Sample(end, -1, uint64(snap.P99))
 		}
 	}
 }

@@ -109,6 +109,8 @@ type Controller struct {
 	// the controller name, so building them per call would allocate).
 	nReads, nWrites, nWPQReadHits, nWPQCoalesced, nWPQFullStalls, nWPQDrains stats.Lazy
 	nCrashDrained                                                            stats.Lazy
+	wpqResidency                                                             stats.LazyHist
+	wpqDepth                                                                 stats.LazyGauge
 
 	// Stats collects controller counters, prefixed with the config name.
 	Stats *stats.Counters
@@ -133,6 +135,8 @@ func New(cfg Config, eng *engine.Engine, mem *memory.Memory) *Controller {
 	c.nWPQFullStalls = c.Stats.Lazy(c.counter("wpq_full_stalls"))
 	c.nWPQDrains = c.Stats.Lazy(c.counter("wpq_drains"))
 	c.nCrashDrained = c.Stats.Lazy(c.counter("crash_drained"))
+	c.wpqResidency = eng.Metrics.LazyHist("wpq.residency")
+	c.wpqDepth = eng.Metrics.LazyGauge("wpq.depth")
 	c.drainDone = func(addr uint64) {
 		c.nWPQDrains.Inc()
 	}
@@ -191,8 +195,8 @@ func (c *Controller) getDrainOp() *drainOp {
 			ctl.drainFree = op
 			ctl.wpqRemove(addr)
 			ctl.eng.EmitTrace(trace.KindWPQDrain, -1, addr, uint64(len(ctl.wpq)))
-			ctl.eng.Metrics.Observe("wpq.residency", uint64(ctl.eng.Now()-enq))
-			ctl.eng.Metrics.Sample("wpq.depth", uint64(ctl.eng.Now()), -1, uint64(len(ctl.wpq)))
+			ctl.wpqResidency.Observe(uint64(ctl.eng.Now() - enq))
+			ctl.wpqDepth.Sample(uint64(ctl.eng.Now()), -1, uint64(len(ctl.wpq)))
 			ctl.admitWaiters()
 			ctl.maybeDrain()
 		}
@@ -315,7 +319,7 @@ func (c *Controller) wpqWrite(w pendingWrite) {
 	}
 	c.wpq = append(c.wpq, wpqEntry{addr: w.addr, enq: c.eng.Now(), data: w.data})
 	c.eng.EmitTrace(trace.KindWPQInsert, -1, w.addr, uint64(len(c.wpq)))
-	c.eng.Metrics.Sample("wpq.depth", uint64(c.eng.Now()), -1, uint64(len(c.wpq)))
+	c.wpqDepth.Sample(uint64(c.eng.Now()), -1, uint64(len(c.wpq)))
 	c.ack(w.done)
 	c.maybeDrain()
 }

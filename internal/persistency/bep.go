@@ -58,6 +58,7 @@ type vpb struct {
 	nCoalesced, nRejections, nAllocations stats.Lazy
 	nEpochs, nDrains, nForcedDrains       stats.Lazy
 	nCrashLost                            stats.Lazy
+	occupancy                             stats.LazyGauge
 }
 
 func newVPB(coreID, capacity int, thresh float64, eng *engine.Engine, nvmm *memctrl.Controller) *vpb {
@@ -72,6 +73,7 @@ func newVPB(coreID, capacity int, thresh float64, eng *engine.Engine, nvmm *memc
 	v.nDrains = v.stats.Lazy("vpb.drains")
 	v.nForcedDrains = v.stats.Lazy("vpb.forced_drains")
 	v.nCrashLost = v.stats.Lazy("vpb.crash_lost")
+	v.occupancy = eng.Metrics.LazyGauge("vpb.occupancy")
 	return v
 }
 
@@ -111,7 +113,7 @@ func (v *vpb) put(addr memory.Addr, data *[memory.LineSize]byte) bool {
 	v.entries = append(v.entries, vpbEntry{addr: addr, data: *data, epoch: v.epoch})
 	v.nAllocations.Inc()
 	v.eng.EmitTrace(trace.KindBufAlloc, v.coreID, addr, uint64(len(v.entries)))
-	v.eng.Metrics.Sample("vpb.occupancy", uint64(v.eng.Now()), v.coreID, uint64(len(v.entries)))
+	v.occupancy.Sample(uint64(v.eng.Now()), v.coreID, uint64(len(v.entries)))
 	v.maybeDrain()
 	return true
 }
@@ -191,7 +193,7 @@ func (v *vpb) startDrain(i int) {
 		for j := range v.entries {
 			if v.entries[j].addr == addr && v.entries[j].draining {
 				v.entries = append(v.entries[:j], v.entries[j+1:]...)
-				v.eng.Metrics.Sample("vpb.occupancy", uint64(v.eng.Now()), v.coreID, uint64(len(v.entries)))
+				v.occupancy.Sample(uint64(v.eng.Now()), v.coreID, uint64(len(v.entries)))
 				break
 			}
 		}

@@ -62,8 +62,8 @@ var Glossary = map[string]string{
 	"l2.writebacks_skipped": "dirty persistent victims dropped, bbPB drain covers them (§III-E)",
 
 	// Histogram / gauge metrics (tracing only; see Metrics). statlint
-	// audits Observe/Sample sites against these entries exactly like
-	// counter increments.
+	// audits LazyHist/LazyGauge handle sites against these entries exactly
+	// like counter increments.
 	"bbpb.occupancy":         "gauge: live bbPB entries per core over time",
 	"bbpb.residency":         "histogram: cycles a bbPB entry lived from allocation to drain",
 	"cpu.sb_residency":       "histogram: cycles a store sat in the store buffer before its L1 commit",

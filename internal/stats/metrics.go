@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -210,67 +209,78 @@ func (g *GaugeSeries) Summary() string {
 	return fmt.Sprintf("n=%d max=%d last=%d", g.offers, g.max, g.last.Value)
 }
 
-// Metrics is the named registry of histograms and gauge series, the
-// structured sibling of Counters. A nil *Metrics is a valid, disabled
-// registry: Observe and Sample on nil are allocation-free no-ops, so
-// components hold one unconditionally (the same pattern as the nil trace
-// recorder). Names live in the same namespace as counters and must be
-// registered in Glossary — statlint cross-checks Observe/Sample sites
-// against it exactly as it does Inc/Add.
+// Metrics is the named registry of histograms, gauge series and windowed
+// histograms, the structured sibling of Counters. Names live in the same
+// namespace as counters and must be registered in Glossary; statlint
+// cross-checks the LazyHist/LazyGauge/MergeHist/MergeWindowed sites
+// against it exactly as it does Counters' writes. A nil *Metrics is a
+// valid, disabled registry: its handles record nothing and allocate
+// nothing, so components hold one unconditionally (the same pattern as the
+// nil trace recorder).
 type Metrics struct {
-	hists  map[string]*Histogram
-	horder []string
-	gauges map[string]*GaugeSeries
-	gorder []string
-	wins   map[string]*Windowed
-	worder []string
+	hists  registry[Histogram]
+	gauges registry[GaugeSeries]
+	wins   registry[Windowed]
 }
 
 // NewMetrics returns an empty, enabled registry.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		hists:  make(map[string]*Histogram),
-		gauges: make(map[string]*GaugeSeries),
-		wins:   make(map[string]*Windowed),
+func NewMetrics() *Metrics { return &Metrics{} }
+
+// LazyHist is a cached handle to one histogram of a Metrics registry, the
+// histogram form of Lazy: the histogram registers at the first Observe.
+type LazyHist struct{ lazy[Histogram] }
+
+// LazyHist returns a handle for histogram name of m; on a nil m the handle
+// is a no-op.
+func (m *Metrics) LazyHist(name string) LazyHist {
+	if m == nil {
+		return LazyHist{}
+	}
+	return LazyHist{lazy[Histogram]{r: &m.hists, name: name}}
+}
+
+// Observe adds one sample to the histogram. It stays small enough to
+// inline, with the bind-and-record path out of line, so a disabled handle
+// costs one test (make inline-check pins this).
+func (h *LazyHist) Observe(v uint64) {
+	if h.r != nil {
+		h.observe(v)
 	}
 }
 
-// Observe adds one sample to histogram name, creating it if needed. Safe
-// (and free) on a nil registry.
-func (m *Metrics) Observe(name string, v uint64) {
+//go:noinline
+func (h *LazyHist) observe(v uint64) { h.bind().Observe(v) }
+
+// LazyGauge is a cached handle to one gauge series of a Metrics registry:
+// the series registers at the first Sample.
+type LazyGauge struct{ lazy[GaugeSeries] }
+
+// LazyGauge returns a handle for gauge series name of m; on a nil m the
+// handle is a no-op.
+func (m *Metrics) LazyGauge(name string) LazyGauge {
 	if m == nil {
-		return
+		return LazyGauge{}
 	}
-	h := m.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		m.hists[name] = h
-		m.horder = append(m.horder, name)
-	}
-	h.Observe(v)
+	return LazyGauge{lazy[GaugeSeries]{r: &m.gauges, name: name}}
 }
 
-// Sample appends one cycle-stamped point to gauge series name, creating it
-// if needed. core is -1 for non-core gauges. Safe (and free) on nil.
-func (m *Metrics) Sample(name string, cycle uint64, core int, v uint64) {
-	if m == nil {
-		return
+// Sample appends one cycle-stamped point to the series; core is -1 for
+// non-core gauges. Small enough to inline, like LazyHist.Observe.
+func (g *LazyGauge) Sample(cycle uint64, core int, v uint64) {
+	if g.r != nil {
+		g.sample(cycle, core, v)
 	}
-	g := m.gauges[name]
-	if g == nil {
-		g = &GaugeSeries{}
-		m.gauges[name] = g
-		m.gorder = append(m.gorder, name)
-	}
-	g.Record(cycle, core, v)
 }
+
+//go:noinline
+func (g *LazyGauge) sample(cycle uint64, core int, v uint64) { g.bind().Record(cycle, core, v) }
 
 // Hist returns histogram name, or nil if absent (or m is nil).
 func (m *Metrics) Hist(name string) *Histogram {
 	if m == nil {
 		return nil
 	}
-	return m.hists[name]
+	return m.hists.lookup(name)
 }
 
 // Gauge returns gauge series name, or nil if absent (or m is nil).
@@ -278,7 +288,7 @@ func (m *Metrics) Gauge(name string) *GaugeSeries {
 	if m == nil {
 		return nil
 	}
-	return m.gauges[name]
+	return m.gauges.lookup(name)
 }
 
 // HistNames returns histogram names in first-touch order.
@@ -286,7 +296,7 @@ func (m *Metrics) HistNames() []string {
 	if m == nil {
 		return nil
 	}
-	return append([]string(nil), m.horder...)
+	return m.hists.names()
 }
 
 // GaugeNames returns gauge names in first-touch order.
@@ -294,25 +304,19 @@ func (m *Metrics) GaugeNames() []string {
 	if m == nil {
 		return nil
 	}
-	return append([]string(nil), m.gorder...)
+	return m.gauges.names()
 }
 
 // MergeHist folds a standalone histogram into histogram name, creating it
 // if needed. Service workloads accumulate per-client histograms outside
 // any registry (one goroutine each, no locking) and fold them in here
 // after the run; the name must be documented in Glossary like any
-// Observe site. Safe (and a no-op) on a nil registry or nil h.
+// LazyHist site. Safe (and a no-op) on a nil registry or nil h.
 func (m *Metrics) MergeHist(name string, h *Histogram) {
 	if m == nil || h == nil {
 		return
 	}
-	dst := m.hists[name]
-	if dst == nil {
-		dst = &Histogram{}
-		m.hists[name] = dst
-		m.horder = append(m.horder, name)
-	}
-	dst.Merge(h)
+	m.hists.cell(name).Merge(h)
 }
 
 // MergeWindowed folds a standalone windowed histogram into windowed metric
@@ -325,14 +329,9 @@ func (m *Metrics) MergeWindowed(name string, w *Windowed) {
 	if m == nil || w == nil {
 		return
 	}
-	dst := m.wins[name]
-	if dst == nil {
-		dst = NewWindowed(w.BaseWidth(), w.SLO())
-		if m.wins == nil {
-			m.wins = make(map[string]*Windowed)
-		}
-		m.wins[name] = dst
-		m.worder = append(m.worder, name)
+	dst := m.wins.cell(name)
+	if dst.base == 0 {
+		*dst = *NewWindowed(w.BaseWidth(), w.SLO())
 	}
 	dst.Merge(w)
 }
@@ -342,7 +341,7 @@ func (m *Metrics) Windowed(name string) *Windowed {
 	if m == nil {
 		return nil
 	}
-	return m.wins[name]
+	return m.wins.lookup(name)
 }
 
 // WindowedNames returns windowed metric names in first-touch order.
@@ -350,7 +349,7 @@ func (m *Metrics) WindowedNames() []string {
 	if m == nil {
 		return nil
 	}
-	return append([]string(nil), m.worder...)
+	return m.wins.names()
 }
 
 // Merge folds every histogram of other into m (gauge timelines are not
@@ -359,41 +358,15 @@ func (m *Metrics) Merge(other *Metrics) {
 	if m == nil || other == nil {
 		return
 	}
-	for _, name := range other.horder {
-		h := m.hists[name]
-		if h == nil {
-			h = &Histogram{}
-			m.hists[name] = h
-			m.horder = append(m.horder, name)
-		}
-		h.Merge(other.hists[name])
+	for _, name := range other.hists.order {
+		m.hists.cell(name).Merge(other.hists.m[name])
 	}
 }
 
-// String renders every metric, one per line, sorted by name — the
-// deterministic dump behind bbbsim -verbose and the golden tests.
-func (m *Metrics) String() string {
-	if m == nil {
-		return ""
-	}
-	var b strings.Builder
-	hnames := m.HistNames()
-	sort.Strings(hnames)
-	for _, n := range hnames {
-		fmt.Fprintf(&b, "%-32s %s\n", n, m.hists[n].Summary())
-	}
-	gnames := m.GaugeNames()
-	sort.Strings(gnames)
-	for _, n := range gnames {
-		fmt.Fprintf(&b, "%-32s %s\n", n, m.gauges[n].Summary())
-	}
-	wnames := m.WindowedNames()
-	sort.Strings(wnames)
-	for _, n := range wnames {
-		fmt.Fprintf(&b, "%-32s %s\n", n, m.wins[n].Summary())
-	}
-	return b.String()
-}
+// String renders every metric, one per line, sorted by name within
+// histograms, gauges and windowed metrics — the deterministic dump behind
+// bbbsim -verbose and the golden tests.
+func (m *Metrics) String() string { return m.StringWith(nil) }
 
 // StringWith renders the metrics like String but annotates each line with
 // its meaning from doc (normally the package Glossary).
@@ -402,27 +375,8 @@ func (m *Metrics) StringWith(doc map[string]string) string {
 		return ""
 	}
 	var b strings.Builder
-	render := func(n, summary string) {
-		if d := doc[n]; d != "" {
-			fmt.Fprintf(&b, "%-32s %s  # %s\n", n, summary, d)
-		} else {
-			fmt.Fprintf(&b, "%-32s %s\n", n, summary)
-		}
-	}
-	hnames := m.HistNames()
-	sort.Strings(hnames)
-	for _, n := range hnames {
-		render(n, m.hists[n].Summary())
-	}
-	gnames := m.GaugeNames()
-	sort.Strings(gnames)
-	for _, n := range gnames {
-		render(n, m.gauges[n].Summary())
-	}
-	wnames := m.WindowedNames()
-	sort.Strings(wnames)
-	for _, n := range wnames {
-		render(n, m.wins[n].Summary())
-	}
+	m.hists.render(&b, doc, (*Histogram).Summary)
+	m.gauges.render(&b, doc, (*GaugeSeries).Summary)
+	m.wins.render(&b, doc, (*Windowed).Summary)
 	return b.String()
 }

@@ -185,8 +185,9 @@ func TestGaugeSeriesDecimation(t *testing.T) {
 
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
-	m.Observe("x", 1)
-	m.Sample("y", 10, 0, 2)
+	h, g := m.LazyHist("x"), m.LazyGauge("y")
+	h.Observe(1)
+	g.Sample(10, 0, 2)
 	m.Merge(NewMetrics())
 	if m.Hist("x") != nil || m.Gauge("y") != nil {
 		t.Fatal("nil Metrics returned a metric")
@@ -196,26 +197,35 @@ func TestMetricsNilSafe(t *testing.T) {
 	}
 }
 
-// The disabled-metrics path must cost nothing: components call
-// Observe/Sample unconditionally on a possibly-nil registry, the same
-// contract the nil trace recorder pins.
+// The disabled-metrics path must cost nothing: components record through
+// handles resolved from a possibly-nil registry, the same contract the nil
+// trace recorder pins.
 func TestMetricsDisabledPathZeroAlloc(t *testing.T) {
 	var m *Metrics
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.Observe("system.durability_gap", 17)
-		m.Sample("bbpb.occupancy", 12345, 2, 6)
+		h, g := m.LazyHist("persist.vis_to_dur_gap"), m.LazyGauge("bbpb.occupancy")
+		h.Observe(17)
+		g.Sample(12345, 2, 6)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil Metrics path allocates %g allocs/op, want 0", allocs)
 	}
 }
 
+// Handles register at their first write, not at creation, and two handles
+// on one name share one cell.
 func TestMetricsObserveAndNames(t *testing.T) {
 	m := NewMetrics()
-	m.Observe("b", 2)
-	m.Observe("a", 1)
-	m.Observe("b", 4)
-	m.Sample("g", 5, -1, 9)
+	b1, a, b2 := m.LazyHist("b"), m.LazyHist("a"), m.LazyHist("b")
+	_ = m.LazyGauge("never-written")
+	g := m.LazyGauge("g")
+	if m.HistNames() != nil || m.GaugeNames() != nil {
+		t.Fatal("a handle registered its name before its first write")
+	}
+	b1.Observe(2)
+	a.Observe(1)
+	b2.Observe(4)
+	g.Sample(5, -1, 9)
 	if got := m.HistNames(); !reflect.DeepEqual(got, []string{"b", "a"}) {
 		t.Fatalf("HistNames = %v", got)
 	}
@@ -235,10 +245,11 @@ func TestMetricsObserveAndNames(t *testing.T) {
 
 func TestMetricsMerge(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
-	a.Observe("x", 1)
-	b.Observe("x", 3)
-	b.Observe("y", 5)
-	b.Sample("g", 1, 0, 1) // gauges must NOT merge
+	ax, bx, by, bg := a.LazyHist("x"), b.LazyHist("x"), b.LazyHist("y"), b.LazyGauge("g")
+	ax.Observe(1)
+	bx.Observe(3)
+	by.Observe(5)
+	bg.Sample(1, 0, 1) // gauges must NOT merge
 	a.Merge(b)
 	if a.Hist("x").Count() != 2 || a.Hist("x").Sum() != 4 {
 		t.Fatal("x not merged")
@@ -253,9 +264,10 @@ func TestMetricsMerge(t *testing.T) {
 
 func TestMetricsStringSortedAndStable(t *testing.T) {
 	m := NewMetrics()
-	m.Observe("zz", 1)
-	m.Observe("aa", 2)
-	m.Sample("mm", 1, 0, 3)
+	zz, aa, mm := m.LazyHist("zz"), m.LazyHist("aa"), m.LazyGauge("mm")
+	zz.Observe(1)
+	aa.Observe(2)
+	mm.Sample(1, 0, 3)
 	s := m.String()
 	if strings.Index(s, "aa") > strings.Index(s, "zz") {
 		t.Fatalf("String not sorted:\n%s", s)

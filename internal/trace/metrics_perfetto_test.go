@@ -10,10 +10,11 @@ import (
 
 func sampleMetrics() *stats.Metrics {
 	m := stats.NewMetrics()
-	m.Sample("bbpb.occupancy", 100, 0, 3)
-	m.Sample("bbpb.occupancy", 200, 0, 5)
-	m.Sample("bbpb.occupancy", 150, 1, 2)
-	m.Sample("wpq.depth", 400, -1, 7)
+	occ, depth := m.LazyGauge("bbpb.occupancy"), m.LazyGauge("wpq.depth")
+	occ.Sample(100, 0, 3)
+	occ.Sample(200, 0, 5)
+	occ.Sample(150, 1, 2)
+	depth.Sample(400, -1, 7)
 	win := stats.NewWindowed(1000, 500)
 	win.Observe(250, 400) // window 0, under SLO
 	win.Observe(800, 900) // window 0, over

@@ -55,8 +55,8 @@ func (p DurabilityPoint) String() string {
 // events. Attach it to a Recorder; read the result from the Metrics
 // registry (histogram persist.vis_to_dur_gap) and Resolved/Unresolved.
 type Provenance struct {
-	point   DurabilityPoint
-	metrics *stats.Metrics
+	point DurabilityPoint
+	gap   stats.LazyHist
 	// pending maps a line address to the visibility cycles of committed
 	// stores to that line that are not yet durable.
 	pending      map[uint64][]uint64
@@ -67,7 +67,7 @@ type Provenance struct {
 // NewProvenance returns a tracker that resolves durability at point and
 // observes gaps into m (which may be nil to only count).
 func NewProvenance(point DurabilityPoint, m *stats.Metrics) *Provenance {
-	return &Provenance{point: point, metrics: m, pending: make(map[uint64][]uint64)}
+	return &Provenance{point: point, gap: m.LazyHist("persist.vis_to_dur_gap"), pending: make(map[uint64][]uint64)}
 }
 
 // Point returns the configured durability point.
@@ -81,7 +81,7 @@ func (p *Provenance) Write(e Event) {
 	// CAS writes that actually persist, so only commits are tracked here.
 	case KindStoreCommit:
 		if p.point == DurableAtCommit {
-			p.metrics.Observe("persist.vis_to_dur_gap", 0)
+			p.gap.Observe(0)
 			p.resolved++
 			return
 		}
@@ -115,7 +115,7 @@ func (p *Provenance) resolve(addr, cycle uint64) {
 		if cycle > c {
 			gap = cycle - c
 		}
-		p.metrics.Observe("persist.vis_to_dur_gap", gap)
+		p.gap.Observe(gap)
 	}
 	p.resolved += uint64(len(cycles))
 	p.pendingCount -= uint64(len(cycles))

@@ -1,4 +1,4 @@
-// Package statlint cross-checks the module's stats.Counters usage. The
+// Package statlint cross-checks the module's named statistics. The
 // counter namespace is stringly typed — `Stats.Inc("l1.load_hits")` — so a
 // typo in either an increment or a read silently produces a counter that
 // is always zero, and results tables quietly report garbage. statlint
@@ -22,15 +22,18 @@
 // registrations of any "<prefix>.writes".
 //
 // The histogram/gauge/windowed registry (stats.Metrics) shares the
-// namespace and the failure mode, so it is audited the same way:
-// Observe/Sample/MergeHist/MergeWindowed are write sites (like Inc/Add)
-// and Hist/Gauge/Windowed are read sites (like Get).
+// namespace and the failure mode, so it is audited the same way: the
+// handle constructors LazyHist/LazyGauge and the post-run folds
+// MergeHist/MergeWindowed are write sites (like Lazy and Inc/Add) and
+// Hist/Gauge/Windowed are read sites (like Get).
 //
 // Reads in _test.go files count (a counter asserted by a test is consumed);
 // test sources are scanned syntactically for Get/Hist/Gauge calls.
 //
 // One counter idiom: a name-keyed Counters.Inc/Add hashes its name on every
-// call, so statlint also rejects one wherever it could run per event. It is
+// call, so statlint also rejects one wherever it could run per event.
+// Metrics has no name-keyed per-event write — histograms and gauges are
+// recorded only through their handles — so the rule covers Counters alone. It is
 // allowed only in a constructor's own body (a top-level New, NewX, new or
 // newX function; closures it builds run later, per event) and in cmd/
 // programs; tests are not analyzed. Everywhere else the counter is bumped
@@ -57,8 +60,8 @@ import (
 var Analyzer = &vet.Analyzer{
 	Name: "statlint",
 	Doc: `	statlint: dead / misspelled stats counters and metrics.
-	Every incremented counter (Counters.Inc/Add/Lazy) and observed metric
-	(Metrics.Observe/Sample/MergeHist/MergeWindowed) must be documented in
+	Every incremented counter (Counters.Inc/Add/Lazy) and recorded metric
+	(Metrics.LazyHist/LazyGauge/MergeHist/MergeWindowed) must be documented in
 	stats.Glossary or read back (Get/Hist/Gauge/Windowed); every read and
 	every Glossary entry must name one some code writes. Name-keyed
 	Counters.Inc/Add is allowed only in constructors and cmd/; elsewhere
@@ -170,9 +173,10 @@ func recordCall(info *types.Info, call *ast.CallExpr, fx *facts, pass *vet.Pass,
 		}
 	case isStatsMethod(fn, "Metrics"):
 		// The histogram/gauge/windowed registry shares the stringly-typed
-		// namespace: Observe/Sample/MergeHist/MergeWindowed write a metric,
+		// namespace: a handle constructor (the handle's Observe/Sample
+		// fires on it later) or a post-run fold writes a metric,
 		// Hist/Gauge/Windowed read it back.
-		write = fn.Name() == "Observe" || fn.Name() == "Sample" ||
+		write = fn.Name() == "LazyHist" || fn.Name() == "LazyGauge" ||
 			fn.Name() == "MergeHist" || fn.Name() == "MergeWindowed"
 		read = fn.Name() == "Hist" || fn.Name() == "Gauge" || fn.Name() == "Windowed"
 	}

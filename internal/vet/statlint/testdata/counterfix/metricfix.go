@@ -3,21 +3,32 @@ package counterfix
 import "bbb/internal/stats"
 
 // The histogram/gauge registry shares the stringly-typed namespace with
-// Counters; statlint audits Observe/Sample as writes and Hist/Gauge as
-// reads with the same three diagnostics.
+// Counters; statlint audits the LazyHist/LazyGauge handle constructors as
+// writes and Hist/Gauge as reads with the same three diagnostics.
 
 type meter struct {
-	m *stats.Metrics
+	m                *stats.Metrics
+	documented, dead stats.LazyHist
+	read             stats.LazyGauge
+}
+
+func newMeter(m *stats.Metrics) *meter {
+	return &meter{
+		m:          m,
+		documented: m.LazyHist("hist.documented"), // in the Glossary: fine
+		dead:       m.LazyHist("hist.dead"),       // want "counter .hist.dead. is incremented but never read and not documented"
+		read:       m.LazyGauge("gauge.read"),     // Gauge below: fine
+	}
 }
 
 func (mt *meter) observe() {
-	mt.m.Observe("hist.documented", 1)  // in the Glossary: fine
-	mt.m.Observe("hist.dead", 2)        // want "counter .hist.dead. is incremented but never read and not documented"
-	mt.m.Sample("gauge.read", 10, 0, 3) // Gauge below: fine
+	mt.documented.Observe(1)
+	mt.dead.Observe(2)
+	mt.read.Sample(10, 0, 3)
 }
 
 // fold is the post-run service fold: MergeHist and MergeWindowed are write
-// sites exactly like Observe/Sample.
+// sites exactly like the handle constructors.
 func (mt *meter) fold(h *stats.Histogram, w *stats.Windowed) {
 	mt.m.MergeHist("hist.folded", h)    // Hist below: fine
 	mt.m.MergeWindowed("win.read", w)   // Windowed below: fine

@@ -125,7 +125,7 @@ func (a *Array) Programs(p Params) []system.Program {
 					cpu.Store64(e, a.elem(i2), v1)
 					barrier(e, p, a.elem(i1), a.elem(i2))
 				}
-				volatileWork(e, t, a.volWork(p), r)
+				volatileWork(e, t, a.volWork(), r)
 			}
 		}
 	}
@@ -133,10 +133,7 @@ func (a *Array) Programs(p Params) []system.Program {
 }
 
 // volWork targets Table IV's 23.8% P-stores (1-2 persisting stores/op).
-func (a *Array) volWork(p Params) int {
-	if p.VolatileWork > 0 {
-		return p.VolatileWork
-	}
+func (a *Array) volWork() int {
 	if a.op == OpSwap {
 		return 6
 	}

@@ -253,17 +253,14 @@ func (bt *BTree) Programs(p Params) []system.Program {
 			r := rng(p, t)
 			for i := 0; i < p.OpsPerThread; i++ {
 				bt.insert(e, t, bt.root(t), r.Uint64(), uint64(i))
-				volatileWork(e, t, bt.volWork(p), r)
+				volatileWork(e, t, bt.volWork(), r)
 			}
 		}
 	}
 	return progs
 }
 
-func (bt *BTree) volWork(p Params) int {
-	if p.VolatileWork > 0 {
-		return p.VolatileWork
-	}
+func (bt *BTree) volWork() int {
 	return 30
 }
 

@@ -86,17 +86,14 @@ func (c *CTree) Programs(p Params) []system.Program {
 			root := c.root(t)
 			for i := 0; i < p.OpsPerThread; i++ {
 				c.insert(e, p, t, root, r.Uint64(), uint64(i))
-				volatileWork(e, t, c.volWork(p), r)
+				volatileWork(e, t, c.volWork(), r)
 			}
 		}
 	}
 	return progs
 }
 
-func (c *CTree) volWork(p Params) int {
-	if p.VolatileWork > 0 {
-		return p.VolatileWork
-	}
+func (c *CTree) volWork() int {
 	return 34
 }
 

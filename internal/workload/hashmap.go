@@ -94,19 +94,16 @@ func (h *Hashmap) Programs(p Params) []system.Program {
 				barrier(e, p, node)
 				cpu.Store64(e, bucket, node) //bbbvet:commit-store node
 				barrier(e, p, bucket)
-				volatileWork(e, t, h.volWork(p), r)
+				volatileWork(e, t, h.volWork(), r)
 			}
 		}
 	}
 	return progs
 }
 
-// volWork sets the volatile:persistent store mix; the default lands near
+// volWork sets the volatile:persistent store mix; it lands near
 // Table IV's 6.0% P-stores (5 persisting stores per op).
-func (h *Hashmap) volWork(p Params) int {
-	if p.VolatileWork > 0 {
-		return p.VolatileWork
-	}
+func (h *Hashmap) volWork() int {
 	return 78
 }
 

@@ -81,17 +81,14 @@ func (l *LinkedList) Programs(p Params) []system.Program {
 				cpu.Store64(e, head, node) //bbbvet:commit-store node
 				barrier(e, p, head)        // Figure 3 line 12-13
 				cur = node
-				volatileWork(e, t, l.volWork(p), r)
+				volatileWork(e, t, l.volWork(), r)
 			}
 		}
 	}
 	return progs
 }
 
-func (l *LinkedList) volWork(p Params) int {
-	if p.VolatileWork > 0 {
-		return p.VolatileWork
-	}
+func (l *LinkedList) volWork() int {
 	return 2
 }
 

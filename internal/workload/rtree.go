@@ -92,17 +92,14 @@ func (rt *RTree) Programs(p Params) []system.Program {
 			for i := 0; i < p.OpsPerThread; i++ {
 				val := uint64(r.Int63n(1 << 40))
 				rt.insert(e, p, t, val)
-				volatileWork(e, t, rt.volWork(p), r)
+				volatileWork(e, t, rt.volWork(), r)
 			}
 		}
 	}
 	return progs
 }
 
-func (rt *RTree) volWork(p Params) int {
-	if p.VolatileWork > 0 {
-		return p.VolatileWork
-	}
+func (rt *RTree) volWork() int {
 	return 43
 }
 

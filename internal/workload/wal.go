@@ -104,17 +104,14 @@ func (w *WAL) Programs(p Params) []system.Program {
 				barrier(e, p, rec)        // record before tail (the WAL contract)
 				cpu.Store64(e, tail, seq) //bbbvet:commit-store rec
 				barrier(e, p, tail)
-				volatileWork(e, t, w.volWork(p), r)
+				volatileWork(e, t, w.volWork(), r)
 			}
 		}
 	}
 	return progs
 }
 
-func (w *WAL) volWork(p Params) int {
-	if p.VolatileWork > 0 {
-		return p.VolatileWork
-	}
+func (w *WAL) volWork() int {
 	return 12
 }
 

@@ -39,10 +39,6 @@ type Params struct {
 	// code under the PMEM baseline (harmless under BBB/eADR — the point of
 	// the paper).
 	NoBarriers bool
-	// VolatileWork scales the DRAM-side work interleaved between
-	// operations, which sets the %P-stores mix of Table IV. Zero uses the
-	// workload's default.
-	VolatileWork int
 	// BatchWindow is the request-batching window of the service-tier
 	// workloads (internal/kvservice): a client holds its batch open for
 	// this many cycles before the commit that makes the batch durable.
