@@ -111,6 +111,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzCrashPoints -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzParseWitness -fuzztime=10s ./internal/crashmc
 	$(GO) test -run=^$$ -fuzz=FuzzEnumerate -fuzztime=10s ./internal/crashmc
+	$(GO) test -run=^$$ -fuzz=FuzzMemo -fuzztime=10s ./internal/crashmc
 	$(GO) test -run=^$$ -fuzz=FuzzParseJSONL -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzConform -fuzztime=10s ./internal/litmus/conform
 	$(GO) test -run=^$$ -fuzz=FuzzReadRun -fuzztime=10s ./internal/obs

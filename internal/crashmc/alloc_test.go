@@ -31,7 +31,7 @@ func TestStreamZeroAlloc(t *testing.T) {
 	)
 	pass := func() {
 		s.load(rec)
-		sets, _ = s.stream(DefaultBounds(), func([]int) { count++ })
+		sets, _ = s.stream(DefaultBounds(), func() { count++ })
 	}
 	pass()
 	if sets < 500 || count < 100 {

@@ -65,18 +65,16 @@ func BenchmarkValidateImage(b *testing.B) {
 	s.load(rec)
 	s.bindLines()
 	var hits [][]int32
-	s.stream(DefaultBounds(), func([]int) { hits = append(hits, slices.Clone(s.r.hits)) })
+	s.stream(DefaultBounds(), func() { hits = append(hits, slices.Clone(s.r.resolve())) })
 	if len(hits) < 2 {
 		b.Fatalf("record streams %d images; the benchmark would validate too few", len(hits))
 	}
-	r := &s.mr
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, h := range hits {
-			r.hits = h
-			s.apply(r)
+			s.apply(h)
 			_ = c.Workload.Check(rec.Base)
-			s.restore(r)
+			s.restore(h)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(hits)), "ns/image")
@@ -87,7 +85,8 @@ func BenchmarkValidateImage(b *testing.B) {
 // three of the point's pending lines: enumeration, the verdict memo, and
 // the checks the memo cannot answer. It reports the images judged and the
 // checks run per call, so `make bench-json` puts the memo's hit rate on
-// the BENCH_<n>.json trail.
+// the BENCH_<n>.json trail, and ns/image, the cost of one image with its
+// share of the enumeration and the checks.
 func BenchmarkCheckRecord(b *testing.B) {
 	c := mcConfig(workload.NewLinkedList(), persistency.BEP, true)
 	const crashAt = 10_000
@@ -101,6 +100,7 @@ func BenchmarkCheckRecord(b *testing.B) {
 	}
 	b.ReportMetric(float64(checks)/float64(b.N), "checks/op")
 	b.ReportMetric(float64(images)/float64(b.N), "images/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(images), "ns/image")
 }
 
 // BenchmarkCrashWalk measures the walker's share of BenchmarkCrashMCCampaign:

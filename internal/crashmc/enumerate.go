@@ -96,8 +96,8 @@ func Enumerate(rec *Record, b Bounds) Enumeration {
 func (s *scratch) enumerate(rec *Record, b Bounds) Enumeration {
 	s.load(rec)
 	var enum Enumeration
-	enum.Sets, enum.SetsSkipped = s.stream(b, func(set []int) {
-		img := s.r.image(set).clone()
+	enum.Sets, enum.SetsSkipped = s.stream(b, func() {
+		img := s.r.image().clone()
 		img.Hash = s.h.sum(img.Overlay)
 		enum.Images = append(enum.Images, img)
 	})
@@ -123,7 +123,7 @@ type scratch struct {
 	free, epoch, cores []int // survivalGroups' pending indices and core list
 	subsets            subsetArena
 	groupEnds          []int // group g is subsets groupEnds[g-1] (or 0) up to groupEnds[g]
-	pick, set          []int // the odometer: one subset per group, and their union
+	pick               []int // the odometer: one subset per group; s.r.set is their union
 
 	// lines points at each line of the table in place in the record's
 	// Base, resolved by bindLines after load.
@@ -144,53 +144,53 @@ func (s *scratch) load(rec *Record) {
 }
 
 // stream walks the reachable crash-state space of the loaded record within
-// b and calls fn once per distinct image, in first-seen order, with the
-// survival set that first produced it. Images are deduplicated exactly by
+// b and calls fn once per distinct image, in first-seen order. During the
+// call s.r holds the survival set that first produced the image, as a
+// mask: s.r.image builds the image (without Hash), and s.r.resolve its
+// hits, for a caller that needs them. Images are deduplicated exactly by
 // their line table keys, unless the table shows that distinct sets give
-// distinct images (lineTable.distinct). During the call s.r holds the
-// set's resolution: its hits are the image's overlay, which s.r.image
-// builds (without Hash) for a caller that needs it. The survival set and s.r's buffers are
-// reused from one set to the next, so both are valid only during the call.
-// It returns the Sets and SetsSkipped counts of the Enumeration.
-func (s *scratch) stream(b Bounds, fn func(set []int)) (sets int, skipped uint64) {
+// distinct images (lineTable.distinct); only the keys make the stream
+// resolve a set. s.r's buffers are reused from one set to the next, so they
+// are valid only during the call. It returns the Sets and SetsSkipped
+// counts of the Enumeration.
+func (s *scratch) stream(b Bounds, fn func()) (sets int, skipped uint64) {
 	b = b.withDefaults()
 	total := s.survivalGroups(b)
 	dedupe := !s.table.distinct()
 	if dedupe {
 		s.seen.reset(int(min(total, uint64(b.MaxImages))))
 	}
-	if s.set == nil {
-		s.set = []int{} // Survivors of the empty set is empty, not nil
-	}
+	r := &s.r
+	r.empty()
 	s.pick = s.pick[:0]
 	for g := range s.groupEnds {
 		s.pick = append(s.pick, s.groupStart(g))
 	}
 	// Odometer cross product over the groups' candidate sets, in
 	// deterministic lexicographic order; the empty survival set (every
-	// group's first candidate) always comes first.
+	// group's first candidate) always comes first. A group whose pick
+	// moves swaps its old subset for the new one in the set by XOR, which
+	// is exact as no two groups share a pending write.
 	for {
-		set := s.set[:0] // a local, as in resolver.resolve
-		for _, j := range s.pick {
-			set = append(set, s.subsets.subset(j)...)
-		}
-		slices.Sort(set)
-		s.set = set
 		sets++
-		s.r.resolve(set)
-		if !dedupe || s.seen.add(s.r.key()) {
-			fn(set)
+		if !dedupe || s.seen.add(r.key()) {
+			fn()
 		}
 		if sets >= b.MaxImages {
 			break
 		}
 		g := len(s.pick) - 1
 		for g >= 0 {
+			old := s.pick[g]
 			s.pick[g]++
-			if s.pick[g] < s.groupEnds[g] {
+			if s.pick[g] == s.groupEnds[g] {
+				s.pick[g] = s.groupStart(g)
+			}
+			r.toggle(s.subsets.mask(old))
+			r.toggle(s.subsets.mask(s.pick[g]))
+			if s.pick[g] != s.groupStart(g) {
 				break
 			}
-			s.pick[g] = s.groupStart(g)
 			g--
 		}
 		if g < 0 {
@@ -232,12 +232,12 @@ func (s *scratch) survivalGroups(b Bounds) uint64 {
 		}
 	}
 	a := &s.subsets
-	a.reset()
+	a.reset(s.table.words())
 	s.groupEnds = s.groupEnds[:0]
 	total := uint64(1)
 	if len(s.free) > 0 {
 		a.bounded(nil, s.free, 0, b)
-		s.groupEnds = append(s.groupEnds, len(a.ends))
+		s.groupEnds = append(s.groupEnds, a.n)
 		total = satMul(total, satPow2(len(s.free)))
 	}
 	for _, c := range s.cores {
@@ -248,12 +248,12 @@ func (s *scratch) survivalGroups(b Bounds) uint64 {
 			}
 		}
 		a.epochs(rec, s.epoch, b)
-		s.groupEnds = append(s.groupEnds, len(a.ends))
+		s.groupEnds = append(s.groupEnds, a.n)
 		total = satMul(total, epochSpaceSize(rec, s.epoch))
 	}
 	if len(s.groupEnds) == 0 {
 		// No pending writes: the space is exactly {base image}.
-		a.cut()
+		a.open(nil)
 		s.groupEnds = append(s.groupEnds, 1)
 	}
 	return total
@@ -288,47 +288,56 @@ func epochRunEnd(rec *Record, idx []int, lo int) int {
 }
 
 // subsetArena lays subsets back to back in one slice that a scratch reuses
-// from point to point.
+// from point to point, each as a mask of words words over the pending
+// writes (bit i standing for Pending[i]).
 type subsetArena struct {
-	ints []int
-	ends []int // ends[j] is where subset j stops in ints
-	pos  []int // combinations' cursor
+	masks []uint64
+	words int
+	n     int   // subsets laid out
+	pos   []int // combinations' cursor
 }
 
-func (a *subsetArena) reset() { a.ints, a.ends = a.ints[:0], a.ends[:0] }
+func (a *subsetArena) reset(words int) { a.masks, a.words, a.n = a.masks[:0], words, 0 }
 
-// cut ends the subset being appended to ints.
-func (a *subsetArena) cut() { a.ends = append(a.ends, len(a.ints)) }
-
-// subset returns subset j; it aliases the arena until its next reset.
-func (a *subsetArena) subset(j int) []int {
-	start := 0
-	if j > 0 {
-		start = a.ends[j-1]
+// open appends a subset holding prefix and returns its mask, which
+// aliases the arena until the next open.
+func (a *subsetArena) open(prefix []int) []uint64 {
+	n := len(a.masks)
+	a.masks = slices.Grow(a.masks, a.words)[:n+a.words]
+	a.n++
+	m := a.masks[n:]
+	clear(m)
+	for _, i := range prefix {
+		setBit(m, i)
 	}
-	return a.ints[start:a.ends[j]]
+	return m
 }
+
+// mask returns subset j's mask; it aliases the arena until its next reset.
+func (a *subsetArena) mask(j int) []uint64 { return a.masks[j*a.words : (j+1)*a.words] }
 
 // bounded appends the subsets of idx the bounds keep that have at least
 // kmin members, each after prefix, ordered by cardinality ascending, so
 // the empty set (for kmin 0) is first and the near-full complements last.
 // Within a cardinality an exhaustive group is in mask order (bit i
-// standing for idx[i]) and a bounded one in lexicographic order.
+// standing for idx[i]), which Gosper's next-same-popcount step walks, and
+// a bounded one in lexicographic order.
 func (a *subsetArena) bounded(prefix, idx []int, kmin int, b Bounds) {
 	n := len(idx)
 	if n <= b.ExhaustiveLimit {
 		for k := kmin; k <= n; k++ {
-			for mask := uint(0); mask < 1<<n; mask++ {
-				if bits.OnesCount(mask) != k {
-					continue
+			if k == 0 {
+				a.open(prefix)
+				continue
+			}
+			for pick := uint(1)<<k - 1; pick < 1<<n; {
+				m := a.open(prefix)
+				for x := pick; x != 0; x &= x - 1 {
+					setBit(m, idx[bits.TrailingZeros(x)])
 				}
-				a.ints = append(a.ints, prefix...)
-				for i := 0; i < n; i++ {
-					if mask&(1<<i) != 0 {
-						a.ints = append(a.ints, idx[i])
-					}
-				}
-				a.cut()
+				low := pick & -pick
+				up := pick + low
+				pick = up | (up^pick)>>2/low
 			}
 		}
 		return
@@ -349,11 +358,10 @@ func (a *subsetArena) combinations(prefix, idx []int, k int) {
 		a.pos = append(a.pos, i)
 	}
 	for {
-		a.ints = append(a.ints, prefix...)
+		m := a.open(prefix)
 		for _, p := range a.pos {
-			a.ints = append(a.ints, idx[p])
+			setBit(m, idx[p])
 		}
-		a.cut()
 		i := k - 1
 		for i >= 0 && a.pos[i] == n-k+i {
 			i--
@@ -374,13 +382,19 @@ func (a *subsetArena) combinations(prefix, idx []int, k int) {
 // because it repeats the previous cut's full frontier (or, for the first
 // cut, the leading empty set), which bounded always includes.
 func (a *subsetArena) epochs(rec *Record, idx []int, b Bounds) {
-	a.cut() // nothing extra drained
+	a.open(nil) // nothing extra drained
 	for lo := 0; lo < len(idx); {
 		hi := epochRunEnd(rec, idx, lo)
 		a.bounded(idx[:lo], idx[lo:hi], 1, b)
 		lo = hi
 	}
 }
+
+// setBit adds pending write i to the set mask m.
+func setBit(m []uint64, i int) { m[i>>6] |= 1 << (i & 63) }
+
+// hasBit reports whether pending write i is in the set mask m.
+func hasBit(m []uint64, i int32) bool { return m[i>>6]&(1<<(i&63)) != 0 }
 
 // clone detaches an image from a stream's reused buffers.
 func (img Image) clone() Image {
@@ -406,6 +420,11 @@ type lineTable struct {
 	// the same line and the same bytes. Two writes to one line leave the
 	// same bytes exactly when their classes are equal.
 	class []int32
+	// newest lists each line's pending writes newest first: line l's are
+	// newest[off[l]:off[l+1]]. A line of an image shows its newest
+	// surviving write.
+	newest []int32
+	off    []int32
 }
 
 // reset rebuilds t for rec in t's buffers.
@@ -439,6 +458,49 @@ func (t *lineTable) reset(rec *Record) {
 			}
 		}
 	}
+	// A counting sort by line, newest first. off[l+1] counts line l's
+	// writes, and the prefix sums make off[l] line l's start; filling
+	// advances each off[l] to line l's end, so shifting off up one slot
+	// makes it line l+1's start again.
+	t.off = resize(t.off, len(t.addrs)+1)
+	clear(t.off)
+	for _, l := range t.line {
+		t.off[l+1]++
+	}
+	for l := range t.addrs {
+		t.off[l+1] += t.off[l]
+	}
+	t.newest = resize(t.newest, len(rec.Pending))
+	for i := len(rec.Pending) - 1; i >= 0; i-- {
+		l := t.line[i]
+		t.newest[t.off[l]] = int32(i)
+		t.off[l]++
+	}
+	copy(t.off[1:], t.off)
+	t.off[0] = 0
+}
+
+// words returns the length of a set mask over the record's pending writes.
+func (t *lineTable) words() int { return (len(t.line) + 63) / 64 }
+
+// survivor returns line l's newest write in the survival set mask set, or
+// -1 if none is: the write whose bytes the line shows in set's image.
+func (t *lineTable) survivor(set []uint64, l int32) int32 {
+	for _, i := range t.newest[t.off[l]:t.off[l+1]] {
+		if hasBit(set, i) {
+			return i
+		}
+	}
+	return -1
+}
+
+// probe returns the value class line l takes under the survival set mask
+// set: its survivor's, or 0 (the base bytes) for none.
+func (t *lineTable) probe(set []uint64, l int32) int32 {
+	if i := t.survivor(set, l); i >= 0 {
+		return t.class[i]
+	}
+	return 0
 }
 
 // distinct reports whether distinct survival sets give distinct images:
@@ -461,59 +523,80 @@ func (t *lineTable) distinct() bool {
 // the contents are left for the caller to overwrite.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// resolver turns survival sets into dedupe keys and images through a line
-// table, reusing its buffers from one set to the next.
+// resolver holds one survival set as a mask and turns it into a dedupe
+// key and an image through a line table, reusing its buffers from one set
+// to the next. It resolves the set's hits only when one of those is asked
+// for, once per set.
 type resolver struct {
-	t      *lineTable
-	newest []int32 // per line: 1 + its newest survivor, 0 for none; all 0 between calls
-	hits   []int32 // the set's newest survivors whose bytes differ from the base, in line order
-	keyBuf []byte
-	// overlay is image's buffer: the overlay of the set resolved last.
+	t        *lineTable
+	set      []uint64 // bit i: Pending[i] survives
+	resolved bool     // hits hold set's resolution
+	hits     []int32  // the set's newest survivors whose bytes differ from the base, in line order
+	keyBuf   []byte
+	// surv and overlay are image's buffers: the set's survivors and
+	// overlay.
+	surv    []int
 	overlay []LineWrite
 }
 
-// reset points r at t, whose lines may have changed.
+// reset points r at t, whose lines may have changed, and empties its set.
 func (r *resolver) reset(t *lineTable) {
 	r.t = t
-	r.newest = resize(r.newest, len(t.addrs))
-	clear(r.newest)
+	r.set = resize(r.set, t.words())
+	r.empty()
 }
 
-// resolve resolves a survival set into r.hits: the newest survivor of
-// every line whose resolved bytes differ from the base image, in line
-// order. A line resolves to its newest surviving write — the highest
-// index, as pending writes are in Seq order.
-func (r *resolver) resolve(survivors []int) {
-	t := r.t
+// empty empties r's set.
+func (r *resolver) empty() {
+	clear(r.set)
+	r.resolved = false
+}
+
+// load makes survivors r's set.
+func (r *resolver) load(survivors []int) {
+	r.empty()
 	for _, i := range survivors {
-		if l := t.line[i]; int32(i)+1 > r.newest[l] {
-			r.newest[l] = int32(i) + 1
-		}
+		setBit(r.set, i)
 	}
+}
+
+// toggle flips the membership of every write in the mask m.
+func (r *resolver) toggle(m []uint64) {
+	for w, x := range m {
+		r.set[w] ^= x
+	}
+	r.resolved = false
+}
+
+// resolve resolves r's set into r.hits, unless it already has, and returns
+// them: the newest survivor of every line whose resolved bytes differ from
+// the base image, in line order.
+func (r *resolver) resolve() []int32 {
+	if r.resolved {
+		return r.hits
+	}
+	t := r.t
 	// The appends go to a local, stored back once: a slice header written
 	// into r on every append costs a GC write barrier while marking.
 	hits := r.hits[:0]
-	for l, n := range r.newest {
-		if n == 0 {
-			continue
-		}
-		r.newest[l] = 0
-		if t.class[n-1] != 0 {
-			hits = append(hits, n-1)
+	for l := range t.addrs {
+		if i := t.survivor(r.set, int32(l)); i >= 0 && t.class[i] != 0 {
+			hits = append(hits, i)
 		}
 	}
-	r.hits = hits
+	r.hits, r.resolved = hits, true
+	return hits
 }
 
-// key returns the dedupe key of the set resolve saw last: the (line,
-// class) pair of each hit, in line order, so two sets get equal keys
-// exactly when their images are byte-equal. The pairs are uvarints, which
-// are self-delimiting, so the encoding is one-to-one and a small record's
-// pair takes two bytes. The key aliases r's buffer until the next call.
+// key returns the dedupe key of r's set: the (line, class) pair of each
+// hit, in line order, so two sets get equal keys exactly when their images
+// are byte-equal. The pairs are uvarints, which are self-delimiting, so
+// the encoding is one-to-one and a small record's pair takes two bytes.
+// The key aliases r's buffer until the next call.
 func (r *resolver) key() []byte {
 	t := r.t
 	key := r.keyBuf[:0] // a local, as in resolve
-	for _, p := range r.hits {
+	for _, p := range r.resolve() {
 		key = binary.AppendUvarint(key, uint64(t.line[p]))
 		key = binary.AppendUvarint(key, uint64(t.class[p]))
 	}
@@ -521,16 +604,25 @@ func (r *resolver) key() []byte {
 	return key
 }
 
-// image builds the image of the set resolve saw last; its Overlay aliases
-// r's buffer until the next call.
-func (r *resolver) image(survivors []int) Image {
+// image builds the image of r's set: its Survivors ascending, as the set's
+// bits are, and its Overlay. Both alias r's buffers until the next call.
+func (r *resolver) image() Image {
 	t := r.t
-	overlay := r.overlay[:0] // a local, as in resolve
-	for _, p := range r.hits {
+	surv := r.surv[:0] // locals, as in resolve
+	for w, x := range r.set {
+		for ; x != 0; x &= x - 1 {
+			surv = append(surv, w<<6|bits.TrailingZeros64(x))
+		}
+	}
+	if surv == nil {
+		surv = []int{} // Survivors of the empty set is empty, not nil
+	}
+	overlay := r.overlay[:0]
+	for _, p := range r.resolve() {
 		overlay = append(overlay, LineWrite{Addr: t.addrs[t.line[p]], Data: t.rec.Pending[p].Data})
 	}
-	r.overlay = overlay
-	return Image{Survivors: survivors, Overlay: overlay}
+	r.surv, r.overlay = surv, overlay
+	return Image{Survivors: surv, Overlay: overlay}
 }
 
 // hasher computes canonical image hashes (see Image.Hash), reusing one

@@ -34,8 +34,8 @@ func testRecord(pending []PendingWrite) *Record {
 func resolveImage(rec *Record, survivors []int) Image {
 	var s scratch
 	s.load(rec)
-	s.r.resolve(survivors)
-	return s.r.image(survivors)
+	s.r.load(survivors)
+	return s.r.image()
 }
 
 func lineData(b byte) (d [memory.LineSize]byte) {

@@ -19,10 +19,10 @@ import "fmt"
 // sibling links as indices, so a warmed-up point allocates nothing.
 type verdictMemo struct {
 	nodes []memoNode
-	// t and hits are the image being judged, as a resolver's hits over t:
-	// its class on line l is the class of the hit on l, or 0.
-	t    *lineTable
-	hits []int32
+	// t and set are the image being judged, as a survival set mask over
+	// t's record: its class on line l is t.probe(set, l).
+	t   *lineTable
+	set []uint64
 	// path is the internal nodes the last lookup passed, root first.
 	path []int32
 	// reads are the pending lines the running check has read, in first-read
@@ -64,27 +64,14 @@ func (m *verdictMemo) noteRead(i int) {
 }
 
 // class returns the judged image's value class on line l.
-func (m *verdictMemo) class(l int32) int32 {
-	hits, line := m.hits, m.t.line
-	i, j := 0, len(hits) // hits are in line order
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if line[hits[h]] < l {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	if i < len(hits) && line[hits[i]] == l {
-		return m.t.class[hits[i]]
-	}
-	return 0
-}
+func (m *verdictMemo) class(l int32) int32 { return m.t.probe(m.set, l) }
 
-// lookup makes the image of hits the one being judged and returns its
-// verdict, if a path of the tree covers it.
-func (m *verdictMemo) lookup(hits []int32) (err error, ok bool) {
-	m.hits = hits
+// lookup makes the image of the survival set mask set the one being judged
+// and returns its verdict, if a path of the tree covers it. It reads only
+// the lines on the path, each straight from the mask, so an image it
+// answers is never resolved.
+func (m *verdictMemo) lookup(set []uint64) (err error, ok bool) {
+	m.set = set
 	m.path = m.path[:0]
 	if len(m.nodes) == 0 {
 		return nil, false

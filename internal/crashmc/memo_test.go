@@ -229,17 +229,7 @@ func FuzzMemo(f *testing.F) {
 		for _, x := range data {
 			seed = seed*131 + uint64(x)
 		}
-		check := func(m *memory.Memory) error {
-			h, l := seed, int(seed%4)
-			for range 1 + seed%5 {
-				h = h*31 + m.Peek64(addr(l))
-				l = int(h >> 7 % 4)
-			}
-			if h%3 == 0 {
-				return fmt.Errorf("hash %#x", h)
-			}
-			return nil
-		}
+		check := branchingCheck(seed, 4)
 		distinct, violating, vs := refCheckPoint(rec, b, check)
 		got := c.CheckRecord(rec, check)
 		if got.DistinctImages != distinct || got.ViolatingImages != violating || !reflect.DeepEqual(got.Violations, vs) {
@@ -247,4 +237,98 @@ func FuzzMemo(f *testing.F) {
 				got.DistinctImages, got.ViolatingImages, got.Violations, distinct, violating, vs)
 		}
 	})
+}
+
+// branchingCheck returns a synthetic check over lines 0 to lines-1 whose
+// reads branch on the values it reads: it starts at a line seed picks and
+// walks, choosing the next line from a hash of the words read so far, for
+// a seed-chosen number of steps, and rejects the image on the hash.
+func branchingCheck(seed uint64, lines int) func(m *memory.Memory) error {
+	n := uint64(lines)
+	return func(m *memory.Memory) error {
+		h, l := seed, int(seed%n)
+		for range 1 + seed%5 {
+			h = h*31 + m.Peek64(addr(l))
+			l = int(h >> 7 % n)
+		}
+		if h%3 == 0 {
+			return fmt.Errorf("hash %#x", h)
+		}
+		return nil
+	}
+}
+
+// TestWideRecords runs records of more than 64 pending writes, whose
+// survival sets span two mask words, through Enumerate and CheckRecord and
+// requires the reference enumerator's and the every-image validation's
+// results. One record is all free writes, enumerated within two flips of
+// either extreme; the other mixes free writes with two cores' epoch
+// writes, and its fastest-moving group, the second core, has writes in the
+// second word. The writes share 24 lines, some of them with the base
+// bytes, so the dedupe key set and the memo's newest-first probe see
+// overwritten lines.
+func TestWideRecords(t *testing.T) {
+	const lines = 24
+	free := make([]PendingWrite, 70)
+	for i := range free {
+		free[i] = PendingWrite{Addr: addr(i * 7 % lines), Data: lineData(byte(i % 5)), Class: ClassFree, Core: -1, Seq: i}
+	}
+	mixed := make([]PendingWrite, 72)
+	for i := range mixed {
+		mixed[i] = PendingWrite{Addr: addr(i * 7 % lines), Data: lineData(byte(i % 5)), Class: ClassFree, Core: -1, Seq: i}
+		if c := i%3 - 1; c >= 0 { // four epochs of six writes per core
+			mixed[i].Class, mixed[i].Core, mixed[i].Epoch = ClassEpoch, c, uint64(1+i/18)
+		}
+	}
+	c := Config{Workload: workload.NewLinkedList()} // names the witnesses
+	for _, tc := range []struct {
+		name    string
+		pending []PendingWrite
+		b       Bounds
+	}{
+		{"free", free, Bounds{MaxFlips: 2, MaxImages: 1 << 13}},
+		{"mixed", mixed, Bounds{MaxFlips: 1}},
+	} {
+		rec := testRecord(tc.pending)
+		got, want := Enumerate(rec, tc.b), refEnumerate(rec, tc.b)
+		if got.SetsSkipped == 0 || len(got.Images) < 1000 {
+			t.Fatalf("%s: %d sets, %d skipped, %d images: the record does not exercise the bounds", tc.name, got.Sets, got.SetsSkipped, len(got.Images))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d sets, %d skipped, %d images; the reference gives %d, %d, %d (or the images differ)",
+				tc.name, got.Sets, got.SetsSkipped, len(got.Images), want.Sets, want.SetsSkipped, len(want.Images))
+		}
+		c.Bounds = tc.b
+		for seed := uint64(1); seed <= 3; seed++ {
+			check := branchingCheck(seed, lines)
+			distinct, violating, vs := refCheckPoint(rec, tc.b, check)
+			res := c.CheckRecord(rec, check)
+			if res.DistinctImages != distinct || res.ViolatingImages != violating || !reflect.DeepEqual(res.Violations, vs) {
+				t.Fatalf("%s, seed %d: %d images, %d violating, violations %+v; checking every image gives %d, %d, %+v",
+					tc.name, seed, res.DistinctImages, res.ViolatingImages, res.Violations, distinct, violating, vs)
+			}
+			t.Logf("%s, seed %d: %d sets, %d images, %d violating", tc.name, seed, res.Sets, distinct, violating)
+		}
+	}
+}
+
+// TestMemoHitResolvesNothing requires an image whose verdict the memo
+// gives to be judged straight from its survival set mask, without
+// resolving the set. Three writes on lines of their own (so the stream
+// keeps no dedupe key) are judged by a check that reads line 0 only: the
+// first two images are checked and the other six, the last among them,
+// take the memo's verdicts, so the stream's resolver must be left
+// unresolved.
+func TestMemoHitResolvesNothing(t *testing.T) {
+	rec := testRecord([]PendingWrite{freeWrite(0, 1), freeWrite(1, 2), freeWrite(2, 3)})
+	checks := 0
+	check := func(m *memory.Memory) error { checks++; m.Peek64(addr(0)); return nil }
+	var s scratch
+	res := s.checkPoint(Config{}, rec, check)
+	if res.DistinctImages != 8 || checks != 2 {
+		t.Fatalf("%d images, %d checks; want 8 and 2", res.DistinctImages, checks)
+	}
+	if s.r.resolved {
+		t.Fatal("the last image's verdict came from the memo, but its set was resolved")
+	}
 }

@@ -184,12 +184,13 @@ func (c Config) walk() []PointResult {
 }
 
 // checkPoint is CheckRecord in s's buffers. Each image is judged through
-// the point's verdict memo: an image that agrees with an earlier checked
-// one on every pending line that check read takes its verdict. Any other is
-// written into rec.Base in place through the line pointers bindLines
-// resolved, judged by check while Base reports its reads of pending lines
-// (memory.Memory.Watch), and restored from the base lines the line table
-// read before the first overlay. The writes bypass Memory's accounting, so
+// the point's verdict memo, straight from its survival set mask: an image
+// that agrees with an earlier checked one on every pending line that check
+// read takes its verdict. Any other is resolved and written into rec.Base
+// in place through the line pointers bindLines resolved, judged by check
+// while Base reports its reads of pending lines (memory.Memory.Watch), and
+// restored from the base lines the line table read before the first
+// overlay. The writes bypass Memory's accounting, so
 // checking leaves Base's Writes and wear as the snapshot or crash left
 // them. A point whose first check reads every pending line (one without
 // pending lines included) judges its other images without the memo. A
@@ -208,22 +209,20 @@ func (s *scratch) checkPoint(c Config, rec *Record, check func(*memory.Memory) e
 	rec.Base.Watch(s.table.addrs, s.memo.onRead)
 	defer rec.Base.Watch(nil, nil)
 	memo := true
-	var applied *resolver // the image written in rec.Base while check runs
-	defer func() {
-		if applied != nil { // check panicked: put the base back
-			s.restore(applied)
-		}
-	}()
+	// applied is the hits written in rec.Base while check runs; the
+	// deferred restore puts the base back under a check that panicked.
+	var applied []int32
+	defer func() { s.restore(applied) }()
 	judge := func(r *resolver) error {
 		if memo {
-			if err, ok := s.memo.lookup(r.hits); ok {
+			if err, ok := s.memo.lookup(r.set); ok {
 				return err
 			}
 		}
-		s.apply(r)
-		applied = r
+		applied = r.resolve()
+		s.apply(applied)
 		err := check(rec.Base)
-		s.restore(r)
+		s.restore(applied)
 		applied = nil
 		if memo && !s.memo.learn(err) {
 			memo = false // judge the point's other images without it
@@ -232,14 +231,14 @@ func (s *scratch) checkPoint(c Config, rec *Record, check func(*memory.Memory) e
 		return err
 	}
 	checkSet := func(survivors []int) string {
-		s.mr.resolve(survivors)
+		s.mr.load(survivors)
 		if err := judge(&s.mr); err != nil {
 			return err.Error()
 		}
 		return ""
 	}
 
-	res.Sets, res.SetsSkipped = s.stream(c.Bounds, func(set []int) {
+	res.Sets, res.SetsSkipped = s.stream(c.Bounds, func() {
 		res.DistinctImages++
 		err := judge(&s.r)
 		if err == nil {
@@ -249,7 +248,8 @@ func (s *scratch) checkPoint(c Config, rec *Record, check func(*memory.Memory) e
 		if len(res.Violations) >= maxViolations {
 			return
 		}
-		v := Violation{Hash: s.h.sum(s.r.image(set).Overlay), Survivors: slices.Clone(set), Err: err.Error()}
+		img := s.r.image()
+		v := Violation{Hash: s.h.sum(img.Overlay), Survivors: slices.Clone(img.Survivors), Err: err.Error()}
 		if len(res.Violations) == 0 {
 			v.Minimized, v.MinimizedErr = minimize(rec, v.Survivors, checkSet)
 			res.Witness = newWitness(c, rec.CrashCycle, rec, v.Minimized, v.MinimizedErr)
@@ -270,19 +270,19 @@ func (s *scratch) bindLines() {
 	s.lines = lines
 }
 
-// apply writes the image r resolved last into the record's Base: each
-// line's newest surviving write.
-func (s *scratch) apply(r *resolver) {
+// apply writes an image into the record's Base: its hits, each line's
+// newest surviving write whose bytes differ from the base.
+func (s *scratch) apply(hits []int32) {
 	t := &s.table
-	for _, p := range r.hits {
+	for _, p := range hits {
 		*s.lines[t.line[p]] = t.rec.Pending[p].Data
 	}
 }
 
-// restore writes the base bytes back under the image apply wrote.
-func (s *scratch) restore(r *resolver) {
+// restore writes the base bytes back under the hits apply wrote.
+func (s *scratch) restore(hits []int32) {
 	t := &s.table
-	for _, p := range r.hits {
+	for _, p := range hits {
 		l := t.line[p]
 		*s.lines[l] = t.base[l]
 	}

@@ -3,7 +3,6 @@ package crashmc
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"bbb/internal/engine"
 	"bbb/internal/memory"
@@ -174,8 +173,8 @@ func (w *Witness) Recapture() (workload.Workload, *Record, error) {
 	defer scratchPool.Put(s)
 	s.load(rec)
 	s.bindLines()
-	s.r.resolve(survivors)
-	s.apply(&s.r)
+	s.r.load(survivors)
+	s.apply(s.r.resolve())
 	return wl, rec, nil
 }
 
@@ -220,6 +219,5 @@ func matchSurvivors(rec *Record, writes []WitnessWrite) ([]int, error) {
 		}
 		out = append(out, found)
 	}
-	sort.Ints(out)
 	return out, nil
 }

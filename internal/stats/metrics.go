@@ -352,17 +352,6 @@ func (m *Metrics) WindowedNames() []string {
 	return m.wins.names()
 }
 
-// Merge folds every histogram of other into m (gauge timelines are not
-// merged: interleaving two machines' timelines has no meaning).
-func (m *Metrics) Merge(other *Metrics) {
-	if m == nil || other == nil {
-		return
-	}
-	for _, name := range other.hists.order {
-		m.hists.cell(name).Merge(other.hists.m[name])
-	}
-}
-
 // String renders every metric, one per line, sorted by name within
 // histograms, gauges and windowed metrics — the deterministic dump behind
 // bbbsim -verbose and the golden tests.

@@ -188,7 +188,6 @@ func TestMetricsNilSafe(t *testing.T) {
 	h, g := m.LazyHist("x"), m.LazyGauge("y")
 	h.Observe(1)
 	g.Sample(10, 0, 2)
-	m.Merge(NewMetrics())
 	if m.Hist("x") != nil || m.Gauge("y") != nil {
 		t.Fatal("nil Metrics returned a metric")
 	}
@@ -240,25 +239,6 @@ func TestMetricsObserveAndNames(t *testing.T) {
 	}
 	if m.Hist("missing") != nil || m.Gauge("missing") != nil {
 		t.Fatal("missing metric not nil")
-	}
-}
-
-func TestMetricsMerge(t *testing.T) {
-	a, b := NewMetrics(), NewMetrics()
-	ax, bx, by, bg := a.LazyHist("x"), b.LazyHist("x"), b.LazyHist("y"), b.LazyGauge("g")
-	ax.Observe(1)
-	bx.Observe(3)
-	by.Observe(5)
-	bg.Sample(1, 0, 1) // gauges must NOT merge
-	a.Merge(b)
-	if a.Hist("x").Count() != 2 || a.Hist("x").Sum() != 4 {
-		t.Fatal("x not merged")
-	}
-	if a.Hist("y").Count() != 1 {
-		t.Fatal("y not created by merge")
-	}
-	if a.Gauge("g") != nil {
-		t.Fatal("gauge leaked through Merge")
 	}
 }
 

@@ -65,7 +65,8 @@ func (w *Windowed) Observe(cycle, v uint64) {
 	if n == 0 || start > w.wins[n-1].start {
 		w.wins = append(w.wins, window{start: start})
 		if len(w.wins) > windowedCap {
-			w.coalesce(w.width * 2)
+			w.width *= 2
+			w.wins = coalesce(w.wins, w.width)
 		}
 		n = len(w.wins)
 	}
@@ -77,26 +78,22 @@ func (w *Windowed) Observe(cycle, v uint64) {
 	w.total.Observe(v)
 }
 
-// coalesce re-aligns every retained window to toWidth, merging windows
-// that now share a start. toWidth must be a power-of-two multiple of the
-// current width, so alignment is preserved.
-func (w *Windowed) coalesce(toWidth uint64) {
-	if toWidth <= w.width {
-		return
-	}
-	kept := w.wins[:0]
-	for i := range w.wins {
-		win := &w.wins[i]
-		start := win.start - win.start%toWidth
+// coalesce re-aligns every window of wins, ascending by start, to width
+// to, merging the windows that now share a start, in place. to must be a
+// power-of-two multiple of the windows' width, so alignment is preserved.
+func coalesce(wins []window, to uint64) []window {
+	kept := wins[:0]
+	for i := range wins {
+		start := wins[i].start - wins[i].start%to
 		if n := len(kept); n > 0 && kept[n-1].start == start {
-			kept[n-1].hist.Merge(&win.hist)
-			kept[n-1].over += win.over
+			kept[n-1].hist.Merge(&wins[i].hist)
+			kept[n-1].over += wins[i].over
 		} else {
-			kept = append(kept, window{start: start, over: win.over, hist: win.hist})
+			kept = append(kept, wins[i])
+			kept[len(kept)-1].start = start
 		}
 	}
-	w.wins = kept
-	w.width = toWidth
+	return kept
 }
 
 // Total returns the whole-run histogram across every window.
@@ -157,8 +154,9 @@ func (w *Windowed) Merge(other *Windowed) {
 	if other.width > width {
 		width = other.width
 	}
-	w.coalesce(width)
-	ows = coalesceTo(ows, other.width, width)
+	w.wins = coalesce(w.wins, width)
+	w.width = width
+	ows = coalesce(ows, width)
 	// Merge the two sorted-by-start window lists.
 	merged := make([]window, 0, len(w.wins)+len(ows))
 	i, j := 0, 0
@@ -180,27 +178,10 @@ func (w *Windowed) Merge(other *Windowed) {
 	}
 	w.wins = merged
 	for len(w.wins) > windowedCap {
-		w.coalesce(w.width * 2)
+		w.width *= 2
+		w.wins = coalesce(w.wins, w.width)
 	}
 	w.total.Merge(&other.total)
-}
-
-// coalesceTo is coalesce over a detached window list.
-func coalesceTo(wins []window, from, to uint64) []window {
-	if to <= from {
-		return wins
-	}
-	var kept []window
-	for i := range wins {
-		start := wins[i].start - wins[i].start%to
-		if n := len(kept); n > 0 && kept[n-1].start == start {
-			kept[n-1].hist.Merge(&wins[i].hist)
-			kept[n-1].over += wins[i].over
-		} else {
-			kept = append(kept, window{start: start, over: wins[i].over, hist: wins[i].hist})
-		}
-	}
-	return kept
 }
 
 // Summary renders the one-line digest used by CLIs and golden tests.
